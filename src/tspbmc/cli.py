@@ -10,8 +10,9 @@ Subcommands wire the pipeline end to end::
 
 Protocol/scenario arguments accept either a file path or the name of an
 embedded library entry (see ``tspbmc list``). Exit codes: 0 no attack up
-to the bound, 10 attack found (witness written), 2 usage/input error,
-3 solver inconclusive.
+to the bound (all runs covered when the bound is the exec-step count), 10
+attack found (witness written), 2 usage/input error, 3 solver
+inconclusive.
 """
 
 from __future__ import annotations
@@ -109,7 +110,10 @@ def cmd_check(args) -> int:
     for bound, status, wall in verdict.per_bound_log:
         print(f"bound {bound}: {status} ({wall:.2f}s)", file=sys.stderr)
     if verdict.outcome == "no-attack-up-to":
-        print(f"no attack up to bound {verdict.bound}")
+        covered = ""
+        if verdict.bound == len(model.exec_steps):
+            covered = f": all runs of this {model.sessions}-session scenario covered"
+        print(f"no attack up to bound {verdict.bound}{covered}")
         return EXIT_NO_ATTACK
     if verdict.outcome == "inconclusive":
         print(f"inconclusive: {verdict.reason}", file=sys.stderr)
@@ -181,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the full BMC pipeline")
     _add_io_args(p)
     p.add_argument("--max-bound", type=int, default=None, metavar="N",
-                   help="bound cap (default: 2 x exec-step count)")
+                   help="bound cap (default and ceiling: the exec-step count, "
+                        "which covers every run)")
     p.add_argument("--solver", default=None, metavar="CMD",
                    help="solver command (default: $TSPBMC_SOLVER, z3 -in, "
                         "or the bundled fallback)")
@@ -203,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="explicit-state search (ground truth)")
     _add_io_args(p)
     p.add_argument("--depth", type=int, default=None, metavar="N",
-                   help="search depth cap (default: 2 x exec-step count)")
+                   help="search depth cap (default: the exec-step count)")
     p.add_argument("--format", choices=sorted(_RENDERERS), default="text")
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_oracle)

@@ -1,9 +1,9 @@
 """Fallback SMT-LIB2 solver for QF_LRA difference constraints.
 
 ``python -m tspbmc.smtlite`` speaks enough of the SMT-LIB2 pipe protocol
-(``declare-const``, ``assert``, ``check-sat``, ``get-value``, ``exit``) to
-stand in for ``z3 -in`` on the scripts this tool generates, for
-environments without a real SMT solver. It is a lazy DPLL(T): a small
+(``declare-const``, ``assert``, ``check-sat``, ``get-value``, ``reset``,
+``exit``) to stand in for ``z3 -in`` on the scripts this tool generates,
+for environments without a real SMT solver. It is a lazy DPLL(T): a small
 watched-literal SAT core over the Tseitin CNF of the assertions, with a
 Bellman-Ford feasibility check for the rational difference constraints and
 negative-cycle conflict clauses.
@@ -663,6 +663,8 @@ def main(argv=None) -> int:
                     f"({name} {render_value(solver.value_of(name))})" for name in cmd[1]
                 ]
                 print("(" + " ".join(parts) + ")", file=out, flush=True)
+            elif head == "reset":
+                solver = Solver()
             elif head == "exit":
                 return 0
             elif head == "echo":

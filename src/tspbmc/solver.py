@@ -1,9 +1,19 @@
 """External SMT solver driver and bound-deepening loop.
 
-Each bound gets a fresh script and a fresh child process (no incremental
-push/pop), so any SMT-LIB2-compliant binary works. The child protocol is:
-write the script, read the ``(check-sat)`` reply line, and on ``sat`` send
-one ``(get-value ...)`` for every declared symbol.
+Each ``iterate_bounds`` call keeps one solver child for the whole check.
+Every bound gets a fresh full script (no incremental push/pop), and each
+script after the first is preceded by the standard SMT-LIB ``(reset)``,
+so any SMT-LIB2-compliant binary that accepts ``(reset)`` works. The
+protocol per script is: write the script, read the ``(check-sat)`` reply
+line, and on ``sat`` send one ``(get-value ...)`` for every declared
+symbol.
+The child's stderr is drained on its own thread so that it can never fill
+the pipe and stall the child. A timeout or a protocol error kills the
+child; every exit path closes it.
+
+Every exec step fires at most once and exactly one step fires per
+position, so every bound above the exec-step count is unsat and the
+bound at the step count covers every run: the loop stops there.
 
 Solver resolution order: explicit ``--solver`` command, the
 ``TSPBMC_SOLVER`` environment variable, ``z3 -in`` if z3 is on PATH, and
@@ -28,13 +38,15 @@ from .model import TiisModel
 from .sexpr import parse_one, parse_value, read_sexpr
 
 DEFAULT_TIMEOUT = 60.0
+EXIT_GRACE = 5.0  # seconds a child gets to exit after (exit) or a kill
+STDERR_KEEP = 64 * 1024  # characters of stderr kept per script
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     command: tuple = ()  # empty -> resolve automatically
     timeout: float = DEFAULT_TIMEOUT  # seconds per bound
-    max_bound: Optional[int] = None  # default: 2 x total exec-step count
+    max_bound: Optional[int] = None  # capped at, and by default, the exec-step count
 
     def __post_init__(self):
         if self.timeout <= 0:
@@ -74,9 +86,11 @@ def resolve_solver_command(explicit: Optional[str] = None) -> tuple:
     return (sys.executable, "-m", "tspbmc.smtlite")
 
 
-def _interact(proc, script: SmtScript, box: dict):
-    """Child interaction, run on a worker thread so timeouts can kill it."""
+def _interact(proc, script: SmtScript, reset: bool, box: dict):
+    """One script's exchange, run on a worker thread so timeouts can kill it."""
     try:
+        if reset:
+            proc.stdin.write("(reset)\n")
         proc.stdin.write(script.text)
         proc.stdin.flush()
         status = None
@@ -92,12 +106,10 @@ def _interact(proc, script: SmtScript, box: dict):
                 errors.append(line)
                 if len(errors) > 200:
                     raise SolverError("solver never answered check-sat")
-        if errors and status is None:
-            raise SolverError("; ".join(errors))
         values = {}
         if status == "sat":
             names = sorted(script.var_index)
-            proc.stdin.write("(get-value (" + " ".join(names) + "))\n(exit)\n")
+            proc.stdin.write("(get-value (" + " ".join(names) + "))\n")
             proc.stdin.flush()
             reply = parse_one(read_sexpr(proc.stdout))
             if not isinstance(reply, list):
@@ -109,10 +121,6 @@ def _interact(proc, script: SmtScript, box: dict):
             missing = set(names) - set(values)
             if missing:
                 raise SolverError(f"model is missing symbols: {sorted(missing)[:5]}")
-        else:
-            proc.stdin.write("(exit)\n")
-            proc.stdin.flush()
-        proc.stdin.close()
         box["status"] = status
         box["values"] = values
         box["notes"] = errors
@@ -120,68 +128,152 @@ def _interact(proc, script: SmtScript, box: dict):
         box["exception"] = e
 
 
-def run_solver(script: SmtScript, config: SolverConfig) -> RawResult:
-    command = config.command or resolve_solver_command()
-    start = time.monotonic()
-    try:
-        proc = subprocess.Popen(
-            list(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-    except OSError as e:
-        raise SolverError(f"cannot spawn solver {command!r}: {e}") from e
+class SolverSession:
+    """One solver child that answers a sequence of scripts.
 
-    box: dict = {}
-    worker = threading.Thread(target=_interact, args=(proc, script, box), daemon=True)
-    worker.start()
-    worker.join(config.timeout)
-    timed_out = worker.is_alive()
-    if timed_out:
-        proc.kill()
-        worker.join(5.0)
-    try:
-        stderr = proc.stderr.read()
-    except (OSError, ValueError):
-        stderr = ""
-    proc.wait()
-    elapsed = time.monotonic() - start
+    Use as a context manager; ``close`` ends the child on every path. After
+    a timeout or an error the child is killed and the session takes no
+    further script.
+    """
 
-    if timed_out:
-        return RawResult("timeout", {}, stderr, elapsed)
-    if "exception" in box:
-        return RawResult("error", {}, f"{box['exception']}\n{stderr}".strip(), elapsed)
-    notes = "\n".join(box.get("notes", []))
-    if notes:
-        stderr = f"{notes}\n{stderr}".strip()
-    return RawResult(box["status"], box.get("values", {}), stderr, elapsed)
+    def __init__(self, command: tuple):
+        try:
+            self.proc = subprocess.Popen(
+                list(command),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                errors="replace",
+            )
+        except OSError as e:
+            raise SolverError(f"cannot spawn solver {command!r}: {e}") from e
+        self._used = False
+        self._dead = False
+        self._lock = threading.Lock()
+        self._stderr = []
+        self._stderr_len = 0
+        self._drain = threading.Thread(target=self._drain_stderr, daemon=True)
+        self._drain.start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        if exc_type is not None:
+            self._kill()
+        self.close()
+
+    def _drain_stderr(self):
+        try:
+            for line in self.proc.stderr:
+                with self._lock:
+                    if self._stderr_len < STDERR_KEEP:
+                        self._stderr.append(line)
+                        self._stderr_len += len(line)
+        except (OSError, ValueError):
+            pass
+
+    def _take_stderr(self) -> str:
+        with self._lock:
+            text = "".join(self._stderr)
+            self._stderr, self._stderr_len = [], 0
+        return text
+
+    def _kill(self):
+        """Kill the child and wait for it and its stderr to end."""
+        self._dead = True
+        self.proc.kill()
+        self.proc.wait()
+        self._drain.join(EXIT_GRACE)
+
+    def run(self, script: SmtScript, timeout: float) -> RawResult:
+        if self._dead:
+            raise SolverError("solver session is closed")
+        reset, self._used = self._used, True
+        start = time.monotonic()
+        box: dict = {}
+        worker = threading.Thread(target=_interact,
+                                  args=(self.proc, script, reset, box), daemon=True)
+        worker.start()
+        worker.join(timeout)
+        if worker.is_alive():
+            self._kill()
+            worker.join(EXIT_GRACE)
+            return RawResult("timeout", {}, self._take_stderr(),
+                             time.monotonic() - start)
+        if "exception" in box:
+            self._kill()
+            stderr = self._take_stderr()
+            return RawResult("error", {}, f"{box['exception']}\n{stderr}".strip(),
+                             time.monotonic() - start)
+        stderr = "\n".join(box["notes"] + [self._take_stderr()]).strip()
+        return RawResult(box["status"], box["values"], stderr,
+                         time.monotonic() - start)
+
+    def close(self):
+        """Ask the child to exit; kill it if it does not within the grace."""
+        if not self._dead:
+            self._dead = True
+            try:
+                self.proc.stdin.write("(exit)\n")
+                self.proc.stdin.close()
+            except (OSError, ValueError):
+                pass
+            try:
+                self.proc.wait(EXIT_GRACE)
+            except subprocess.TimeoutExpired:
+                self._kill()
+            self._drain.join(EXIT_GRACE)
+        for stream in (self.proc.stdin, self.proc.stdout):
+            try:
+                stream.close()
+            except (OSError, ValueError):
+                pass
+        if not self._drain.is_alive():
+            self.proc.stderr.close()
+
+
+def open_session(config: SolverConfig) -> SolverSession:
+    return SolverSession(config.command or resolve_solver_command())
+
+
+def run_solver(script: SmtScript, config: SolverConfig,
+               session: Optional[SolverSession] = None) -> RawResult:
+    """Answer one script on ``session``, or on a one-shot child if None."""
+    if session is not None:
+        return session.run(script, config.timeout)
+    with open_session(config) as own:
+        return own.run(script, config.timeout)
 
 
 def default_max_bound(model: TiisModel) -> int:
-    return 2 * len(model.exec_steps)
+    """The exec-step count: the bound at which every run is covered."""
+    return len(model.exec_steps)
 
 
 def iterate_bounds(model: TiisModel, goal=None, config: Optional[SolverConfig] = None) -> Verdict:
-    """Linear bound deepening n = 1..max_bound; stop at the first sat.
+    """Linear bound deepening n = 1..min(max_bound, exec-step count) on one
+    solver child; stop at the first sat.
 
     ``goal`` is accepted for interface symmetry; the reachability goal is
     already baked into the model.
     """
     config = config or SolverConfig()
-    max_bound = config.max_bound or default_max_bound(model)
+    steps = default_max_bound(model)
+    max_bound = min(config.max_bound or steps, steps)
     log = []
-    for n in range(1, max_bound + 1):
-        script = encode(BmcProblem(model, n))
-        result = run_solver(script, config)
-        log.append((n, result.status, result.elapsed))
-        if result.status == "sat":
-            return Verdict("attack-found", n, result, per_bound_log=tuple(log))
-        if result.status == "unsat":
-            continue
-        reason = f"solver returned {result.status} at bound {n}"
-        if result.solver_stderr:
-            reason += f": {result.solver_stderr.splitlines()[0]}"
-        return Verdict("inconclusive", n, result, reason, tuple(log))
+    with open_session(config) as session:
+        for n in range(1, max_bound + 1):
+            script = encode(BmcProblem(model, n))
+            result = run_solver(script, config, session)
+            log.append((n, result.status, result.elapsed))
+            if result.status == "sat":
+                return Verdict("attack-found", n, result, per_bound_log=tuple(log))
+            if result.status == "unsat":
+                continue
+            reason = f"solver returned {result.status} at bound {n}"
+            if result.solver_stderr:
+                reason += f": {result.solver_stderr.splitlines()[0]}"
+            return Verdict("inconclusive", n, result, reason, tuple(log))
     return Verdict("no-attack-up-to", max_bound, per_bound_log=tuple(log))

@@ -13,10 +13,19 @@ def run(capsys, *argv):
 
 
 def test_check_no_attack(capsys):
+    # nspkt fair has 3 exec steps: the cap stops the loop there
     code, out, err = run(capsys, "check", "nspkt", "fair", "--max-bound", "6")
     assert code == 0
-    assert "no attack up to bound 6" in out
-    assert "bound 6: unsat" in err
+    assert out == ("no attack up to bound 3: "
+                   "all runs of this 1-session scenario covered\n")
+    assert [line.split(" (")[0] for line in err.splitlines()] == [
+        f"bound {n}: unsat" for n in (1, 2, 3)]
+
+
+def test_check_no_attack_below_step_count(capsys):
+    code, out, _ = run(capsys, "check", "nspkt", "mitm1_lowe", "--max-bound", "2")
+    assert code == 0
+    assert out == "no attack up to bound 2\n"
 
 
 def test_check_attack_text(capsys):

@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +184,11 @@ def test_effective_require_complete_default_and_explicit():
     assert effective_require_complete(spec, steps, 2) == frozenset({1})
     no_complete = parse_protocol(NSPK.replace("complete: 1\n", ""))
     assert effective_require_complete(no_complete, steps, 2) == frozenset({1, 2})
+
+
+def test_readme_protocol_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Input format", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"^```\n(.*?)^```$", section, re.S | re.M).group(1)
+    spec = parse_protocol(block)
+    assert spec == parse_protocol(NSPK)

@@ -153,3 +153,16 @@ def test_read_sexpr_stream():
 def test_parse_all_comments_and_strings():
     exprs = parse_all('(echo "hi there") ; comment (ignored)\n(check-sat)')
     assert exprs == [["echo", '"hi there"'], ["check-sat"]]
+
+
+def test_reset_starts_a_fresh_context():
+    out = run_script(
+        "(declare-const x Bool)(declare-const y Bool)\n"
+        "(assert (and x (not x)))(check-sat)\n"
+        "(reset)\n"
+        "(declare-const x Bool)(assert x)(check-sat)\n"
+        "(get-value (x))\n"
+        "(get-value (y))\n")
+    assert out[:2] == ["unsat", "sat"]
+    assert model_values(out[2]) == {"x": True}
+    assert out[3].startswith("(error") and "unknown symbol 'y'" in out[3]

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import pytest
@@ -80,9 +81,9 @@ def test_iterate_bounds_no_attack(lib):
     model = model_of(lib, "nspkt", "fair")
     verdict = iterate_bounds(model, config=solver_config(max_bound=6))
     assert verdict.outcome == "no-attack-up-to"
-    assert verdict.bound == 6
+    assert verdict.bound == 3  # capped at the exec-step count
     assert [(b, s) for b, s, _ in verdict.per_bound_log] == [
-        (n, "unsat") for n in range(1, 7)]
+        (n, "unsat") for n in range(1, 4)]
 
 
 def test_iterate_bounds_attack_is_minimal(lib):
@@ -105,5 +106,77 @@ def test_iterate_bounds_inconclusive_propagates(lib):
 
 
 def test_default_max_bound(lib):
-    assert default_max_bound(model_of(lib, "nspkt", "fair")) == 6
-    assert default_max_bound(model_of(lib, "nspkt", "mitm1_lowe")) == 12
+    assert default_max_bound(model_of(lib, "nspkt", "fair")) == 3
+    assert default_max_bound(model_of(lib, "nspkt", "mitm1_lowe")) == 6
+
+
+def test_run_solver_drains_stderr():
+    # 300 KiB of stderr before the answer fills any pipe buffer: reading
+    # stderr only after the child exits would stall until the timeout
+    fake = ("import sys; sys.stderr.write('x' * 300 * 1024); sys.stderr.flush(); "
+            "print('unsat', flush=True); sys.stdin.read()")
+    cfg = solver_config(command=(sys.executable, "-c", fake), timeout=20.0)
+    result = run_solver(script_of("(check-sat)\n", {}), cfg)
+    assert result.status == "unsat"
+    assert result.elapsed < 20.0
+
+
+def pid_logging(pidfile, body: str) -> tuple:
+    """A solver command that appends its pid to ``pidfile``, then runs ``body``."""
+    log = (f"import os; f = open({str(pidfile)!r}, 'a'); "
+           "f.write(f'{os.getpid()}\\n'); f.close(); ")
+    return (sys.executable, "-c", log + body)
+
+
+def spawned(pidfile) -> list:
+    return [int(p) for p in pidfile.read_text().split()] if pidfile.exists() else []
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+SMTLITE_BODY = "import sys; from tspbmc.smtlite import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("scenario, outcome, bound", [
+    ("fair", "no-attack-up-to", 3),
+    ("mitm1_lowe", "attack-found", 5),
+])
+def test_iterate_bounds_spawns_one_child(lib, tmp_path, scenario, outcome, bound):
+    pidfile = tmp_path / "pids"
+    model = model_of(lib, "nspkt", scenario)
+    cfg = solver_config(command=pid_logging(pidfile, SMTLITE_BODY))
+    verdict = iterate_bounds(model, config=cfg)
+    assert (verdict.outcome, verdict.bound) == (outcome, bound)
+    assert len(verdict.per_bound_log) == bound
+    pids = spawned(pidfile)
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+@pytest.mark.parametrize("body, status", [
+    ("import time; time.sleep(60)", "timeout"),
+    ("print('hello'); exit()", "error"),
+])
+def test_iterate_bounds_kills_failed_child(lib, tmp_path, body, status):
+    pidfile = tmp_path / "pids"
+    model = model_of(lib, "nspkt", "fair")
+    cfg = solver_config(command=pid_logging(pidfile, body), timeout=2.0)
+    verdict = iterate_bounds(model, config=cfg)
+    assert verdict.outcome == "inconclusive"
+    assert verdict.result.status == status
+    assert [b for b, _, _ in verdict.per_bound_log] == [1]
+    pids = spawned(pidfile)
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+@pytest.mark.parametrize("scenario", ["fair", "mitm1_lowe"])
+def test_bound_above_step_count_is_unsat(lib, scenario):
+    # each exec step fires at most once and one fires per position
+    model = model_of(lib, "nspkt", scenario)
+    script = encode(BmcProblem(model, len(model.exec_steps) + 1))
+    assert run_solver(script, solver_config()).status == "unsat"
