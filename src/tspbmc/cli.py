@@ -29,6 +29,7 @@ from .frontend import parse_protocol, parse_scenario
 from .model import build_model, model_to_json
 from .oracle import explicit_reach
 from .solver import SolverConfig, default_max_bound, iterate_bounds, resolve_solver_command
+from .terms import render_term
 from .witness import decode, render_html, render_json, render_text, replay
 
 EXIT_NO_ATTACK = 0
@@ -101,6 +102,10 @@ def cmd_check(args) -> int:
     model = build_model(spec, scenario, k=args.sessions, eavesdrop=args.eavesdrop)
     for w in model.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    if not any(model.labels[tid] for tid in model.goal_secret_ids):
+        for tid in model.goal_secret_ids:
+            print(f"note: goal secret {render_term(model.universe.term_of(tid))} is "
+                  "not derivable from any message of this scenario", file=sys.stderr)
     config = SolverConfig(
         command=resolve_solver_command(args.solver),
         timeout=args.timeout,

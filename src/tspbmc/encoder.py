@@ -1,12 +1,18 @@
 """Bounded-reachability encoding to SMT-LIB2 (QF_LRA).
 
 One global transition fires per position j in 1..n. Boolean state tracks
-which session steps have fired (``done``) and what every agent can derive
-(``k`` knowledge bits, stratified into 2D parallel derivation rounds per
-position). Real variables carry per-step fire times
-bound to a non-decreasing position clock, with minimum-delay and lifetime
-difference constraints. The goal EF(psi) is a disjunction over positions
-of "required sessions complete and the intruder knows a secret instance".
+which session steps have fired (``done``). Real variables carry per-step
+fire times bound to a non-decreasing position clock, with minimum-delay
+and lifetime difference constraints.
+
+Intruder knowledge is not state: the model's minimal root supports
+(labels) decide it from the roots received. ``recv(m, j)`` is the
+disjunction of the ``done`` literals at j of the steps delivering root m
+to the intruder (``false`` at j = 0). An intruder-sent step fires at j
+only if a support of its message's label (which decides
+``model.constructible``) is received by j-1; the goal EF(psi) is a
+disjunction over positions of "required sessions complete and a support
+of a goal secret's label received by j".
 
 Symbol scheme (a stable contract consumed by the decoder)::
 
@@ -14,18 +20,16 @@ Symbol scheme (a stable contract consumed by the decoder)::
     done_<j>_<sid>_<i>   Bool   step (sid,i) has fired at or before j
     t_<sid>_<i>          Real   fire time of step (sid,i)
     tau_<j>              Real   time at position j
-    k_<agent>_<tid>_<j>_<d>  Bool  agent knows universe term tid at
-                                    position j, derivation stratum d
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .frontend import INTRUDER
-from .model import TiisModel
-from .terms import Cipher, Pair, Term
+from .model import TiisModel, receivers
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,8 @@ class SmtScript:
     var_index: dict  # symbol name -> sort ("Bool" | "Real")
     goal_positions: tuple
     bound: int
+    # symbols a sat model is asked for; None asks for every declared one
+    model_symbols: Optional[tuple] = None
 
 
 def fire_name(j: int, sid: int, i: int) -> str:
@@ -62,10 +68,6 @@ def tau_name(j: int) -> str:
     return f"tau_{j}"
 
 
-def k_name(agent: str, tid: int, j: int, d: int) -> str:
-    return f"k_{agent}_{tid}_{j}_{d}"
-
-
 def smt_num(q: Fraction) -> str:
     if q < 0:
         return f"(- {smt_num(-q)})"
@@ -75,7 +77,9 @@ def smt_num(q: Fraction) -> str:
 
 
 def _and(parts):
-    parts = list(parts)
+    parts = [p for p in dict.fromkeys(parts) if p != "true"]
+    if "false" in parts:
+        return "false"
     if not parts:
         return "true"
     if len(parts) == 1:
@@ -84,7 +88,9 @@ def _and(parts):
 
 
 def _or(parts):
-    parts = list(parts)
+    parts = [p for p in dict.fromkeys(parts) if p != "false"]
+    if "true" in parts:
+        return "true"
     if not parts:
         return "false"
     if len(parts) == 1:
@@ -92,29 +98,30 @@ def _or(parts):
     return "(or " + " ".join(parts) + ")"
 
 
-def constructible_formula(model: TiisModel, t: Term, knows) -> str:
-    """Unfold the constructibility recursion into a formula over knowledge
-    literals; ``knows(tid)`` names the literal for a universe term id."""
-    whole = knows(model.universe.id_of(t))
-    if isinstance(t, Pair):
-        return _or([whole, _and([
-            constructible_formula(model, t.left, knows),
-            constructible_formula(model, t.right, knows),
-        ])])
-    if isinstance(t, Cipher):
-        return _or([whole, _and([
-            constructible_formula(model, t.key, knows),
-            constructible_formula(model, t.body, knows),
-        ])])
-    return whole
+def intruder_deliveries(model: TiisModel) -> dict:
+    """Root id -> the exec steps that deliver it to the intruder."""
+    out = {}
+    for st in sorted(model.exec_steps, key=lambda s: (s.sid, s.index)):
+        if INTRUDER in receivers(st, model.eavesdrop):
+            out.setdefault(model.universe.id_of(st.message), []).append(st)
+    return out
 
 
-def goal_formula(model: TiisModel, j: int) -> str:
+def support_formula(label, deliveries: dict, j: int) -> str:
+    """Some support in ``label`` has fully reached the intruder by j."""
+    def recv(m):
+        if j == 0:
+            return "false"
+        return _or([done_name(j, st.sid, st.index) for st in deliveries[m]])
+    return _or([_and([recv(m) for m in support]) for support in label])
+
+
+def goal_formula(model: TiisModel, j: int, deliveries: dict) -> str:
     """psi_j: required sessions complete at j and a secret known at j."""
     last = model.steps_per_session()
     parts = [done_name(j, sid, last) for sid in sorted(model.require_complete)]
-    strata = 2 * model.depth
-    parts.append(_or([k_name(INTRUDER, tid, j, strata) for tid in model.goal_secret_ids]))
+    label = [s for tid in model.goal_secret_ids for s in model.labels[tid]]
+    parts.append(support_formula(label, deliveries, j))
     return _and(parts)
 
 
@@ -122,9 +129,7 @@ def encode(problem: BmcProblem) -> SmtScript:
     model = problem.model
     n = problem.bound
     universe = model.universe
-    strata = 2 * model.depth
     steps = sorted(model.exec_steps, key=lambda s: (s.sid, s.index))
-    agents = model.agents
 
     var_index: dict = {}
     for j in range(n + 1):
@@ -133,10 +138,6 @@ def encode(problem: BmcProblem) -> SmtScript:
             var_index[done_name(j, st.sid, st.index)] = "Bool"
             if j >= 1:
                 var_index[fire_name(j, st.sid, st.index)] = "Bool"
-        for a in agents:
-            for tid in range(len(universe)):
-                for d in range(strata + 1):
-                    var_index[k_name(a, tid, j, d)] = "Bool"
     for st in steps:
         var_index[t_name(st.sid, st.index)] = "Real"
 
@@ -199,56 +200,23 @@ def encode(problem: BmcProblem) -> SmtScript:
                 f"(+ {t_name(gen.sid, gen.index)} {smt_num(check.bound)})))"
             )
 
-    # knowledge: stratum 0 carries over and absorbs received message roots;
-    # strata 1..2D each apply one parallel round of all derivation rules
-    # (depth is chosen by build_model so 2D rounds reach the fixpoint)
-    lines.append("; knowledge")
-    rules_for = {}
-    for r in model.rules:
-        rules_for.setdefault(r.conclusion, []).append(r)
-
-    for a in agents:
-        for tid in range(len(universe)):
-            init = "true" if tid in model.initial_knowledge[a] else "false"
-            assert_(f"(= {k_name(a, tid, 0, 0)} {init})")
-
-    for j in range(n + 1):
-        for a in agents:
-            for tid in range(len(universe)):
-                if j >= 1:
-                    gains = [
-                        fire_name(j, st.sid, st.index)
-                        for st in steps
-                        if universe.id_of(st.message) == tid
-                        and (a == st.receiver or (a == INTRUDER and model.eavesdrop))
-                    ]
-                    carry = k_name(a, tid, j - 1, strata)
-                    assert_(f"(= {k_name(a, tid, j, 0)} {_or([carry] + gains)})")
-                for d in range(1, strata + 1):
-                    derive = [
-                        _and([k_name(a, p, j, d - 1) for p in r.premises])
-                        for r in rules_for.get(tid, [])
-                    ]
-                    assert_(
-                        f"(= {k_name(a, tid, j, d)} "
-                        f"{_or([k_name(a, tid, j, d - 1)] + derive)})"
-                    )
-
     # gating: intruder-sent steps require constructibility at the prior position
     lines.append("; gating")
+    deliveries = intruder_deliveries(model)
     for st in steps:
         if not st.gated:
             continue
+        label = model.labels[universe.id_of(st.message)]
         for j in range(1, n + 1):
-            cond = constructible_formula(
-                model, st.message, lambda tid, j=j: k_name(INTRUDER, tid, j - 1, strata)
-            )
+            cond = support_formula(label, deliveries, j - 1)
             assert_(f"(=> {fire_name(j, st.sid, st.index)} {cond})")
 
     # goal: EF(psi) as a disjunction over positions
     lines.append("; goal")
     goal_positions = tuple(range(1, n + 1))
-    assert_(_or([goal_formula(model, j) for j in goal_positions]))
+    assert_(_or([goal_formula(model, j, deliveries) for j in goal_positions]))
 
     lines.append("(check-sat)")
-    return SmtScript("\n".join(lines) + "\n", var_index, goal_positions, n)
+    # witness.decode reads only the fires and the position times
+    wanted = tuple(name for name in sorted(var_index) if name.startswith(("fire_", "tau_")))
+    return SmtScript("\n".join(lines) + "\n", var_index, goal_positions, n, wanted)

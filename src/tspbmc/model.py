@@ -1,9 +1,11 @@
 """Verification-model construction.
 
 Combines the instantiated execution steps with a finite term universe,
-per-agent initial knowledge, compiled Dolev-Yao derivation rules and the
-timing structure. The resulting TiisModel is immutable and shared by the
-SMT encoder, the witness replayer and the explicit-state oracle.
+per-agent initial knowledge, compiled Dolev-Yao derivation rules, the
+intruder's minimal root supports (``labels``, exact, in the manner of de
+Kleer's ATMS labels, AIJ 1986) and the timing structure. The resulting
+TiisModel is immutable and shared by the SMT encoder, the witness
+replayer and the explicit-state oracle.
 """
 
 from __future__ import annotations
@@ -54,12 +56,13 @@ class TiisModel:
     exec_steps: tuple
     universe: TermUniverse
     rules: tuple
-    depth: int  # saturation depth D = universe nesting depth
+    depth: int  # universe nesting depth (at least 1)
     initial_knowledge: dict  # agent -> frozenset of term ids
     generation: dict  # Fresh term -> ExecStep
     require_complete: frozenset
     goal_secret_ids: tuple  # term ids the intruder must learn (disjunction)
     eavesdrop: bool
+    labels: tuple  # term id -> minimal root supports (sorted id tuples)
     warnings: tuple = ()
 
     def steps_per_session(self) -> int:
@@ -153,8 +156,8 @@ def compile_rules(universe: TermUniverse):
     return tuple(rules)
 
 
-DECOMPOSITION_KINDS = ("split-left", "split-right", "decrypt")
-COMPOSITION_KINDS = ("pair", "encrypt")
+# Most minimal root sets one label may hold before build_model gives up.
+LABEL_CAP = 64
 
 
 def closure(known, rules) -> FrozenSet[int]:
@@ -170,30 +173,15 @@ def closure(known, rules) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def stratified_closure(known, rules, depth: int) -> FrozenSet[int]:
-    """2*depth parallel rounds of rule application (all rule kinds).
-
-    Mirrors exactly what the SMT knowledge strata compute; each round uses
-    only the previous round's set, so 2*depth bounds the derivation-chain
-    length the encoding can express. build_model verifies this reaches the
-    unbounded fixpoint on every knowledge set reachable in the encoding
-    and raises ``depth`` when it does not.
-    """
-    out = set(known)
-    for _ in range(2 * depth):
-        prev = frozenset(out)
-        for r in rules:
-            if all(p in prev for p in r.premises):
-                out.add(r.conclusion)
-    return frozenset(out)
-
-
 def constructible(known, t: Term, universe: TermUniverse, rules) -> bool:
     """Can the intruder produce ``t`` from the (closed) knowledge ``known``?
 
     Atoms must be known; pairs need both components; a cipher is available
     either as a whole (replay, no key needed) or by encrypting a
-    constructible body with a constructible key.
+    constructible body with a constructible key. The rules hold pair and
+    encrypt for every universe member and the universe is subterm-closed,
+    so for a member this is membership in the closure, and its minimal
+    root supports are its label.
     """
     closed = closure(known, rules)
 
@@ -238,7 +226,9 @@ def build_model(spec: ProtocolSpec, scenario: Scenario, k: Optional[int] = None,
         )
 
     require = effective_require_complete(spec, steps, k)
-    depth = _adequate_depth(universe, rules, init, steps)
+    roots = {universe.id_of(st.message) for st in steps
+             if INTRUDER in receivers(st, eav)}
+    labels = support_labels(universe, rules, init[INTRUDER], roots)
 
     model = TiisModel(
         protocol=spec.name,
@@ -248,56 +238,100 @@ def build_model(spec: ProtocolSpec, scenario: Scenario, k: Optional[int] = None,
         exec_steps=tuple(steps),
         universe=universe,
         rules=rules,
-        depth=depth,
+        depth=max(universe.depth, 1),
         initial_knowledge=init,
         generation=generation,
         require_complete=require,
         goal_secret_ids=tuple(secret_ids),
         eavesdrop=eav,
+        labels=tuple(_sorted_label(lab) for lab in labels),
     )
     return TiisModel(**{**model.__dict__, "warnings": tuple(adequacy_warnings(model))})
 
 
-def _adequate_depth(universe, rules, init, steps) -> int:
-    """Smallest depth parameter whose 2*depth strata reach the unbounded
-    closure on every knowledge set the encoding can produce.
+def _antichain(sets, universe: TermUniverse, tid: int) -> list:
+    """The inclusion-minimal members of ``sets``; ModelError past LABEL_CAP."""
+    out = []
+    for s in sorted(set(sets), key=len):
+        if not any(t <= s for t in out):
+            out.append(s)
+    if len(out) > LABEL_CAP:
+        raise ModelError(
+            f"intruder knowledge of {render_term(universe.term_of(tid))} has more "
+            f"than {LABEL_CAP} minimal root supports")
+    return out
 
-    Stratum 0 at any position is always closure(initial ∪ some subset of
-    message roots) plus at most one newly received root, so enumerating
-    those sets per agent covers every reachable case exactly. Starts at the
-    universe nesting depth and bumps until adequate.
+
+def _unions(left, right):
+    return [a | b for a in left for b in right]
+
+
+def _sorted_label(sets) -> tuple:
+    return tuple(sorted((tuple(sorted(s)) for s in sets), key=lambda s: (len(s), s)))
+
+
+def support_labels(universe: TermUniverse, rules, init, roots) -> list:
+    """Per term id, the minimal root-id sets S with the term in
+    ``closure(init ∪ S)``, as lists of frozensets; empty if none.
+
+    Least fixpoint over the Horn rules: a rule's conclusion gets the
+    minimized unions of one label member from each premise.
     """
-    roots = sorted({universe.id_of(st.message) for st in steps})
-    depth = max(universe.depth, 1)
-    if len(roots) > 12:
-        return depth  # enumeration would explode; desk-scale models stay small
-    probes = []
-    for base in init.values():
-        for mask in range(1 << len(roots)):
-            subset = {roots[b] for b in range(len(roots)) if mask >> b & 1}
-            carried = closure(set(base) | subset, rules)
-            for m in roots:
-                probes.append(frozenset(carried | {m}))
-    probes = sorted(set(probes), key=sorted)
-    while any(stratified_closure(p, rules, depth) != closure(p, rules)
-              for p in probes):
-        depth += 1
-    return depth
+    labels = [[] for _ in range(len(universe))]
+    for r in roots:
+        labels[r] = [frozenset((r,))]
+    for t in init:
+        labels[t] = [frozenset()]
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            derived = [frozenset()]
+            for p in rule.premises:
+                derived = _unions(derived, labels[p])
+            c = rule.conclusion
+            merged = _antichain(labels[c] + derived, universe, c)
+            if set(merged) != set(labels[c]):
+                labels[c] = merged
+                changed = True
+    return labels
+
+
+def receivers(step, eavesdrop: bool) -> set:
+    """Agents that learn ``step``'s message when it fires."""
+    return {step.receiver, INTRUDER} if eavesdrop else {step.receiver}
+
+
+def closed_initial_knowledge(model: TiisModel) -> dict:
+    """Agent -> mutable set of the closure of its initial knowledge."""
+    return {a: set(closure(model.initial_knowledge[a], model.rules))
+            for a in model.agents}
+
+
+def deliver(model: TiisModel, knowledge: dict, step) -> dict:
+    """Add ``step``'s message to its receivers' knowledge and close it.
+
+    ``knowledge`` (agent -> set of term ids) is updated in place. Returns
+    agent -> sorted tuple of the term ids that agent newly knows.
+    """
+    rid = model.universe.id_of(step.message)
+    deltas = {}
+    for a in sorted(receivers(step, model.eavesdrop)):
+        before = knowledge[a]
+        knowledge[a] = set(closure(before | {rid}, model.rules))
+        gained = tuple(sorted(knowledge[a] - before))
+        if gained:
+            deltas[a] = gained
+    return deltas
 
 
 def adequacy_warnings(model: TiisModel):
     """Protocol well-formedness: honest receivers should be able to read
     the ciphers addressed to them when steps run in declaration order."""
     warnings = []
-    knowledge = {a: set(model.initial_knowledge[a]) for a in model.agents}
+    knowledge = closed_initial_knowledge(model)
     for st in sorted(model.exec_steps, key=lambda s: (s.sid, s.index)):
-        rid = model.universe.id_of(st.message)
-        receivers = {st.receiver}
-        if model.eavesdrop:
-            receivers.add(INTRUDER)
-        for a in receivers:
-            knowledge[a].add(rid)
-            knowledge[a] = set(closure(knowledge[a], model.rules))
+        deliver(model, knowledge, st)
         if st.receiver != INTRUDER and isinstance(st.message, Cipher):
             body_id = model.universe.id_of(st.message.body)
             if body_id not in knowledge[st.receiver]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .frontend import INTRUDER
-from .model import TiisModel, closure, constructible
+from .model import TiisModel, closed_initial_knowledge, closure, constructible, deliver
 from .witness import Trace, TraceEvent
 
 
@@ -120,23 +120,11 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
 def _make_trace(model: TiisModel, sequence, times, secret_id, depth) -> Trace:
     """Witness-schema trace for a successful oracle run, with knowledge
     deltas recomputed by unbounded closure (as replay expects)."""
-    knowledge = {a: set(closure(model.initial_knowledge[a], model.rules))
-                 for a in model.agents}
+    knowledge = closed_initial_knowledge(model)
     events = []
     for pos, st in enumerate(sequence, start=1):
-        rid = model.universe.id_of(st.message)
-        receivers = {st.receiver}
-        if model.eavesdrop:
-            receivers.add(INTRUDER)
-        deltas = {}
-        for a in receivers:
-            before = frozenset(knowledge[a])
-            knowledge[a].add(rid)
-            knowledge[a] = set(closure(knowledge[a], model.rules))
-            gained = tuple(model.universe.term_of(t)
-                           for t in sorted(knowledge[a] - before))
-            if gained:
-                deltas[a] = gained
+        deltas = {a: tuple(model.universe.term_of(t) for t in gained)
+                  for a, gained in deliver(model, knowledge, st).items()}
         events.append(TraceEvent(pos, st.sid, st.index, st.sender, st.receiver,
                                  st.message, times[(st.sid, st.index)], deltas))
     return Trace(model.protocol, model.scenario, model.sessions, depth,

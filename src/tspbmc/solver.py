@@ -5,8 +5,9 @@ Every bound gets a fresh full script (no incremental push/pop), and each
 script after the first is preceded by the standard SMT-LIB ``(reset)``,
 so any SMT-LIB2-compliant binary that accepts ``(reset)`` works. The
 protocol per script is: write the script, read the ``(check-sat)`` reply
-line, and on ``sat`` send one ``(get-value ...)`` for every declared
-symbol.
+line, and on ``sat`` send one ``(get-value ...)`` for the script's
+``model_symbols`` (for an encoded script, the fires and position times the
+decoder reads), or for every declared symbol when it names none.
 The child's stderr is drained on its own thread so that it can never fill
 the pipe and stall the child. A timeout or a protocol error kills the
 child; every exit path closes it.
@@ -108,7 +109,7 @@ def _interact(proc, script: SmtScript, reset: bool, box: dict):
                     raise SolverError("solver never answered check-sat")
         values = {}
         if status == "sat":
-            names = sorted(script.var_index)
+            names = script.model_symbols or sorted(script.var_index)
             proc.stdin.write("(get-value (" + " ".join(names) + "))\n")
             proc.stdin.flush()
             reply = parse_one(read_sexpr(proc.stdout))

@@ -1,11 +1,12 @@
 """Witness decoding, replay validation and reporting.
 
 A sat model is decoded position by position into a Trace (one fired step
-per position, fire time, per-agent knowledge deltas at the final
-derivation stratum), truncated at the first position where the goal
-holds. ``replay`` then re-executes that trace under the concrete
-semantics — session order, gating, delays, lifetimes, knowledge closure —
-as an independent soundness check of the encoding.
+per position, fire time, per-agent knowledge deltas by concrete closure
+over the fired steps), truncated at the first position where the goal
+holds; decoding reads only the ``fire`` and ``tau`` symbols. ``replay``
+then re-executes that trace under the concrete semantics — session
+order, gating, delays, lifetimes, knowledge closure — as an independent
+soundness check of the encoding.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .encoder import SmtScript, done_name, fire_name, k_name, tau_name
+from .encoder import SmtScript, fire_name, tau_name
 from .errors import ModelError
 from .frontend import INTRUDER
-from .model import TiisModel, closure, constructible
+from .model import TiisModel, closed_initial_knowledge, constructible, deliver
 from .solver import RawResult
 from .terms import Term, parse_term, render_term
 
@@ -33,7 +34,7 @@ class TraceEvent:
     receiver: str
     message: Term
     time: Fraction
-    # agent -> tuple of terms newly derivable at this position (stratum 2D)
+    # agent -> tuple of terms newly derivable at this position
     deltas: dict = field(default_factory=dict)
 
     def __hash__(self):
@@ -70,13 +71,10 @@ def decode(result: RawResult, script: SmtScript, model: TiisModel) -> Trace:
     if result.status != "sat":
         raise ModelError(f"cannot decode a {result.status} result")
     values = result.values
-    strata = 2 * model.depth
     last = model.steps_per_session()
-    agents = model.agents
     universe = model.universe
-
-    def known(agent, tid, j):
-        return _bool(values, k_name(agent, tid, j, strata))
+    knowledge = closed_initial_knowledge(model)
+    done = set()
 
     events = []
     secret = None
@@ -95,21 +93,15 @@ def decode(result: RawResult, script: SmtScript, model: TiisModel) -> Trace:
         time = values.get(tau_name(j))
         if not isinstance(time, Fraction):
             raise ModelError(f"missing time value {tau_name(j)}")
-        deltas = {}
-        for a in agents:
-            gained = tuple(
-                universe.term_of(tid)
-                for tid in range(len(universe))
-                if known(a, tid, j) and not known(a, tid, j - 1)
-            )
-            if gained:
-                deltas[a] = gained
+        done.add((st.sid, st.index))
+        deltas = {a: tuple(universe.term_of(t) for t in gained)
+                  for a, gained in deliver(model, knowledge, st).items()}
         events.append(TraceEvent(j, st.sid, st.index, st.sender, st.receiver,
                                  st.message, time, deltas))
 
-        done_all = all(_bool(values, done_name(j, sid, last))
-                       for sid in model.require_complete)
-        secrets_known = [tid for tid in model.goal_secret_ids if known(INTRUDER, tid, j)]
+        done_all = all((sid, last) in done for sid in model.require_complete)
+        secrets_known = [tid for tid in model.goal_secret_ids
+                         if tid in knowledge[INTRUDER]]
         if done_all and secrets_known:
             secret = universe.term_of(secrets_known[0])
             completed = tuple(sorted(model.require_complete))
@@ -125,8 +117,7 @@ def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
     """Concrete re-execution; returns None if valid, else the first violation."""
     universe = model.universe
     pc = {sid: 1 for sid in range(1, model.sessions + 1)}
-    knowledge = {a: set(closure(model.initial_knowledge[a], model.rules))
-                 for a in model.agents}
+    knowledge = closed_initial_knowledge(model)
     times = {}  # (sid, index) -> Fraction
     prev_time = Fraction(0)
     last = model.steps_per_session()
@@ -170,16 +161,9 @@ def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
         times[(ev.sid, ev.index)] = ev.time
         prev_time = ev.time
         pc[ev.sid] = ev.index + 1
-        rid = universe.id_of(st.message)
-        receivers = {st.receiver}
-        if model.eavesdrop:
-            receivers.add(INTRUDER)
-        before = {a: frozenset(knowledge[a]) for a in model.agents}
-        for a in receivers:
-            knowledge[a].add(rid)
-            knowledge[a] = set(closure(knowledge[a], model.rules))
+        gains = deliver(model, knowledge, st)
         for a in model.agents:
-            actual = {universe.term_of(t) for t in knowledge[a] - before[a]}
+            actual = {universe.term_of(t) for t in gains.get(a, ())}
             declared = set(ev.deltas.get(a, ()))
             if actual != declared:
                 missing = sorted(render_term(t) for t in actual ^ declared)

@@ -2,7 +2,9 @@ import sys
 
 import pytest
 
-from tspbmc import build_model, library, parse_protocol, parse_scenario
+from tspbmc import build_model, closure, constructible, library, parse_protocol, parse_scenario
+from tspbmc.errors import TspbmcError
+from tspbmc.frontend import INTRUDER
 from tspbmc.solver import SolverConfig
 
 # the bundled solver keeps the suite hermetic regardless of what's on PATH
@@ -23,6 +25,46 @@ def load(lib, protocol: str, scenario: str):
 def model_of(lib, protocol: str, scenario: str, k=None):
     spec, scen = load(lib, protocol, scenario)
     return build_model(spec, scen, k=k)
+
+
+def library_models(lib, ks=(1, 2)):
+    """Every (protocol, scenario, k) model the frontend accepts."""
+    for name, entry in sorted(lib.items()):
+        for scen in sorted(entry.scenarios):
+            for k in ks:
+                try:
+                    yield model_of(lib, name, scen, k=k)
+                except TspbmcError:
+                    continue  # overrides reference sessions beyond k
+
+
+def assert_labels_exact(model, rng, samples: int):
+    """The minimal root supports agree with concrete closure: on random
+    subsets S of the intruder's roots (plus the empty and the full set), a
+    term is in closure(init[I] | S) iff some support is a subset of S, and
+    a gated message is constructible iff some support of its label is.
+    Every support is minimal."""
+    rules, universe = model.rules, model.universe
+    init = model.initial_knowledge[INTRUDER]
+    roots = sorted({universe.id_of(st.message) for st in model.exec_steps
+                    if st.receiver == INTRUDER or model.eavesdrop})
+    subsets = [frozenset(), frozenset(roots)] + [
+        frozenset(rng.sample(roots, rng.randrange(len(roots) + 1)))
+        for _ in range(samples)]
+    gated = {universe.id_of(st.message): st.message
+             for st in model.exec_steps if st.gated}
+    for s in subsets:
+        known = closure(init | s, rules)
+        for tid in range(len(universe)):
+            assert (tid in known) == any(set(sup) <= s for sup in model.labels[tid])
+        for tid, message in gated.items():
+            assert constructible(known, message, universe, rules) == any(
+                set(sup) <= s for sup in model.labels[tid])
+    for tid, label in enumerate(model.labels):
+        for sup in label:
+            assert tid in closure(init | set(sup), rules)
+            for m in sup:
+                assert tid not in closure(init | (set(sup) - {m}), rules)
 
 
 def solver_config(**kw) -> SolverConfig:

@@ -24,11 +24,18 @@ from tspbmc import (
 )
 from tspbmc.cli import main
 from tspbmc.errors import TspbmcError
-from tspbmc.model import closure, model_to_json, stratified_closure
+from tspbmc.model import closure, model_to_json
 from tspbmc.solver import iterate_bounds
 from tspbmc.witness import parse_json, render_json
 
-from conftest import BUNDLED, load, model_of, solver_config
+from conftest import (
+    BUNDLED,
+    assert_labels_exact,
+    library_models,
+    load,
+    model_of,
+    solver_config,
+)
 from test_terms import _random_term
 
 BUNDLED_CMD = " ".join(BUNDLED)
@@ -127,7 +134,7 @@ def test_criterion_5_smt_oracle_equivalence(capsys, sweep):
 
 def test_criterion_6_closure_properties(capsys, lib):
     with criterion(capsys, 6, "closure laws hold on randomized sets and the "
-                              "stratified closure reaches the fixpoint"):
+                              "minimal root supports are exact"):
         models = [model_of(lib, p, s) for p, s in [
             ("nspkt", "mitm1_lowe"), ("wmf", "replay_generous"),
             ("dsp", "key_compromise"), ("nspkt_lowe_fixed", "fair")]]
@@ -141,18 +148,8 @@ def test_criterion_6_closure_properties(capsys, lib):
             assert a <= ca                              # extensivity
             assert closure(ca, model.rules) == ca       # idempotence
             assert ca <= closure(b, model.rules)        # monotonicity
-        for model in models:
-            roots = sorted({model.universe.id_of(st.message)
-                            for st in model.exec_steps})
-            subsets = [frozenset(rng.sample(roots, rng.randrange(len(roots) + 1)))
-                       for _ in range(20)]
-            for base in model.initial_knowledge.values():
-                for subset in subsets:
-                    reached = closure(base | subset, model.rules)
-                    for m in roots:
-                        probe = reached | {m}
-                        assert (stratified_closure(probe, model.rules, model.depth)
-                                == closure(probe, model.rules))
+        for model in library_models(lib):
+            assert_labels_exact(model, rng, samples=20)
 
 
 def test_criterion_7_witness_soundness(capsys, sweep):

@@ -19,7 +19,8 @@ def test_check_no_attack(capsys):
     assert out == ("no attack up to bound 3: "
                    "all runs of this 1-session scenario covered\n")
     assert [line.split(" (")[0] for line in err.splitlines()] == [
-        f"bound {n}: unsat" for n in (1, 2, 3)]
+        "note: goal secret Tb#1 is not derivable from any message of this scenario"
+    ] + [f"bound {n}: unsat" for n in (1, 2, 3)]
 
 
 def test_check_no_attack_below_step_count(capsys):
@@ -135,3 +136,40 @@ def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "--help")[0] == 0
+
+
+UNDERIVABLE = "is not derivable from any message of this scenario"
+
+
+@pytest.mark.parametrize("protocol, k, secrets", [
+    ("nspkt", 1, ["Tb#1"]),
+    ("nspkt", 2, ["Tb#1", "Tb#2"]),
+    ("nspkt", 3, ["Tb#1", "Tb#2", "Tb#3"]),
+    ("dsp", 1, ["Kab#1"]),
+])
+def test_check_notes_underivable_secret(capsys, protocol, k, secrets):
+    code, out, err = run(capsys, "check", protocol, "fair", "--sessions", str(k))
+    assert code == 0
+    bound = 3 * k
+    assert out == (f"no attack up to bound {bound}: "
+                   f"all runs of this {k}-session scenario covered\n")
+    notes = [line for line in err.splitlines() if line.startswith("note:")]
+    assert notes == [f"note: goal secret {s} {UNDERIVABLE}" for s in secrets]
+
+
+def test_check_attack_has_no_underivable_note(capsys):
+    code, _, err = run(capsys, "check", "nspkt", "mitm1_lowe")
+    assert code == 10
+    assert UNDERIVABLE not in err
+
+
+def test_check_label_over_cap_exits_2(capsys, monkeypatch):
+    from tspbmc import model
+    # nspkt mitm1_lowe has labels of two minimal root sets
+    monkeypatch.setattr(model, "LABEL_CAP", 1)
+    code, out, err = run(capsys, "check", "nspkt", "mitm1_lowe")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: intruder knowledge of ")
+    assert "more than 1 minimal root supports" in err
+    assert "Traceback" not in err

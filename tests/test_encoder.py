@@ -32,8 +32,10 @@ def test_symbol_scheme_and_counts(lib):
     assert script.var_index["fire_1_1_1"] == "Bool"
     assert script.var_index["t_1_2"] == "Real"
     assert script.var_index["tau_0"] == "Real"
-    strata = 2 * model.depth
-    assert f"k_I_0_3_{strata}" in script.var_index
+    # only step and time state: 9 fire, 12 done, 3 t, 4 tau
+    kinds = [n.split("_")[0] for n in script.var_index]
+    assert sorted(set(kinds)) == ["done", "fire", "t", "tau"]
+    assert len(script.var_index) == 9 + 12 + 3 + 4
     assert script.goal_positions == (1, 2, 3)
     assert script.text.startswith("(set-logic QF_LRA)")
     assert script.text.rstrip().endswith("(check-sat)")
@@ -43,7 +45,7 @@ def test_fixed_section_order(lib):
     text = encode(BmcProblem(model_of(lib, "nspkt", "fair"), 2)).text
     sections = [m for m in re.findall(r"^; (.+)$", text, re.M)]
     assert sections == ["declarations", "interleaving", "time", "lifetimes",
-                        "knowledge", "gating", "goal"]
+                        "gating", "goal"]
 
 
 def test_declarations_sorted(lib):
@@ -69,12 +71,14 @@ def test_goal_formula_disjunction_over_instances(lib):
     model = model_of(lib, "dsp", "key_compromise", k=2)
     text = encode(BmcProblem(model, 2)).text
     goal = text.split("; goal")[1]
-    strata = 2 * model.depth
     import tspbmc
-    kab1 = model.universe.id_of(tspbmc.parse_term("Kab#1"))
-    kab2 = model.universe.id_of(tspbmc.parse_term("Kab#2"))
-    assert f"k_I_{kab1}_1_{strata}" in goal
-    assert f"k_I_{kab2}_1_{strata}" in goal
+    for sid in (1, 2):
+        # Kab#sid's only support is the message of step (sid,2), S -> A
+        kab = model.universe.id_of(tspbmc.parse_term(f"Kab#{sid}"))
+        delivery = model.step_at(sid, 2)
+        assert model.labels[kab] == ((model.universe.id_of(delivery.message),),)
+        for j in (1, 2):
+            assert f"done_{j}_{sid}_2" in goal
 
 
 def test_lifetime_section(lib):
@@ -102,15 +106,20 @@ def test_bound_one_pigeonhole_unsat(lib):
 def test_eavesdrop_off_removes_intruder_taps(lib):
     from tspbmc import build_model
     from conftest import load
-    spec, scen = load(lib, "nspkt", "fair")
-    on = encode(BmcProblem(build_model(spec, scen, eavesdrop=True), 1)).text
-    off = encode(BmcProblem(build_model(spec, scen, eavesdrop=False), 1)).text
+    spec, scen = load(lib, "nspkt", "mitm1_lowe")
+    models = {eav: build_model(spec, scen, eavesdrop=eav) for eav in (True, False)}
+    assert all(m.labels[m.goal_secret_ids[0]] for m in models.values())
+    honest = [st for st in models[True].exec_steps
+              if INTRUDER not in (st.sender, st.receiver)]
+    assert honest
 
-    def gains(text):
-        m = re.search(r"\(= k_I_(\d+)_1_0 \(or k_I_\1_0_\d+ fire", text)
-        return m is not None
+    def taps(model):
+        text = encode(BmcProblem(model, 4)).text
+        formulas = text.split("; gating")[1]
+        return {(st.sid, st.index) for st in honest for j in range(1, 5)
+                if re.search(rf"\bdone_{j}_{st.sid}_{st.index}\b", formulas)}
 
-    assert gains(on) and not gains(off)
+    assert taps(models[True]) and not taps(models[False])
 
 
 def test_bound_monotonicity_on_attack_instance(lib):

@@ -16,11 +16,10 @@ from tspbmc.model import (
     build_universe,
     initial_knowledge,
     model_to_json,
-    stratified_closure,
 )
 from tspbmc.terms import Cipher, Pair, TermUniverse
 
-from conftest import load, model_of
+from conftest import assert_labels_exact, library_models, load, model_of
 
 
 def ids(universe, *texts):
@@ -98,24 +97,12 @@ def test_closure_properties_randomized(lib):
             assert c <= closure(s | extra, model.rules)  # monotonicity
 
 
-def test_stratified_closure_reaches_fixpoint_on_library(lib):
+def test_support_labels_exact_on_library(lib):
     rng = random.Random(7)
-    for proto in lib:
-        for scen in lib[proto].scenarios:
-            model = model_of(lib, proto, scen)
-            all_ids = list(range(len(model.universe)))
-            # every encoding-reachable set: closed carry + one message root
-            roots = [model.universe.id_of(st.message) for st in model.exec_steps]
-            for a in model.agents:
-                base = model.initial_knowledge[a]
-                for m in roots:
-                    s = closure(base, model.rules) | {m}
-                    assert stratified_closure(s, model.rules, model.depth) \
-                        == closure(s, model.rules)
-            for _ in range(50):
-                s = frozenset(rng.sample(all_ids, rng.randrange(len(all_ids))))
-                strat = stratified_closure(s, model.rules, model.depth)
-                assert strat <= closure(s, model.rules)  # never over-derives
+    models = list(library_models(lib))
+    assert len(models) >= 12
+    for model in models:
+        assert_labels_exact(model, rng, samples=50)
 
 
 def test_constructible_examples(lib):

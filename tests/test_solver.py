@@ -92,8 +92,9 @@ def test_iterate_bounds_attack_is_minimal(lib):
     assert verdict.outcome == "attack-found"
     assert verdict.bound == 5
     assert [s for _, s, _ in verdict.per_bound_log] == ["unsat"] * 4 + ["sat"]
-    names = sorted(encode(BmcProblem(model, 5)).var_index)
-    assert sorted(verdict.result.values) == names  # sat carries all symbols
+    names = list(encode(BmcProblem(model, 5)).model_symbols)
+    assert names and all(n.startswith(("fire_", "tau_")) for n in names)
+    assert sorted(verdict.result.values) == names  # sat carries what decode reads
 
 
 def test_iterate_bounds_inconclusive_propagates(lib):
@@ -180,3 +181,33 @@ def test_bound_above_step_count_is_unsat(lib, scenario):
     model = model_of(lib, "nspkt", scenario)
     script = encode(BmcProblem(model, len(model.exec_steps) + 1))
     assert run_solver(script, solver_config()).status == "unsat"
+
+
+def stdin_logging(logfile) -> str:
+    """A solver body that copies every line it reads to ``logfile``, then
+    answers as the bundled solver."""
+    return ("import sys, types; from tspbmc.smtlite import main; "
+            f"log = open({str(logfile)!r}, 'a'); src = sys.stdin; "
+            "sys.stdin = types.SimpleNamespace(readline=lambda: "
+            "(lambda line: (log.write(line), log.flush(), line)[2])(src.readline())); "
+            "sys.exit(main())")
+
+
+def test_get_value_requests_only_decoded_symbols(lib, tmp_path):
+    from tspbmc import decode, replay
+    pidfile, logfile = tmp_path / "pids", tmp_path / "stdin"
+    model = model_of(lib, "nspkt", "mitm1_lowe", k=2)
+    cfg = solver_config(command=pid_logging(pidfile, stdin_logging(logfile)))
+    verdict = iterate_bounds(model, config=cfg)
+    assert (verdict.outcome, verdict.bound) == ("attack-found", 5)
+    assert len(spawned(pidfile)) == 1
+    requests = [line for line in logfile.read_text().splitlines()
+                if line.startswith("(get-value")]
+    assert len(requests) == 1
+    names = requests[0][len("(get-value ("):-len("))")].split()
+    script = encode(BmcProblem(model, 5))
+    assert names == list(script.model_symbols)
+    assert not [n for n in names if n.startswith(("done_", "t_"))]
+    assert {n.split("_")[0] for n in names} == {"fire", "tau"}
+    trace = decode(verdict.result, script, model)
+    assert replay(trace, model) is None
