@@ -3,92 +3,11 @@
 Pipeline: Alice-Bob protocol + JSON attack scenario -> timed interleaved
 execution model with Dolev-Yao knowledge -> SMT-LIB2 bounded-reachability
 script -> external solver -> replay-validated attack trace.
+
+The package root imports nothing, so that the solver child
+(``python -m tspbmc.smtlite``) loads only ``sexpr`` and ``smtlite``:
+import names from their defining modules (``tspbmc.model``,
+``tspbmc.encoder``, ...).
 """
 
-from .encoder import BmcProblem, SmtScript, encode
-from .errors import (
-    ModelError,
-    ProtocolError,
-    ScenarioError,
-    SolverError,
-    TermError,
-    TermSyntaxError,
-    TspbmcError,
-)
-from .frontend import (
-    ExecStep,
-    Goal,
-    Override,
-    ProtocolSpec,
-    ProtocolStep,
-    Scenario,
-    apply_overrides,
-    parse_protocol,
-    parse_scenario,
-)
-from .model import (
-    DerivationRule,
-    TiisModel,
-    build_model,
-    build_universe,
-    closure,
-    compile_rules,
-    constructible,
-    initial_knowledge,
-)
-from .oracle import OracleResult, explicit_reach
-from .solver import (
-    RawResult,
-    SolverConfig,
-    Verdict,
-    iterate_bounds,
-    resolve_solver_command,
-    run_solver,
-)
-from .terms import (
-    Cipher,
-    Fresh,
-    Ident,
-    Pair,
-    PrivKey,
-    PubKey,
-    SymKey,
-    Term,
-    TermUniverse,
-    instantiate,
-    inverse_key,
-    parse_term,
-    render_term,
-    subterms,
-)
-from .witness import (
-    ReplayViolation,
-    Trace,
-    TraceEvent,
-    decode,
-    parse_json,
-    render_html,
-    render_json,
-    render_text,
-    replay,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "BmcProblem", "SmtScript", "encode",
-    "TspbmcError", "TermError", "TermSyntaxError", "ProtocolError",
-    "ScenarioError", "ModelError", "SolverError",
-    "ProtocolSpec", "ProtocolStep", "Goal", "Override", "Scenario", "ExecStep",
-    "parse_protocol", "parse_scenario", "apply_overrides",
-    "TiisModel", "DerivationRule", "build_model", "build_universe",
-    "initial_knowledge", "compile_rules", "closure", "constructible",
-    "OracleResult", "explicit_reach",
-    "SolverConfig", "RawResult", "Verdict",
-    "run_solver", "iterate_bounds", "resolve_solver_command",
-    "Term", "Ident", "PubKey", "PrivKey", "SymKey", "Fresh", "Pair", "Cipher",
-    "TermUniverse", "parse_term", "render_term", "subterms", "instantiate",
-    "inverse_key",
-    "Trace", "TraceEvent", "ReplayViolation", "decode", "replay",
-    "render_text", "render_json", "render_html", "parse_json",
-]

@@ -174,7 +174,7 @@ def cmd_dump_model(args) -> int:
     return EXIT_NO_ATTACK
 
 
-def _add_io_args(p, with_bound_controls=False):
+def _add_io_args(p):
     p.add_argument("protocol", help="protocol file path or library entry name")
     p.add_argument("scenario", help="scenario JSON path or library scenario name")
     p.add_argument("--sessions", type=int, default=None, metavar="K",

@@ -25,11 +25,11 @@ Symbol scheme (a stable contract consumed by the decoder)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .frontend import INTRUDER
 from .model import TiisModel, receivers
+from .sexpr import render_value
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,6 @@ def t_name(sid: int, i: int) -> str:
 
 def tau_name(j: int) -> str:
     return f"tau_{j}"
-
-
-def smt_num(q: Fraction) -> str:
-    if q < 0:
-        return f"(- {smt_num(-q)})"
-    if q.denominator == 1:
-        return f"{q.numerator}.0"
-    return f"(/ {q.numerator}.0 {q.denominator}.0)"
 
 
 def _and(parts):
@@ -183,10 +175,10 @@ def encode(problem: BmcProblem) -> SmtScript:
         if st.index > 1:
             assert_(
                 f"(>= {t_name(st.sid, st.index)} "
-                f"(+ {t_name(st.sid, st.index - 1)} {smt_num(st.min_delay)}))"
+                f"(+ {t_name(st.sid, st.index - 1)} {render_value(st.min_delay)}))"
             )
         else:
-            assert_(f"(>= {t_name(st.sid, st.index)} {smt_num(st.min_delay)})")
+            assert_(f"(>= {t_name(st.sid, st.index)} {render_value(st.min_delay)})")
 
     # lifetimes: a fired step that uses a bounded fresh term must fall
     # within the bound after the term's generation step
@@ -197,7 +189,7 @@ def encode(problem: BmcProblem) -> SmtScript:
             assert_(
                 f"(=> {done_name(n, st.sid, st.index)} "
                 f"(<= {t_name(st.sid, st.index)} "
-                f"(+ {t_name(gen.sid, gen.index)} {smt_num(check.bound)})))"
+                f"(+ {t_name(gen.sid, gen.index)} {render_value(check.bound)})))"
             )
 
     # gating: intruder-sent steps require constructibility at the prior position

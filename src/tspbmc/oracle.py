@@ -11,7 +11,9 @@ emits: per-session minimum-delay chains, global time non-decreasing
 along the interleaving, and lifetime upper bounds for every fired step
 that uses a bounded fresh term. An infeasible prefix can never become
 feasible by extension (extensions only add constraints), so pruning is
-sound and BFS depth minimality is preserved.
+sound and BFS depth minimality is preserved. When no goal secret is in
+the closure of every message the intruder can receive, no interleaving
+is explored at all.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
         raise ValueError("depth must be >= 1")
     last = model.steps_per_session()
     init_intruder = frozenset(closure(model.initial_knowledge[INTRUDER], model.rules))
+    # the intruder learns only the messages delivered to it: a goal secret
+    # outside the closure of all of them is unknown in every interleaving
+    roots = {model.universe.id_of(st.message) for st in model.exec_steps
+             if st.receiver == INTRUDER or model.eavesdrop}
+    reachable = closure(init_intruder | roots, model.rules)
+    if not any(t in reachable for t in model.goal_secret_ids):
+        return OracleResult("no-attack-up-to", depth)
     start_pc = tuple(1 for _ in range(model.sessions))
 
     frontier = [(start_pc, init_intruder, ())]

@@ -2,8 +2,10 @@
 
 ``python -m tspbmc.smtlite`` speaks enough of the SMT-LIB2 pipe protocol
 (``declare-const``, ``assert``, ``check-sat``, ``get-value``, ``reset``,
-``exit``) to stand in for ``z3 -in`` on the scripts this tool generates,
-for environments without a real SMT solver. It is a lazy DPLL(T): a small
+``exit``, ``echo``) to stand in for ``z3 -in`` on the scripts this tool
+generates, for environments without a real SMT solver. Commands are read
+with ``sexpr.Reader``, the reader the driver uses for the replies, and the
+child imports no other ``tspbmc`` module. It is a lazy DPLL(T): a small
 watched-literal SAT core over the Tseitin CNF of the assertions, with a
 Bellman-Ford feasibility check for the rational difference constraints and
 negative-cycle conflict clauses.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .sexpr import parse_all, render_value
+from .sexpr import Reader, render_value, string_literal, string_value
 
 _BOOL_OPS = {"and", "or", "not", "=>", "xor"}
 _REL_OPS = {"<=", "<", ">=", ">", "="}
@@ -27,59 +29,6 @@ _REL_OPS = {"<=", "<", ">=", ">", "="}
 
 class Unsupported(Exception):
     pass
-
-
-class Reader:
-    """Chunked reader yielding one balanced toplevel S-expression at a time."""
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.buf = ""
-        self.pos = 0
-
-    def _fill(self) -> bool:
-        # readline, not read(n): text-mode read(n) blocks for n chars,
-        # which would deadlock against a driver awaiting our reply
-        chunk = self.stream.readline()
-        if not chunk:
-            return False
-        if self.pos:
-            self.buf = self.buf[self.pos:]
-            self.pos = 0
-        self.buf += chunk
-        return True
-
-    def next_expr(self):
-        depth = 0
-        start = None
-        while True:
-            if self.pos >= len(self.buf):
-                if not self._fill():
-                    return None
-                continue
-            c = self.buf[self.pos]
-            if start is None:
-                if c.isspace():
-                    self.pos += 1
-                    continue
-                if c == ";":
-                    nl = self.buf.find("\n", self.pos)
-                    if nl < 0:
-                        self.buf = self.buf[:self.pos]
-                        continue
-                    self.pos = nl + 1
-                    continue
-                start = self.pos
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0:
-                    self.pos += 1
-                    return self.buf[start:self.pos]
-            elif depth == 0 and c.isspace():
-                return self.buf[start:self.pos]
-            self.pos += 1
 
 
 class Solver:
@@ -627,21 +576,14 @@ def main(argv=None) -> int:
     solver = Solver()
     out = sys.stdout
     while True:
-        raw = reader.next_expr()
-        if raw is None:
-            return 0
         try:
-            exprs = parse_all(raw)
-        except ValueError as e:
-            print(f'(error "{e}")', file=out, flush=True)
-            continue
-        if not exprs:
-            continue
-        cmd = exprs[0]
-        if isinstance(cmd, str):
-            continue  # stray token
-        head = cmd[0] if cmd else ""
-        try:
+            item = reader.scan()
+            if item is None:
+                return 0
+            cmd = item[1]
+            if isinstance(cmd, str):
+                continue  # stray token
+            head = cmd[0] if cmd else ""
             if head in ("set-logic", "set-option", "set-info"):
                 pass
             elif head == "declare-const":
@@ -668,14 +610,14 @@ def main(argv=None) -> int:
             elif head == "exit":
                 return 0
             elif head == "echo":
-                print(cmd[1].strip('"'), file=out, flush=True)
+                print(string_value(cmd[1]), file=out, flush=True)
             else:
                 raise Unsupported(f"command {head!r}")
         except Unsupported as e:
-            print(f'(error "unsupported: {e}")', file=out, flush=True)
+            print(f"(error {string_literal(f'unsupported: {e}')})", file=out, flush=True)
         except Exception as e:  # keep the pipe protocol alive
-            print(f'(error "{type(e).__name__}: {e}")', file=out, flush=True)
-    return 0
+            print(f"(error {string_literal(f'{type(e).__name__}: {e}')})",
+                  file=out, flush=True)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,13 @@ Each ``iterate_bounds`` call keeps one solver child for the whole check.
 Every bound gets a fresh full script (no incremental push/pop), and each
 script after the first is preceded by the standard SMT-LIB ``(reset)``,
 so any SMT-LIB2-compliant binary that accepts ``(reset)`` works. The
-protocol per script is: write the script, read the ``(check-sat)`` reply
-line, and on ``sat`` send one ``(get-value ...)`` for the script's
+protocol per script is: write the script, read the ``(check-sat)`` reply,
+and on ``sat`` send one ``(get-value ...)`` for the script's
 ``model_symbols`` (for an encoded script, the fires and position times the
-decoder reads), or for every declared symbol when it names none.
+decoder reads), or for every declared symbol when it names none. One
+``sexpr.Reader`` per child reads every reply, so a reply such as
+``(error "... '(' expected")`` is read as one expression and ends the
+exchange with status ``error`` at once.
 The child's stderr is drained on its own thread so that it can never fill
 the pipe and stall the child. A timeout or a protocol error kills the
 child; every exit path closes it.
@@ -36,7 +39,7 @@ from typing import Optional
 from .encoder import BmcProblem, SmtScript, encode
 from .errors import SolverError
 from .model import TiisModel
-from .sexpr import parse_one, parse_value, read_sexpr
+from .sexpr import Reader, parse_value
 
 DEFAULT_TIMEOUT = 60.0
 EXIT_GRACE = 5.0  # seconds a child gets to exit after (exit) or a kill
@@ -87,7 +90,7 @@ def resolve_solver_command(explicit: Optional[str] = None) -> tuple:
     return (sys.executable, "-m", "tspbmc.smtlite")
 
 
-def _interact(proc, script: SmtScript, reset: bool, box: dict):
+def _interact(proc, reader: Reader, script: SmtScript, reset: bool, box: dict):
     """One script's exchange, run on a worker thread so timeouts can kill it."""
     try:
         if reset:
@@ -95,26 +98,28 @@ def _interact(proc, script: SmtScript, reset: bool, box: dict):
         proc.stdin.write(script.text)
         proc.stdin.flush()
         status = None
-        errors = []
+        notes = []
         while status is None:
-            line = proc.stdout.readline()
-            if line == "":
+            item = reader.scan()
+            if item is None:
                 raise SolverError("solver closed its output before answering")
-            line = line.strip()
-            if line in ("sat", "unsat", "unknown"):
-                status = line
-            elif line:
-                errors.append(line)
-                if len(errors) > 200:
+            if item[1] in ("sat", "unsat", "unknown"):
+                status = item[1]
+            else:
+                notes.append(item[0])
+                if len(notes) > 200:
                     raise SolverError("solver never answered check-sat")
         values = {}
         if status == "sat":
             names = script.model_symbols or sorted(script.var_index)
             proc.stdin.write("(get-value (" + " ".join(names) + "))\n")
             proc.stdin.flush()
-            reply = parse_one(read_sexpr(proc.stdout))
-            if not isinstance(reply, list):
-                raise SolverError(f"unexpected get-value reply: {reply!r}")
+            item = reader.scan()
+            if item is None:
+                raise SolverError("solver closed its output before get-value")
+            text, reply = item
+            if not isinstance(reply, list) or reply[:1] == ["error"]:
+                raise SolverError(f"unexpected get-value reply: {text}")
             for entry in reply:
                 if not (isinstance(entry, list) and len(entry) == 2):
                     raise SolverError(f"malformed model binding: {entry!r}")
@@ -124,8 +129,8 @@ def _interact(proc, script: SmtScript, reset: bool, box: dict):
                 raise SolverError(f"model is missing symbols: {sorted(missing)[:5]}")
         box["status"] = status
         box["values"] = values
-        box["notes"] = errors
-    except (OSError, ValueError, EOFError, SolverError) as e:
+        box["notes"] = notes
+    except (OSError, ValueError, SolverError) as e:
         box["exception"] = e
 
 
@@ -149,6 +154,7 @@ class SolverSession:
             )
         except OSError as e:
             raise SolverError(f"cannot spawn solver {command!r}: {e}") from e
+        self.reader = Reader(self.proc.stdout)
         self._used = False
         self._dead = False
         self._lock = threading.Lock()
@@ -194,8 +200,9 @@ class SolverSession:
         reset, self._used = self._used, True
         start = time.monotonic()
         box: dict = {}
-        worker = threading.Thread(target=_interact,
-                                  args=(self.proc, script, reset, box), daemon=True)
+        worker = threading.Thread(
+            target=_interact, args=(self.proc, self.reader, script, reset, box),
+            daemon=True)
         worker.start()
         worker.join(timeout)
         if worker.is_alive():

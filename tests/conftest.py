@@ -2,7 +2,9 @@ import sys
 
 import pytest
 
-from tspbmc import build_model, closure, constructible, library, parse_protocol, parse_scenario
+from tspbmc import library
+from tspbmc.frontend import parse_protocol, parse_scenario
+from tspbmc.model import build_model, closure, constructible
 from tspbmc.errors import TspbmcError
 from tspbmc.frontend import INTRUDER
 from tspbmc.solver import SolverConfig

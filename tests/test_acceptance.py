@@ -12,21 +12,14 @@ from dataclasses import replace
 
 import pytest
 
-from tspbmc import (
-    BmcProblem,
-    build_model,
-    decode,
-    encode,
-    explicit_reach,
-    parse_term,
-    render_term,
-    replay,
-)
 from tspbmc.cli import main
+from tspbmc.encoder import BmcProblem, encode
 from tspbmc.errors import TspbmcError
-from tspbmc.model import closure, model_to_json
+from tspbmc.model import build_model, closure, model_to_json
+from tspbmc.oracle import explicit_reach
 from tspbmc.solver import iterate_bounds
-from tspbmc.witness import parse_json, render_json
+from tspbmc.terms import parse_term, render_term
+from tspbmc.witness import decode, parse_json, render_json, replay
 
 from conftest import (
     BUNDLED,

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tspbmc import BmcProblem, encode
-from tspbmc.encoder import smt_num
+from tspbmc.encoder import BmcProblem, encode
 from tspbmc.frontend import INTRUDER
+from tspbmc.sexpr import render_value
 
 from conftest import model_of, solver_config
 from tspbmc.solver import run_solver
@@ -71,10 +71,10 @@ def test_goal_formula_disjunction_over_instances(lib):
     model = model_of(lib, "dsp", "key_compromise", k=2)
     text = encode(BmcProblem(model, 2)).text
     goal = text.split("; goal")[1]
-    import tspbmc
+    from tspbmc.terms import parse_term
     for sid in (1, 2):
         # Kab#sid's only support is the message of step (sid,2), S -> A
-        kab = model.universe.id_of(tspbmc.parse_term(f"Kab#{sid}"))
+        kab = model.universe.id_of(parse_term(f"Kab#{sid}"))
         delivery = model.step_at(sid, 2)
         assert model.labels[kab] == ((model.universe.id_of(delivery.message),),)
         for j in (1, 2):
@@ -89,11 +89,11 @@ def test_lifetime_section(lib):
     assert "(=> done_3_1_2 (<= t_1_2 (+ t_1_1 10.0)))" in lifetimes
 
 
-def test_smt_num_forms():
-    assert smt_num(Fraction(3)) == "3.0"
-    assert smt_num(Fraction(-3)) == "(- 3.0)"
-    assert smt_num(Fraction(7, 2)) == "(/ 7.0 2.0)"
-    assert smt_num(Fraction(-7, 2)) == "(- (/ 7.0 2.0))"
+def test_render_value_forms():
+    assert render_value(Fraction(3)) == "3.0"
+    assert render_value(Fraction(-3)) == "(- 3.0)"
+    assert render_value(Fraction(7, 2)) == "(/ 7.0 2.0)"
+    assert render_value(Fraction(-7, 2)) == "(- (/ 7.0 2.0))"
 
 
 def test_bound_one_pigeonhole_unsat(lib):
@@ -104,7 +104,7 @@ def test_bound_one_pigeonhole_unsat(lib):
 
 
 def test_eavesdrop_off_removes_intruder_taps(lib):
-    from tspbmc import build_model
+    from tspbmc.model import build_model
     from conftest import load
     spec, scen = load(lib, "nspkt", "mitm1_lowe")
     models = {eav: build_model(spec, scen, eavesdrop=eav) for eav in (True, False)}

@@ -5,9 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from tspbmc import apply_overrides, parse_protocol, parse_scenario, parse_term
 from tspbmc.errors import ProtocolError, ScenarioError
-from tspbmc.frontend import compute_generation, effective_require_complete
+from tspbmc.frontend import (
+    apply_overrides,
+    compute_generation,
+    effective_require_complete,
+    parse_protocol,
+    parse_scenario,
+)
+from tspbmc.terms import parse_term
 
 NSPK = """
 name: NSPK_T

@@ -2,22 +2,19 @@ import random
 
 import pytest
 
-from tspbmc import (
-    build_model,
-    closure,
-    compile_rules,
-    constructible,
-    parse_term,
-)
 from tspbmc.errors import ModelError, ScenarioError
 from tspbmc.frontend import INTRUDER, parse_scenario
 from tspbmc.model import (
     adequacy_warnings,
+    build_model,
     build_universe,
+    closure,
+    compile_rules,
+    constructible,
     initial_knowledge,
     model_to_json,
 )
-from tspbmc.terms import Cipher, Pair, TermUniverse
+from tspbmc.terms import Cipher, Pair, TermUniverse, parse_term
 
 from conftest import assert_labels_exact, library_models, load, model_of
 

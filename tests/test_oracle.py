@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from tspbmc import explicit_reach, parse_term, replay
+from tspbmc import oracle
+from tspbmc.oracle import OracleResult, explicit_reach
+from tspbmc.terms import parse_term
+from tspbmc.witness import replay
 
 from conftest import model_of
 
@@ -32,6 +35,20 @@ def test_pinned_library_verdicts(lib, proto, scen, k):
         assert result.depth == depth
     else:
         assert result.depth == 8
+
+
+def test_underivable_secret_skips_interleavings(lib, monkeypatch):
+    # nspkt fair: no goal secret is in the closure of every message the
+    # intruder can receive, so no interleaving is explored
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_timing", lambda *a: pytest.fail("explored"))
+        for k in (1, 2, 3):
+            model = model_of(lib, "nspkt", "fair", k=k)
+            depth = len(model.exec_steps)
+            assert explicit_reach(model, depth=depth) == OracleResult(
+                "no-attack-up-to", depth)
+    result = explicit_reach(model_of(lib, "nspkt", "mitm1_lowe"), depth=6)
+    assert (result.outcome, result.depth) == ("attack-found", 5)
 
 
 def test_depth_boundary(lib):

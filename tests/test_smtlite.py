@@ -3,7 +3,17 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from tspbmc.sexpr import parse_all, parse_one, parse_value, read_sexpr, render_value
+import pytest
+
+from tspbmc.sexpr import (
+    Reader,
+    parse_all,
+    parse_one,
+    parse_value,
+    read_sexpr,
+    render_value,
+    string_value,
+)
 
 
 def run_script(text: str) -> list:
@@ -120,6 +130,35 @@ def test_error_reply_keeps_pipe_alive():
     assert out[-1] == "sat"
 
 
+@pytest.mark.parametrize("script, expected", [
+    ('(echo "a)b")(check-sat)', ["a)b", "sat"]),
+    ('(echo "say ""hi""")(check-sat)', ['say "hi"', "sat"]),
+    ("(declare-const |x)y| Bool)(assert |x)y|)(check-sat)(get-value (|x)y|))",
+     ["sat", "((|x)y| true))"]),
+    ("(assert ; c )\n true)(check-sat)", ["sat"]),
+])
+def test_reader_lexical_rules(script, expected):
+    # a ')' in a string literal, a quoted symbol or a comment closes nothing
+    assert run_script(script) == expected
+
+
+def test_error_reply_is_one_expression():
+    out = run_script("(assert |a\"b|)(check-sat)")
+    # the '"' in the message is escaped, so the reply reads as one expression
+    error = parse_one(out[0])
+    assert len(error) == 2 and error[0] == "error"
+    assert string_value(error[1]) == "unsupported: unknown symbol '|a\"b|'"
+    assert out[1] == "sat"
+
+
+def test_solver_child_loads_only_sexpr_and_smtlite():
+    code = ("import sys, tspbmc.smtlite; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tspbmc'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["tspbmc", "tspbmc.sexpr", "tspbmc.smtlite"]
+
+
 def test_get_value_before_check_is_error():
     out = run_script("(declare-const x Bool)(get-value (x))")
     assert out[0].startswith("(error")
@@ -148,6 +187,15 @@ def test_read_sexpr_stream():
     stream = io.StringIO("sat\n((x 1.0) (y (/ 1.0 2.0)))\n")
     assert read_sexpr(stream) == "sat"
     assert parse_one(read_sexpr(stream)) == [["x", "1.0"], ["y", ["/", "1.0", "2.0"]]]
+
+
+def test_reader_expression_spans_lines():
+    # the escaped quote before the line break does not end the literal
+    reader = Reader(io.StringIO('sat\n((x 1.0)\n (y "a""\nb")) ; c\n'))
+    assert reader.scan() == ("sat", "sat")
+    assert reader.scan() == ('((x 1.0)\n (y "a""\nb"))',
+                             [["x", "1.0"], ["y", '"a""\nb"']])
+    assert reader.scan() is None
 
 
 def test_parse_all_comments_and_strings():

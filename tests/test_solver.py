@@ -3,8 +3,7 @@ import sys
 
 import pytest
 
-from tspbmc import BmcProblem, encode
-from tspbmc.encoder import SmtScript
+from tspbmc.encoder import BmcProblem, SmtScript, encode
 from tspbmc.errors import SolverError
 from tspbmc.solver import (
     SolverConfig,
@@ -56,6 +55,25 @@ def test_run_solver_garbage_output():
     cfg = solver_config(command=(sys.executable, "-c", "print('hello'); exit()"))
     result = run_solver(script_of("(check-sat)\n", {}), cfg)
     assert result.status == "error"
+
+
+GET_VALUE_ERROR = "line 1 column 2: invalid command, '(' expected"
+
+
+def test_run_solver_error_reply_to_get_value():
+    # the '(' inside the string literal opens no expression: the driver
+    # reads the reply whole instead of waiting for a closing ')'
+    reply = f'(error "{GET_VALUE_ERROR}")'
+    fake = ("import sys\n"
+            "for line in sys.stdin:\n"
+            "    if 'check-sat' in line: print('sat', flush=True)\n"
+            f"    if 'get-value' in line: print({reply!r}, flush=True)\n")
+    cfg = solver_config(command=(sys.executable, "-c", fake), timeout=20.0)
+    script = script_of("(declare-const x Bool)(check-sat)\n", {"x": "Bool"})
+    result = run_solver(script, cfg)
+    assert result.status == "error"
+    assert GET_VALUE_ERROR in result.solver_stderr
+    assert result.elapsed < 10.0
 
 
 def test_config_validation():
@@ -194,7 +212,7 @@ def stdin_logging(logfile) -> str:
 
 
 def test_get_value_requests_only_decoded_symbols(lib, tmp_path):
-    from tspbmc import decode, replay
+    from tspbmc.witness import decode, replay
     pidfile, logfile = tmp_path / "pids", tmp_path / "stdin"
     model = model_of(lib, "nspkt", "mitm1_lowe", k=2)
     cfg = solver_config(command=pid_logging(pidfile, stdin_logging(logfile)))

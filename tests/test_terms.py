@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from tspbmc import (
+from tspbmc.errors import TermError, TermSyntaxError
+from tspbmc.terms import (
     Cipher,
     Fresh,
     Ident,
@@ -10,16 +11,15 @@ from tspbmc import (
     PrivKey,
     PubKey,
     SymKey,
-    TermSyntaxError,
     TermUniverse,
     instantiate,
     inverse_key,
+    is_key_form,
     parse_term,
     render_term,
     subterms,
+    term_depth,
 )
-from tspbmc.errors import TermError
-from tspbmc.terms import is_key_form, term_depth
 
 
 def test_parse_atoms():

@@ -3,17 +3,19 @@ from dataclasses import replace
 
 import pytest
 
-from tspbmc import (
-    BmcProblem,
+from tspbmc.encoder import BmcProblem, encode
+from tspbmc.errors import ModelError
+from tspbmc.oracle import explicit_reach
+from tspbmc.solver import run_solver
+from tspbmc.terms import parse_term
+from tspbmc.witness import (
     decode,
-    encode,
-    explicit_reach,
-    parse_term,
+    parse_json,
+    render_html,
+    render_json,
+    render_text,
     replay,
 )
-from tspbmc.errors import ModelError
-from tspbmc.solver import run_solver
-from tspbmc.witness import parse_json, render_html, render_json, render_text
 
 from conftest import model_of, solver_config
 
