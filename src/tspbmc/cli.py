@@ -111,7 +111,7 @@ def cmd_check(args) -> int:
         timeout=args.timeout,
         max_bound=args.max_bound,
     )
-    verdict = iterate_bounds(model, spec.goal, config)
+    verdict = iterate_bounds(model, config)
     for bound, status, wall in verdict.per_bound_log:
         print(f"bound {bound}: {status} ({wall:.2f}s)", file=sys.stderr)
     if verdict.outcome == "no-attack-up-to":
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solver command (default: $TSPBMC_SOLVER, z3 -in, "
                         "or the bundled fallback)")
     p.add_argument("--timeout", type=float, default=60.0, metavar="S",
-                   help="per-bound solver timeout in seconds")
+                   help="timeout in seconds for each solver query")
     p.add_argument("--eavesdrop", action=argparse.BooleanOptionalAction,
                    default=None, help="override the scenario's eavesdrop flag")
     p.add_argument("--format", choices=sorted(_RENDERERS), default="text")
@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="emit the SMT-LIB2 script for one bound")
     _add_io_args(p)
-    p.add_argument("--bound", type=int, required=True, metavar="N")
+    p.add_argument("--bound", type=int, required=True, metavar="N",
+                   help="ask for the goal within at most N transitions")
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_encode)
 

@@ -1,6 +1,12 @@
 """Bounded-reachability encoding to SMT-LIB2 (QF_LRA).
 
-One global transition fires per position j in 1..n. Boolean state tracks
+The bound-n script asks whether the goal holds within at most n global
+transitions. At most one transition fires per position j in 1..n: one
+fires at position 1, and a position after an idle one is idle too, so a
+run of m < n transitions leaves positions m+1..n idle. Idle positions
+change no state, so the first position where the goal holds always
+fires a step, and a bound-n model is a witness for every bound >= its
+first goal position: the bounds are monotone. Boolean state tracks
 which session steps have fired (``done``). Real variables carry per-step
 fire times bound to a non-decreasing position clock, with minimum-delay
 and lifetime difference constraints.
@@ -141,13 +147,19 @@ def encode(problem: BmcProblem) -> SmtScript:
     def assert_(f: str):
         lines.append(f"(assert {f})")
 
-    # interleaving: exactly one step fires per position; session-local order
+    # interleaving: at most one step fires per position, exactly one at
+    # position 1, and a position idles only after an idle one, so a run
+    # of m < n transitions ends in an idle suffix; session-local order
     lines.append("; interleaving")
     for st in steps:
         assert_(f"(not {done_name(0, st.sid, st.index)})")
     for j in range(1, n + 1):
         fires = [fire_name(j, st.sid, st.index) for st in steps]
-        assert_(_or(fires))
+        if j == 1:
+            assert_(_or(fires))
+        else:
+            prev = [fire_name(j - 1, st.sid, st.index) for st in steps]
+            assert_(f"(=> {_or(fires)} {_or(prev)})")
         for x in range(len(fires)):
             for y in range(x + 1, len(fires)):
                 assert_(f"(or (not {fires[x]}) (not {fires[y]}))")

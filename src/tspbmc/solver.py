@@ -1,7 +1,7 @@
-"""External SMT solver driver and bound-deepening loop.
+"""External SMT solver driver and the bound loop.
 
 Each ``iterate_bounds`` call keeps one solver child for the whole check.
-Every bound gets a fresh full script (no incremental push/pop), and each
+Every query gets a fresh full script (no incremental push/pop), and each
 script after the first is preceded by the standard SMT-LIB ``(reset)``,
 so any SMT-LIB2-compliant binary that accepts ``(reset)`` works. The
 protocol per script is: write the script, read the ``(check-sat)`` reply,
@@ -15,9 +15,10 @@ The child's stderr is drained on its own thread so that it can never fill
 the pipe and stall the child. A timeout or a protocol error kills the
 child; every exit path closes it.
 
-Every exec step fires at most once and exactly one step fires per
-position, so every bound above the exec-step count is unsat and the
-bound at the step count covers every run: the loop stops there.
+The bound-n script asks for the goal within at most n transitions, so
+the bounds are monotone and every exec step fires at most once: the
+bound at the exec-step count covers every run. The loop queries the cap
+first and then works down from each sat model's first goal position.
 
 Solver resolution order: explicit ``--solver`` command, the
 ``TSPBMC_SOLVER`` environment variable, ``z3 -in`` if z3 is on PATH, and
@@ -40,6 +41,7 @@ from .encoder import BmcProblem, SmtScript, encode
 from .errors import SolverError
 from .model import TiisModel
 from .sexpr import Reader, parse_value
+from .witness import decode
 
 DEFAULT_TIMEOUT = 60.0
 EXIT_GRACE = 5.0  # seconds a child gets to exit after (exit) or a kill
@@ -49,7 +51,7 @@ STDERR_KEEP = 64 * 1024  # characters of stderr kept per script
 @dataclass(frozen=True)
 class SolverConfig:
     command: tuple = ()  # empty -> resolve automatically
-    timeout: float = DEFAULT_TIMEOUT  # seconds per bound
+    timeout: float = DEFAULT_TIMEOUT  # seconds per solver query
     max_bound: Optional[int] = None  # capped at, and by default, the exec-step count
 
     def __post_init__(self):
@@ -70,10 +72,10 @@ class RawResult:
 @dataclass(frozen=True)
 class Verdict:
     outcome: str  # attack-found | no-attack-up-to | inconclusive
-    bound: int  # sat bound, or the bound cap / offending bound
+    bound: int  # least attack bound, or the bound cap / offending bound
     result: Optional[RawResult] = None
     reason: str = ""
-    per_bound_log: tuple = ()  # (bound, status, wall seconds)
+    per_bound_log: tuple = ()  # (bound, status, wall seconds) in query order
 
 
 def resolve_solver_command(explicit: Optional[str] = None) -> tuple:
@@ -256,32 +258,41 @@ def run_solver(script: SmtScript, config: SolverConfig,
 
 
 def default_max_bound(model: TiisModel) -> int:
-    """The exec-step count: the bound at which every run is covered."""
+    """The exec-step count: every run fires each exec step at most once, so
+    the bound at the step count covers every run."""
     return len(model.exec_steps)
 
 
-def iterate_bounds(model: TiisModel, goal=None, config: Optional[SolverConfig] = None) -> Verdict:
-    """Linear bound deepening n = 1..min(max_bound, exec-step count) on one
-    solver child; stop at the first sat.
+def iterate_bounds(model: TiisModel, config: Optional[SolverConfig] = None) -> Verdict:
+    """Find the least bound with an attack, on one solver child.
 
-    ``goal`` is accepted for interface symmetry; the reachability goal is
-    already baked into the model.
+    The first query is at the cap ``min(max_bound, exec-step count)``; if it
+    is unsat there is no attack within the cap. A sat model's first goal
+    position g (the last event of its decoded trace) bounds the least
+    attack from above, so the next query is at g-1, until one is unsat or
+    g = 1. The attack is reported at g with the sat result found there.
     """
     config = config or SolverConfig()
     steps = default_max_bound(model)
-    max_bound = min(config.max_bound or steps, steps)
+    n = cap = min(config.max_bound or steps, steps)
     log = []
+    attack = None  # (g, sat result) of the least bound found so far
     with open_session(config) as session:
-        for n in range(1, max_bound + 1):
+        while n >= 1:
             script = encode(BmcProblem(model, n))
             result = run_solver(script, config, session)
             log.append((n, result.status, result.elapsed))
-            if result.status == "sat":
-                return Verdict("attack-found", n, result, per_bound_log=tuple(log))
             if result.status == "unsat":
-                continue
-            reason = f"solver returned {result.status} at bound {n}"
-            if result.solver_stderr:
-                reason += f": {result.solver_stderr.splitlines()[0]}"
-            return Verdict("inconclusive", n, result, reason, tuple(log))
-    return Verdict("no-attack-up-to", max_bound, per_bound_log=tuple(log))
+                break
+            if result.status != "sat":
+                reason = f"solver returned {result.status} at bound {n}"
+                if attack is not None:
+                    reason += f" (an attack exists within bound {attack[0]})"
+                if result.solver_stderr:
+                    reason += f": {result.solver_stderr.splitlines()[0]}"
+                return Verdict("inconclusive", n, result, reason, tuple(log))
+            attack = (decode(result, script, model).events[-1].position, result)
+            n = attack[0] - 1
+    if attack is None:
+        return Verdict("no-attack-up-to", cap, per_bound_log=tuple(log))
+    return Verdict("attack-found", attack[0], attack[1], per_bound_log=tuple(log))

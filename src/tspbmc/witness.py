@@ -3,7 +3,10 @@
 A sat model is decoded position by position into a Trace (one fired step
 per position, fire time, per-agent knowledge deltas by concrete closure
 over the fired steps), truncated at the first position where the goal
-holds; decoding reads only the ``fire`` and ``tau`` symbols. ``replay``
+holds; decoding reads only the ``fire`` and ``tau`` symbols. Idle
+positions change no state, so they can only follow the goal position and
+are never read, and the trace's last event is the model's first goal
+position: the least bound the model witnesses. ``replay``
 then re-executes that trace under the concrete semantics — session
 order, gating, delays, lifetimes, knowledge closure — as an independent
 soundness check of the encoding.
@@ -15,14 +18,16 @@ import html
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .encoder import SmtScript, fire_name, tau_name
 from .errors import ModelError
 from .frontend import INTRUDER
 from .model import TiisModel, closed_initial_knowledge, constructible, deliver
-from .solver import RawResult
 from .terms import Term, parse_term, render_term
+
+if TYPE_CHECKING:
+    from .solver import RawResult
 
 
 @dataclass(frozen=True)

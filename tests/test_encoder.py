@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -123,14 +124,31 @@ def test_eavesdrop_off_removes_intruder_taps(lib):
 
 
 def test_bound_monotonicity_on_attack_instance(lib):
-    # once sat, larger bounds stay sat (EF disjunction only grows) as long
-    # as unfired steps remain: with no stutter action, every position must
-    # fire some step, so bounds beyond the total step count are vacuous
+    # once sat, larger bounds stay sat: a run may stop early and leave the
+    # positions after it idle, also past the exec-step count (6 here)
     model = model_of(lib, "nspkt", "mitm1_lowe")
-    for n in (5, 6):
+    for n in (5, 6, 7):
         result = run_solver(encode(BmcProblem(model, n)), solver_config())
         assert result.status == "sat", n
-    # and the vacuous tail bound is indeed unsat (documented caveat)
-    small = model_of(lib, "dsp", "key_compromise")
+    small = model_of(lib, "dsp", "key_compromise")  # 3 exec steps, attack at 3
     result = run_solver(encode(BmcProblem(small, 4)), solver_config())
-    assert result.status == "unsat"
+    assert result.status == "sat"
+
+
+def test_idle_positions_only_as_a_suffix(lib):
+    # an idle position is never followed by a firing one, and position 1
+    # always fires, so decode reads one step per position up to the goal
+    model = model_of(lib, "nspkt", "mitm1_lowe")  # attack at 5 of 6 steps
+    script = encode(BmcProblem(model, 6))
+
+    def fires(j):
+        return "(or " + " ".join(f"fire_{j}_{st.sid}_{st.index}"
+                                 for st in model.exec_steps) + ")"
+
+    def status_with(extra):
+        text = script.text.replace("(check-sat)", f"(assert {extra})\n(check-sat)")
+        return run_solver(replace(script, text=text), solver_config()).status
+
+    assert status_with(f"(not {fires(1)})") == "unsat"
+    assert status_with(f"(and (not {fires(2)}) {fires(3)})") == "unsat"
+    assert status_with(f"(not {fires(6)})") == "sat"

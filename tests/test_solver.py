@@ -1,19 +1,25 @@
+import json
 import os
+import re
 import sys
 
 import pytest
 
 from tspbmc.encoder import BmcProblem, SmtScript, encode
 from tspbmc.errors import SolverError
+from tspbmc.frontend import parse_protocol, parse_scenario
+from tspbmc.model import build_model
+from tspbmc.oracle import explicit_reach
 from tspbmc.solver import (
     SolverConfig,
+    SolverSession,
     default_max_bound,
     iterate_bounds,
     resolve_solver_command,
     run_solver,
 )
 
-from conftest import BUNDLED, model_of, solver_config
+from conftest import BUNDLED, library_models, model_of, solver_config
 
 
 def script_of(text: str, names: dict) -> SmtScript:
@@ -100,8 +106,7 @@ def test_iterate_bounds_no_attack(lib):
     verdict = iterate_bounds(model, config=solver_config(max_bound=6))
     assert verdict.outcome == "no-attack-up-to"
     assert verdict.bound == 3  # capped at the exec-step count
-    assert [(b, s) for b, s, _ in verdict.per_bound_log] == [
-        (n, "unsat") for n in range(1, 4)]
+    assert [(b, s) for b, s, _ in verdict.per_bound_log] == [(3, "unsat")]
 
 
 def test_iterate_bounds_attack_is_minimal(lib):
@@ -109,8 +114,12 @@ def test_iterate_bounds_attack_is_minimal(lib):
     verdict = iterate_bounds(model, config=solver_config(max_bound=8))
     assert verdict.outcome == "attack-found"
     assert verdict.bound == 5
-    assert [s for _, s, _ in verdict.per_bound_log] == ["unsat"] * 4 + ["sat"]
-    names = list(encode(BmcProblem(model, 5)).model_symbols)
+    log = [(b, s) for b, s, _ in verdict.per_bound_log]
+    assert log[0][0] == 6  # the cap: the exec-step count
+    assert log[-1] == (4, "unsat")  # the bound below the attack is unsat
+    assert all(s == "sat" for _, s in log[:-1])
+    sat_bound = log[-2][0]
+    names = list(encode(BmcProblem(model, sat_bound)).model_symbols)
     assert names and all(n.startswith(("fire_", "tau_")) for n in names)
     assert sorted(verdict.result.values) == names  # sat carries what decode reads
 
@@ -170,7 +179,9 @@ def test_iterate_bounds_spawns_one_child(lib, tmp_path, scenario, outcome, bound
     cfg = solver_config(command=pid_logging(pidfile, SMTLITE_BODY))
     verdict = iterate_bounds(model, config=cfg)
     assert (verdict.outcome, verdict.bound) == (outcome, bound)
-    assert len(verdict.per_bound_log) == bound
+    queried = [b for b, _, _ in verdict.per_bound_log]
+    assert queried[0] == default_max_bound(model)
+    assert queried == sorted(set(queried), reverse=True)
     pids = spawned(pidfile)
     assert len(pids) == 1
     assert_reaped(pids)
@@ -187,18 +198,38 @@ def test_iterate_bounds_kills_failed_child(lib, tmp_path, body, status):
     verdict = iterate_bounds(model, config=cfg)
     assert verdict.outcome == "inconclusive"
     assert verdict.result.status == status
-    assert [b for b, _, _ in verdict.per_bound_log] == [1]
+    assert [b for b, _, _ in verdict.per_bound_log] == [3]  # the cap
     pids = spawned(pidfile)
     assert len(pids) == 1
     assert_reaped(pids)
 
 
+def test_iterate_bounds_timeout_below_a_found_attack(lib):
+    # the child answers the first script, then stalls on the next one
+    stall = ("import sys, time, types; from tspbmc.smtlite import main; "
+             "src = sys.stdin; sys.stdin = types.SimpleNamespace(readline=lambda: "
+             "(lambda line: time.sleep(60) if line.startswith('(reset)') else line)"
+             "(src.readline())); sys.exit(main())")
+    model = model_of(lib, "nspkt", "mitm1_lowe")
+    cfg = solver_config(command=(sys.executable, "-c", stall), timeout=3.0)
+    verdict = iterate_bounds(model, config=cfg)
+    (cap, first), (below, second) = [(b, s) for b, s, _ in verdict.per_bound_log]
+    assert (cap, first, second) == (6, "sat", "timeout")
+    assert (verdict.outcome, verdict.bound) == ("inconclusive", below)
+    assert f"an attack exists within bound {below + 1}" in verdict.reason
+
+
 @pytest.mark.parametrize("scenario", ["fair", "mitm1_lowe"])
-def test_bound_above_step_count_is_unsat(lib, scenario):
-    # each exec step fires at most once and one fires per position
+def test_bound_above_step_count_adds_nothing(lib, scenario):
+    # each exec step fires at most once, so the positions past the step
+    # count are idle in every run: the bound above it decides the same
     model = model_of(lib, "nspkt", scenario)
-    script = encode(BmcProblem(model, len(model.exec_steps) + 1))
-    assert run_solver(script, solver_config()).status == "unsat"
+    steps = len(model.exec_steps)
+    with SolverSession(BUNDLED) as session:
+        statuses = [session.run(encode(BmcProblem(model, n)), 120.0).status
+                    for n in (steps, steps + 1)]
+    assert statuses[0] == statuses[1]
+    assert statuses[0] == ("sat" if scenario == "mitm1_lowe" else "unsat")
 
 
 def stdin_logging(logfile) -> str:
@@ -221,11 +252,77 @@ def test_get_value_requests_only_decoded_symbols(lib, tmp_path):
     assert len(spawned(pidfile)) == 1
     requests = [line for line in logfile.read_text().splitlines()
                 if line.startswith("(get-value")]
-    assert len(requests) == 1
-    names = requests[0][len("(get-value ("):-len("))")].split()
-    script = encode(BmcProblem(model, 5))
-    assert names == list(script.model_symbols)
-    assert not [n for n in names if n.startswith(("done_", "t_"))]
-    assert {n.split("_")[0] for n in names} == {"fire", "tau"}
-    trace = decode(verdict.result, script, model)
+    sat_bounds = [b for b, s, _ in verdict.per_bound_log if s == "sat"]
+    assert len(requests) == len(sat_bounds) >= 1  # one request per sat query
+    for request, bound in zip(requests, sat_bounds):
+        names = request[len("(get-value ("):-len("))")].split()
+        assert names == list(encode(BmcProblem(model, bound)).model_symbols)
+        assert not [n for n in names if n.startswith(("done_", "t_"))]
+        assert {n.split("_")[0] for n in names} == {"fire", "tau"}
+    trace = decode(verdict.result, encode(BmcProblem(model, 5)), model)
     assert replay(trace, model) is None
+
+
+def queried_bounds(logfile) -> list:
+    """The bound of every script in a stdin log: its largest tau position."""
+    scripts = logfile.read_text().split("(reset)")
+    return [max(int(j) for j in re.findall(r"\(declare-const tau_(\d+) ", text))
+            for text in scripts]
+
+
+@pytest.mark.parametrize("protocol, scenario, k", [
+    ("nspkt", "mitm1_lowe", 2),
+    ("wmf", "replay_generous", None),
+    ("dsp", "key_compromise", 2),
+])
+def test_queried_bounds_descend_to_below_oracle_depth(lib, tmp_path, protocol,
+                                                      scenario, k):
+    logfile = tmp_path / "stdin"
+    model = model_of(lib, protocol, scenario, k=k)
+    oracle = explicit_reach(model, depth=default_max_bound(model))
+    assert oracle.outcome == "attack-found" and oracle.depth > 1
+    cfg = solver_config(command=(sys.executable, "-c", stdin_logging(logfile)))
+    verdict = iterate_bounds(model, config=cfg)
+    assert (verdict.outcome, verdict.bound) == ("attack-found", oracle.depth)
+    queried = queried_bounds(logfile)
+    assert queried == [b for b, _, _ in verdict.per_bound_log]
+    assert queried[0] == default_max_bound(model)
+    assert all(a > b for a, b in zip(queried, queried[1:]))
+    assert verdict.per_bound_log[-1][:2] == (oracle.depth - 1, "unsat")
+
+
+def stranded_model(lib):
+    """dsp at k=2 with only session 1 required to complete, and session 2's
+    last step retimed past its timestamp's lifetime: at most 5 of the 6
+    exec steps can fire in any run, while the attack needs 3."""
+    protocol = lib["dsp"].protocol.replace(
+        "goal: secrecy Kab sid any", "goal: secrecy Kab sid any\ncomplete: 1")
+    scenario = json.dumps({
+        "name": "stranded", "sessions": 2, "compromised": ["KAS"],
+        "overrides": [{"sid": 2, "step": 3, "kind": "retime", "delay": 10}]})
+    return build_model(parse_protocol(protocol), parse_scenario(scenario))
+
+
+def test_bound_n_is_sat_iff_oracle_attack_within_n(lib):
+    # the idle-suffix encoding is exact: the bound-n script is sat iff some
+    # run of at most n transitions reaches the goal, also where no run
+    # fires every exec step and past the step count
+    models = list(library_models(lib)) + [stranded_model(lib)]
+    assert len(models) >= 13
+    for model in models:
+        steps = default_max_bound(model)
+        with SolverSession(BUNDLED) as session:
+            for n in range(1, steps + 2):
+                status = session.run(encode(BmcProblem(model, n)), 120.0).status
+                oracle = explicit_reach(model, depth=n)
+                assert status == ("sat" if oracle.outcome == "attack-found"
+                                  else "unsat"), (model.protocol, model.scenario,
+                                                  model.sessions, n)
+
+
+def test_stranded_session_attack_is_found_from_the_cap(lib):
+    model = stranded_model(lib)
+    verdict = iterate_bounds(model, config=solver_config())
+    assert (verdict.outcome, verdict.bound) == ("attack-found", 3)
+    log = [(b, s) for b, s, _ in verdict.per_bound_log]
+    assert log[0] == (6, "sat") and log[-1] == (2, "unsat")
