@@ -99,7 +99,7 @@ def _report_attack(trace, model, fmt: str, out_path, origin: str) -> int:
 
 def cmd_check(args) -> int:
     spec, scenario = _load_inputs(args.protocol, args.scenario)
-    model = build_model(spec, scenario, k=args.sessions, eavesdrop=args.eavesdrop)
+    model = build_model(spec, scenario, k=args.sessions)
     for w in model.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not any(model.labels[tid] for tid in model.goal_secret_ids):
@@ -197,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "or the bundled fallback)")
     p.add_argument("--timeout", type=float, default=60.0, metavar="S",
                    help="timeout in seconds for each solver query")
-    p.add_argument("--eavesdrop", action=argparse.BooleanOptionalAction,
-                   default=None, help="override the scenario's eavesdrop flag")
     p.add_argument("--format", choices=sorted(_RENDERERS), default="text")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the witness report to PATH")

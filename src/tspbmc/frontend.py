@@ -190,7 +190,10 @@ def parse_protocol(text: str) -> ProtocolSpec:
                 raise ProtocolError(f"unknown fresh class {klass!r}", lineno)
             if any(d.name == fname for d in decls):
                 raise ProtocolError(f"duplicate fresh declaration {fname!r}", lineno)
-            lifetime = None if lt == "none" else parse_rational(lt)
+            try:
+                lifetime = None if lt == "none" else parse_rational(lt)
+            except ValueError as e:
+                raise ProtocolError(f"lifetime: {e}", lineno)
             if lifetime is not None and lifetime <= 0:
                 raise ProtocolError("lifetime must be positive or 'none'", lineno)
             decls.append(FreshDecl(fname, owner, klass, lifetime))
@@ -213,12 +216,11 @@ def parse_protocol(text: str) -> ProtocolSpec:
                 msg = parse_term(msg_text, decls={d.name: (d.owner, d.klass) for d in decls})
             except TermSyntaxError as e:
                 raise ProtocolError(f"bad message term: {e}", lineno)
-            steps.append(
-                ProtocolStep(
-                    int(idx), sender, receiver, msg,
-                    parse_rational(delay) if delay else Fraction(0),
-                )
-            )
+            try:
+                min_delay = parse_rational(delay) if delay else Fraction(0)
+            except ValueError as e:
+                raise ProtocolError(f"delay: {e}", lineno)
+            steps.append(ProtocolStep(int(idx), sender, receiver, msg, min_delay))
         else:
             raise ProtocolError(f"unrecognized line {line!r}", lineno)
 
@@ -234,7 +236,10 @@ def parse_protocol(text: str) -> ProtocolSpec:
     if not m:
         raise ProtocolError("bad goal (expected: goal: secrecy <fresh> sid <n|any>)", lineno)
     secret, target = m.groups()
-    target_sid: Union[int, str] = "any" if target == "any" else int(target)
+    try:
+        target_sid: Union[int, str] = "any" if target == "any" else int(target)
+    except ValueError:
+        raise ProtocolError(f"bad goal sid {target!r} (a session index or 'any')", lineno)
     decl_names = {d.name for d in decls}
     if secret not in decl_names:
         raise ProtocolError(f"goal secret {secret!r} is not a declared fresh atom", lineno)
@@ -298,6 +303,8 @@ def parse_scenario(json_text: str) -> Scenario:
     if "name" not in data or "overrides" not in data:
         raise ScenarioError("scenario needs 'name' and 'overrides'")
 
+    if not isinstance(data["overrides"], list):
+        raise ScenarioError("'overrides' must be a list")
     overrides = []
     seen: set = set()
     for i, ov in enumerate(data["overrides"]):
@@ -306,9 +313,8 @@ def parse_scenario(json_text: str) -> Scenario:
         unknown = set(ov) - _OVERRIDE_KEYS
         if unknown:
             raise ScenarioError(f"override {i}: unknown keys {sorted(unknown)}")
-        try:
-            sid, step = int(ov["sid"]), int(ov["step"])
-        except (KeyError, ValueError, TypeError):
+        sid, step = ov.get("sid"), ov.get("step")
+        if not (_is_int(sid) and _is_int(step)):
             raise ScenarioError(f"override {i}: bad or missing sid/step")
         if sid < 1 or step < 1:
             raise ScenarioError(f"override {i}: sid and step must be >= 1")
@@ -323,8 +329,8 @@ def parse_scenario(json_text: str) -> Scenario:
         edge = None
         message = None
         if kind in ("replace", "intruder"):
-            if "edge" not in ov or "L" not in ov:
-                raise ScenarioError(f"override {i}: {kind} needs 'edge' and 'L'")
+            if not isinstance(ov.get("edge"), str) or not isinstance(ov.get("L"), str):
+                raise ScenarioError(f"override {i}: {kind} needs string 'edge' and 'L'")
             m = _EDGE_RE.match(ov["edge"])
             if not m:
                 raise ScenarioError(f"override {i}: bad edge syntax {ov['edge']!r}")
@@ -347,7 +353,7 @@ def parse_scenario(json_text: str) -> Scenario:
 
         delay = None
         if "delay" in ov:
-            delay = parse_rational(str(ov["delay"]))
+            delay = _override_rational(ov["delay"], i)
             if delay < 0:
                 raise ScenarioError(f"override {i}: negative delay")
         lifetime_overrides = None
@@ -355,17 +361,35 @@ def parse_scenario(json_text: str) -> Scenario:
             if not isinstance(ov["lifetime"], dict):
                 raise ScenarioError(f"override {i}: 'lifetime' must map fresh names to bounds")
             lifetime_overrides = {
-                str(k): parse_rational(str(v)) for k, v in ov["lifetime"].items()
+                str(k): _override_rational(v, i) for k, v in ov["lifetime"].items()
             }
+            if any(b <= 0 for b in lifetime_overrides.values()):
+                raise ScenarioError(f"override {i}: lifetime must be positive")
 
         overrides.append(Override(sid, step, kind, edge, message, delay, lifetime_overrides))
 
-    sessions = int(data.get("sessions", 1))
-    if sessions < 1:
-        raise ScenarioError("'sessions' must be >= 1")
-    eavesdrop = bool(data.get("eavesdrop", True))
-    compromised = tuple(data.get("compromised", []))
+    sessions = data.get("sessions", 1)
+    if not _is_int(sessions) or sessions < 1:
+        raise ScenarioError("'sessions' must be an integer >= 1")
+    eavesdrop = data.get("eavesdrop", True)
+    if not isinstance(eavesdrop, bool):
+        raise ScenarioError("'eavesdrop' must be true or false")
+    compromised = data.get("compromised", [])
+    if not isinstance(compromised, list) or not all(isinstance(c, str) for c in compromised):
+        raise ScenarioError("'compromised' must be a list of key terms")
+    compromised = tuple(compromised)
     return Scenario(data["name"], tuple(overrides), sessions, eavesdrop, compromised)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _override_rational(value, i: int) -> Fraction:
+    try:
+        return parse_rational(str(value))
+    except ValueError as e:
+        raise ScenarioError(f"override {i}: {e}")
 
 
 def compute_generation(steps, decl_map) -> dict:

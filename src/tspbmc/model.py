@@ -11,8 +11,10 @@ replayer and the explicit-state oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import FrozenSet, Optional
 
+from .dbm import ZERO
 from .errors import ModelError, ScenarioError
 from .frontend import (
     INTRUDER,
@@ -174,27 +176,41 @@ def closure(known, rules) -> FrozenSet[int]:
 
 
 def constructible(known, t: Term, universe: TermUniverse, rules) -> bool:
-    """Can the intruder produce ``t`` from the (closed) knowledge ``known``?
+    """Can the intruder produce ``t`` from the knowledge ``known``?
 
-    Atoms must be known; pairs need both components; a cipher is available
-    either as a whole (replay, no key needed) or by encrypting a
-    constructible body with a constructible key. The rules hold pair and
-    encrypt for every universe member and the universe is subterm-closed,
-    so for a member this is membership in the closure, and its minimal
-    root supports are its label.
+    The rules hold pair and encrypt for every universe member, and the
+    universe is subterm-closed, so this is membership in the closure; the
+    minimal root supports of ``t`` are its label.
     """
-    closed = closure(known, rules)
+    return universe.id_of(t) in closure(known, rules)
 
-    def go(u: Term) -> bool:
-        if universe.id_of(u) in closed:
-            return True
-        if isinstance(u, Pair):
-            return go(u.left) and go(u.right)
-        if isinstance(u, Cipher):
-            return go(u.key) and go(u.body)
-        return False
 
-    return go(t)
+def step_constraints(model: TiisModel, sequence) -> list:
+    """The timing constraints that firing ``sequence[-1]`` adds after the
+    steps before it (ExecSteps in firing order), as ``dbm`` constraints over
+    (sid, index) nodes, each tagged "delay" or "lifetime".
+
+    The step fires at least its minimum delay after its session
+    predecessor (or after time 0), no earlier than the previously fired
+    step, and within each lifetime bound of a generation step that has
+    already fired. Only fired steps get times: every constraint on an
+    unfired step is a lower bound, and unfired steps form session
+    suffixes, so firing them late meets those constraints; a generation
+    step that fires after the use is no earlier than it, and lifetimes are
+    positive.
+    """
+    st = sequence[-1]
+    node = st.ref
+    pred = (st.sid, st.index - 1) if st.index > 1 else ZERO
+    prev = sequence[-2].ref if len(sequence) > 1 else ZERO
+    out = [(node, pred, -st.min_delay, False, "delay"),
+           (node, prev, Fraction(0), False, "delay")]
+    fired = {s.ref for s in sequence}
+    for check in st.lifetime_checks:
+        gen = model.generation[check.term].ref
+        if gen in fired:
+            out.append((gen, node, check.bound, False, "lifetime"))
+    return out
 
 
 def build_model(spec: ProtocolSpec, scenario: Scenario, k: Optional[int] = None,

@@ -5,25 +5,33 @@ breadth-first search over step interleavings (so the first hit is at
 minimal depth), with gating checked against the intruder's concretely
 closed knowledge and timing checked exactly.
 
-Timing is decided per explored prefix by difference-constraint
-feasibility (Bellman-Ford) over the same constraint set the encoder
-emits: per-session minimum-delay chains, global time non-decreasing
-along the interleaving, and lifetime upper bounds for every fired step
-that uses a bounded fresh term. An infeasible prefix can never become
-feasible by extension (extensions only add constraints), so pruning is
-sound and BFS depth minimality is preserved. When no goal secret is in
-the closure of every message the intruder can receive, no interleaving
-is explored at all.
+Timing is decided per explored prefix by ``dbm.solve`` over the fired
+steps' times: each frontier node carries its prefix's constraints and
+extends them by ``model.step_constraints`` (minimum delays, time
+non-decreasing along the interleaving, lifetime bounds). These are the
+concrete rules ``replay`` checks, written apart from the encoder's
+symbolic ones. An infeasible prefix can never become feasible by
+extension (extensions only add constraints), so pruning is sound and BFS
+depth minimality is preserved. When no goal secret is in the closure of
+every message the intruder can receive, no interleaving is explored at
+all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
+from .dbm import solve
 from .frontend import INTRUDER
-from .model import TiisModel, closed_initial_knowledge, closure, constructible, deliver
+from .model import (
+    TiisModel,
+    closed_initial_knowledge,
+    closure,
+    constructible,
+    deliver,
+    step_constraints,
+)
 from .witness import Trace, TraceEvent
 
 
@@ -32,45 +40,6 @@ class OracleResult:
     outcome: str  # attack-found | no-attack-up-to
     depth: int
     trace: Optional[Trace] = None
-
-
-def _timing(model: TiisModel, sequence) -> Optional[dict]:
-    """Feasible fire times for the interleaving ``sequence`` (list of
-    ExecSteps in firing order), or None if the constraints are infeasible.
-
-    Every exec step owns a time variable; unfired steps keep only their
-    delay-chain lower bounds, mirroring the SMT encoding.
-    """
-    edges = []  # (u, v, w): t_v - t_u <= w
-
-    def var(st):
-        return (st.sid, st.index)
-
-    for st in model.exec_steps:
-        if st.index > 1:
-            prev = (st.sid, st.index - 1)
-            edges.append((var(st), prev, -st.min_delay))  # t >= t_prev + delay
-        else:
-            edges.append((var(st), "<zero>", -st.min_delay))  # t >= delay
-    for a, b in zip(sequence, sequence[1:]):
-        edges.append((var(b), var(a), Fraction(0)))  # non-decreasing global time
-    fired = {var(st) for st in sequence}
-    for st in sequence:
-        for check in st.lifetime_checks:
-            gen = model.generation[check.term]
-            edges.append((var(gen), var(st), check.bound))  # use <= gen + bound
-
-    nodes = {"<zero>"} | {var(st) for st in model.exec_steps}
-    dist = {v: Fraction(0) for v in nodes}
-    for it in range(len(nodes) + 1):
-        changed = False
-        for u, v, w in edges:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                changed = True
-        if not changed:
-            return {v: dist[v] - dist["<zero>"] for v in fired}
-    return None
 
 
 def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
@@ -92,10 +61,10 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
         return OracleResult("no-attack-up-to", depth)
     start_pc = tuple(1 for _ in range(model.sessions))
 
-    frontier = [(start_pc, init_intruder, ())]
+    frontier = [(start_pc, init_intruder, (), ())]
     for d in range(1, depth + 1):
         nxt = []
-        for pc, iknow, seq in frontier:
+        for pc, iknow, seq, cons in frontier:
             for sid in range(1, model.sessions + 1):
                 i = pc[sid - 1]
                 if i > last:
@@ -105,8 +74,9 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
                                                   model.universe, model.rules):
                     continue
                 new_seq = seq + (st,)
-                times = _timing(model, new_seq)
-                if times is None:
+                new_cons = cons + tuple(step_constraints(model, new_seq))
+                feasible, times = solve(new_cons)
+                if not feasible:
                     continue
                 new_pc = pc[:sid - 1] + (i + 1,) + pc[sid:]
                 new_iknow = iknow
@@ -119,7 +89,7 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
                     return OracleResult(
                         "attack-found", d,
                         _make_trace(model, new_seq, times, secret, d))
-                nxt.append((new_pc, new_iknow, new_seq))
+                nxt.append((new_pc, new_iknow, new_seq, new_cons))
         frontier = nxt
         if not frontier:
             break
@@ -135,7 +105,7 @@ def _make_trace(model: TiisModel, sequence, times, secret_id, depth) -> Trace:
         deltas = {a: tuple(model.universe.term_of(t) for t in gained)
                   for a, gained in deliver(model, knowledge, st).items()}
         events.append(TraceEvent(pos, st.sid, st.index, st.sender, st.receiver,
-                                 st.message, times[(st.sid, st.index)], deltas))
+                                 st.message, times[st.ref], deltas))
     return Trace(model.protocol, model.scenario, model.sessions, depth,
                  tuple(events), model.universe.term_of(secret_id),
                  tuple(sorted(model.require_complete)))

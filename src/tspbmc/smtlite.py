@@ -5,15 +5,17 @@
 ``exit``, ``echo``) to stand in for ``z3 -in`` on the scripts this tool
 generates, for environments without a real SMT solver. Commands are read
 with ``sexpr.Reader``, the reader the driver uses for the replies, and the
-child imports no other ``tspbmc`` module. It is a lazy DPLL(T): a small
-watched-literal SAT core over the Tseitin CNF of the assertions, with a
-Bellman-Ford feasibility check for the rational difference constraints and
-negative-cycle conflict clauses.
+child imports no ``tspbmc`` module but ``sexpr`` and ``dbm``. It is a lazy
+DPLL(T): a small watched-literal SAT core over the Tseitin CNF of the
+assertions. Each theory atom becomes difference edges once, when it is
+interned; at a full assignment the edges of the assigned literals go to
+``dbm.solve``, and a negative cycle becomes a blocking clause.
 
 Supported theory atoms are linear (in)equalities that normalize to at most
-two real variables with opposite unit coefficients (x - y <= c, x <= c,
+two real variables with opposite coefficients (x - y <= c, x <= c,
 x = c, ...). That covers step-delay, clock-monotonicity and lifetime
-constraints; anything richer is reported as an error.
+constraints; anything richer, or a real equality under negation, is
+reported as an error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
+from .dbm import ZERO, solve
 from .sexpr import Reader, render_value, string_literal, string_value
 
 _BOOL_OPS = {"and", "or", "not", "=>", "xor"}
@@ -29,6 +32,24 @@ _REL_OPS = {"<=", "<", ">=", ">", "="}
 
 class Unsupported(Exception):
     pass
+
+
+def _edge(coeffs, const, strict, block):
+    """The dbm constraint of sum(a*x) <= const (< when strict), tagged
+    with the literal ``block``."""
+    items = list(coeffs.items())
+    if not items:
+        return (ZERO, ZERO, const, strict, block)
+    x, a = items[0]
+    if len(items) == 1:
+        u, v = (ZERO, x) if a > 0 else (x, ZERO)
+    elif len(items) == 2 and a == -items[1][1]:
+        y = items[1][0]
+        u, v = (y, x) if a > 0 else (x, y)
+    else:
+        raise Unsupported("non-difference linear constraint")
+    scale = abs(a)
+    return (u, v, const if scale == 1 else const / scale, strict, block)
 
 
 class Solver:
@@ -44,9 +65,8 @@ class Solver:
         self.order = []  # decision order: first occurrence in a clause
         self.in_order = set()
         self.default_pol = [True]
-        self.atoms = {}  # canonical key -> (var, coeffs dict, const, op)
-        self.atom_of_var = {}
-        self.neg_occurs = set()  # atom vars that occur negatively
+        self.atoms = {}  # canonical key -> var
+        self.edges = {}  # atom literal -> its dbm constraints
         self.status = None
         self.real_values = {}
         self.unsat_at_root = False
@@ -220,132 +240,13 @@ class Solver:
 
         Returns (True, values) or (False, blocking clause literals).
         """
-        constraints = []  # (lit, coeffs, const, op)
-        for var, (coeffs, const, op) in self.atom_of_var.items():
-            v = self.val[var]
-            if v == 1:
-                constraints.append((-var, coeffs, const, op))
-            elif v == -1 and var in self.neg_occurs:
-                if op == "=":
-                    raise Unsupported("negated equality over reals")
-                # not(e <= c) -> -e <= -c strictly; not(e < c) -> -e <= -c
-                neg = {k: -c for k, c in coeffs.items()}
-                flipped = "<" if op == "<=" else "<="
-                constraints.append((var, neg, -const, flipped))
-
-        # difference graph: constraint e <= c with e = x - y becomes an
-        # edge y -> x of weight c; single-variable bounds go through a
-        # virtual zero node. Weights are (rational, strictness) pairs.
-        edges = []
-        nodes = {"<zero>"}
-
-        def add_edge(src, dst, w, strict, lit):
-            edges.append((src, dst, (w, -1 if strict else 0), lit))
-            nodes.add(src)
-            nodes.add(dst)
-
-        for lit, coeffs, const, op in constraints:
-            items = sorted(coeffs.items())
-            strict = op == "<"
-            if len(items) == 1:
-                (x, a), = items
-                if a > 0:
-                    add_edge("<zero>", x, const / a, strict, lit)
-                else:
-                    add_edge(x, "<zero>", const / (-a), strict, lit)
-            elif len(items) == 2:
-                (x, a), (y, b) = items
-                if a + b != 0 or a == 0:
-                    raise Unsupported("non-difference linear constraint")
-                if a > 0:
-                    add_edge(y, x, const / a, strict, lit)
-                else:
-                    add_edge(x, y, const / b, strict, lit)
-            elif len(items) == 0:
-                sat = const >= 0 if op == "<=" else (const > 0 if op == "<" else const == 0)
-                if op in ("<=", "<") and not sat:
-                    return False, [lit]
-                if op == "=" and const != 0:
-                    return False, [lit]
-            else:
-                raise Unsupported("constraint over more than two real variables")
-            if op == "=":
-                items = sorted(coeffs.items())
-                if len(items) == 1:
-                    (x, a), = items
-                    if a > 0:
-                        add_edge(x, "<zero>", -const / a, False, lit)
-                    else:
-                        add_edge("<zero>", x, const / a, False, lit)
-                elif len(items) == 2:
-                    (x, a), (y, b) = items
-                    if a > 0:
-                        add_edge(x, y, -const / a, False, lit)
-                    else:
-                        add_edge(y, x, -const / b, False, lit)
-
-        node_list = sorted(nodes)
-        dist = {v: (Fraction(0), 0) for v in node_list}
-        pred = {v: None for v in node_list}
-
-        def less(a, b):
-            return a < b  # lexicographic on (rational, eps) pairs
-
-        def add(a, b):
-            return (a[0] + b[0], a[1] + b[1])
-
-        changed_edge = None
-        for it in range(len(node_list) + 1):
-            changed_edge = None
-            for src, dst, w, lit in edges:
-                cand = add(dist[src], w)
-                if less(cand, dist[dst]):
-                    dist[dst] = cand
-                    pred[dst] = (src, lit)
-                    changed_edge = dst
-            if changed_edge is None:
-                break
-
-        if changed_edge is not None:
-            # negative cycle: walk back |V| steps to land on it, then collect
-            v = changed_edge
-            for _ in node_list:
-                v = pred[v][0]
-            cycle_lits = []
-            u = v
-            while True:
-                src, lit = pred[u]
-                cycle_lits.append(lit)
-                u = src
-                if u == v:
-                    break
-            return False, sorted(set(cycle_lits), key=abs)
-
-        shift = dist["<zero>"]
-        raw = {v: (dist[v][0] - shift[0], dist[v][1] - shift[1]) for v in node_list}
-
-        eps = Fraction(1)
-        for _ in range(80):
-            vals = {v: r + k * eps for v, (r, k) in raw.items()}
-            if self._verify_constraints(constraints, vals):
-                break
-            eps /= 2
-        else:
-            raise Unsupported("could not concretize strict inequalities")
-        vals.pop("<zero>", None)
-        return True, vals
-
-    @staticmethod
-    def _verify_constraints(constraints, vals) -> bool:
-        for _lit, coeffs, const, op in constraints:
-            e = sum(vals.get(x, Fraction(0)) * a for x, a in coeffs.items())
-            if op == "<=" and not e <= const:
-                return False
-            if op == "<" and not e < const:
-                return False
-            if op == "=" and e != const:
-                return False
-        return True
+        constraints = []
+        for var in self.atoms.values():
+            constraints += self.edges.get(var if self.val[var] == 1 else -var, ())
+        ok, payload = solve(constraints)
+        if ok:
+            return True, payload
+        return False, sorted({constraints[i][4] for i in payload}, key=abs)
 
     # ---- compilation ---------------------------------------------------
 
@@ -406,7 +307,12 @@ class Solver:
         raise Unsupported(f"arithmetic operator {op!r}")
 
     def _atom_var(self, ast, negative: bool) -> int:
-        """Intern a theory atom; returns its propositional variable."""
+        """Intern a theory atom; returns its propositional variable.
+
+        The difference edges of its true literal, and of its false literal
+        once the atom occurs negatively, are made here, each tagged with
+        the literal that blocks it.
+        """
         op = ast[0]
         lc, lk = self._linear(ast[1])
         rc, rk = self._linear(ast[2])
@@ -424,14 +330,21 @@ class Solver:
             if coeffs[first] < 0:
                 coeffs = {x: -a for x, a in coeffs.items()}
                 const = -const
+        if op == "=" and negative:
+            raise Unsupported("negated equality over reals")
         key = (op, tuple(sorted(coeffs.items())), const)
-        if key not in self.atoms:
-            v = self.new_var(default_pol=False)
-            self.atoms[key] = v
-            self.atom_of_var[v] = (coeffs, const, op)
-        v = self.atoms[key]
-        if negative:
-            self.neg_occurs.add(v)
+        v = self.atoms.get(key)
+        if v is None:
+            v = self.atoms[key] = self.new_var(default_pol=False)
+            edge = _edge(coeffs, const, op == "<", -v)
+            self.edges[v] = [edge]
+            if op == "=":
+                self.edges[v].append((edge[1], edge[0], -edge[2], False, -v))
+        if negative and -v not in self.edges:
+            # the reversed edge: not(x_b - x_a <= w) is x_a - x_b < -w, and
+            # not(x_b - x_a < w) is x_a - x_b <= -w
+            a, b, w, strict, _ = self.edges[v][0]
+            self.edges[-v] = [(b, a, -w, not strict, v)]
         return v
 
     def _literal(self, ast, negative: bool):

@@ -6,10 +6,11 @@ over the fired steps), truncated at the first position where the goal
 holds; decoding reads only the ``fire`` and ``tau`` symbols. Idle
 positions change no state, so they can only follow the goal position and
 are never read, and the trace's last event is the model's first goal
-position: the least bound the model witnesses. ``replay``
-then re-executes that trace under the concrete semantics — session
-order, gating, delays, lifetimes, knowledge closure — as an independent
-soundness check of the encoding.
+position: the least bound the model witnesses. ``replay`` then
+re-executes that trace under the concrete semantics — session order,
+gating and knowledge closure, and the timing rules of
+``model.step_constraints`` checked on the trace's own times, with no
+solving — as an independent soundness check of the encoding.
 """
 
 from __future__ import annotations
@@ -20,10 +21,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
+from .dbm import ZERO
 from .encoder import SmtScript, fire_name, tau_name
 from .errors import ModelError
 from .frontend import INTRUDER
-from .model import TiisModel, closed_initial_knowledge, constructible, deliver
+from .model import (
+    TiisModel,
+    closed_initial_knowledge,
+    constructible,
+    deliver,
+    step_constraints,
+)
 from .terms import Term, parse_term, render_term
 
 if TYPE_CHECKING:
@@ -118,13 +126,17 @@ def decode(result: RawResult, script: SmtScript, model: TiisModel) -> Trace:
                  tuple(events), secret, completed)
 
 
+def _clock(node) -> str:
+    return "0" if node is ZERO else f"t{node[0]}.{node[1]}"
+
+
 def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
     """Concrete re-execution; returns None if valid, else the first violation."""
     universe = model.universe
     pc = {sid: 1 for sid in range(1, model.sessions + 1)}
     knowledge = closed_initial_knowledge(model)
-    times = {}  # (sid, index) -> Fraction
-    prev_time = Fraction(0)
+    fired = []
+    times = {ZERO: Fraction(0)}  # (sid, index) node -> fire time
     last = model.steps_per_session()
 
     for ev in trace.events:
@@ -142,29 +154,16 @@ def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
             return ReplayViolation(
                 "gating", ev.position,
                 f"intruder cannot construct {render_term(st.message)}")
-        if ev.time < prev_time:
-            return ReplayViolation(
-                "delay", ev.position,
-                f"time {ev.time} decreases below {prev_time}")
-        floor = times.get((ev.sid, ev.index - 1), Fraction(0)) + st.min_delay
-        if ev.time < floor:
-            return ReplayViolation(
-                "delay", ev.position,
-                f"step ({ev.sid},{ev.index}) at {ev.time} violates minimum delay "
-                f"(needs >= {floor})")
-        for check in st.lifetime_checks:
-            gen = model.generation[check.term]
-            gen_time = times.get((gen.sid, gen.index))
-            if gen_time is None and (gen.sid, gen.index) == (ev.sid, ev.index):
-                gen_time = ev.time
-            if gen_time is not None and ev.time > gen_time + check.bound:
+        fired.append(st)
+        times[st.ref] = ev.time
+        for u, v, w, strict, kind in step_constraints(model, fired):
+            diff = times[v] - times[u]
+            if diff > w or (strict and diff == w):
                 return ReplayViolation(
-                    "lifetime", ev.position,
-                    f"{render_term(check.term)} used at {ev.time}, expired at "
-                    f"{gen_time + check.bound}")
+                    kind, ev.position,
+                    f"{_clock(v)} - {_clock(u)} = {diff}, must be "
+                    f"{'<' if strict else '<='} {w}")
 
-        times[(ev.sid, ev.index)] = ev.time
-        prev_time = ev.time
         pc[ev.sid] = ev.index + 1
         gains = deliver(model, knowledge, st)
         for a in model.agents:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tspbmc import library
 from tspbmc.cli import main
 from tspbmc.witness import parse_json
 
@@ -173,4 +174,44 @@ def test_check_label_over_cap_exits_2(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: intruder knowledge of ")
     assert "more than 1 minimal root supports" in err
+    assert "Traceback" not in err
+
+
+def _retime(**fields):
+    return {"overrides": [{"sid": 1, "step": 1, "kind": "retime", **fields}]}
+
+
+def _replace(**fields):
+    return {"overrides": [{"sid": 1, "step": 1, "kind": "replace", **fields}]}
+
+
+@pytest.mark.parametrize("protocol_edit, scenario_edit, needle", [
+    (("A> delay 1", "A> delay x"), {}, "line 9: delay: bad rational 'x'"),
+    (("Ta by A class nonce lifetime 10", "Ta by A class nonce lifetime ten"), {},
+     "line 5: lifetime: bad rational 'ten'"),
+    (("sid any", "sid two"), {}, "line 7: bad goal sid 'two'"),
+    (None, {"sessions": "two"}, "'sessions'"),
+    (None, {"sessions": None}, "'sessions'"),
+    (None, {"overrides": 5}, "'overrides'"),
+    (None, _retime(delay="x"), "override 0: bad rational 'x'"),
+    (None, _retime(lifetime={"Ta": "x"}), "override 0: bad rational 'x'"),
+    (None, _retime(lifetime={"Ta": 0}), "override 0: lifetime must be positive"),
+    (None, _replace(edge=5, L="A"), "override 0:"),
+    (None, _replace(edge="A->B", L=5), "override 0:"),
+    (None, {"compromised": [5]}, "'compromised'"),
+    (None, {"compromised": "KAB"}, "'compromised'"),
+    (None, {"eavesdrop": "false"}, "'eavesdrop'"),
+    (None, _retime(sid=1.5, delay=1), "override 0: bad or missing sid/step"),
+])
+def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit, needle):
+    protocol = library.get("nspkt").protocol
+    if protocol_edit:
+        assert protocol_edit[0] in protocol
+        protocol = protocol.replace(*protocol_edit, 1)
+    (tmp_path / "p.ab").write_text(protocol, encoding="utf-8")
+    scenario = {"name": "s", "sessions": 1, "overrides": [], **scenario_edit}
+    (tmp_path / "s.json").write_text(json.dumps(scenario), encoding="utf-8")
+    code, out, err = run(capsys, "oracle", str(tmp_path / "p.ab"), str(tmp_path / "s.json"))
+    assert code == 2
+    assert err.startswith("error:") and needle in err
     assert "Traceback" not in err

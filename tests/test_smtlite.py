@@ -152,11 +152,13 @@ def test_error_reply_is_one_expression():
 
 
 def test_solver_child_loads_only_sexpr_and_smtlite():
+    # the child loads the reader and the timing core, none of the pipeline
     code = ("import sys, tspbmc.smtlite; "
             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tspbmc'))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.split() == ["tspbmc", "tspbmc.sexpr", "tspbmc.smtlite"]
+    assert proc.stdout.split() == [
+        "tspbmc", "tspbmc.dbm", "tspbmc.sexpr", "tspbmc.smtlite"]
 
 
 def test_get_value_before_check_is_error():
