@@ -98,6 +98,11 @@ def _report_attack(trace, model, fmt: str, out_path, origin: str) -> int:
 
 
 def cmd_check(args) -> int:
+    config = SolverConfig(
+        command=resolve_solver_command(args.solver),
+        timeout=args.timeout,
+        max_bound=args.max_bound,
+    )
     spec, scenario = _load_inputs(args.protocol, args.scenario)
     model = build_model(spec, scenario, k=args.sessions)
     for w in model.warnings:
@@ -106,11 +111,6 @@ def cmd_check(args) -> int:
         for tid in model.goal_secret_ids:
             print(f"note: goal secret {render_term(model.universe.term_of(tid))} is "
                   "not derivable from any message of this scenario", file=sys.stderr)
-    config = SolverConfig(
-        command=resolve_solver_command(args.solver),
-        timeout=args.timeout,
-        max_bound=args.max_bound,
-    )
     verdict = iterate_bounds(model, config)
     for bound, status, wall in verdict.per_bound_log:
         print(f"bound {bound}: {status} ({wall:.2f}s)", file=sys.stderr)

@@ -295,6 +295,8 @@ def parse_scenario(json_text: str) -> Scenario:
         data = json.loads(json_text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"malformed JSON: {e}")
+    except RecursionError:
+        raise ScenarioError("malformed JSON: nested too deeply")
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     unknown = set(data) - _SCENARIO_KEYS

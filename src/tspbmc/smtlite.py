@@ -5,17 +5,26 @@
 ``exit``, ``echo``) to stand in for ``z3 -in`` on the scripts this tool
 generates, for environments without a real SMT solver. Commands are read
 with ``sexpr.Reader``, the reader the driver uses for the replies, and the
-child imports no ``tspbmc`` module but ``sexpr`` and ``dbm``. It is a lazy
-DPLL(T): a small watched-literal SAT core over the Tseitin CNF of the
-assertions. Each theory atom becomes difference edges once, when it is
-interned; at a full assignment the edges of the assigned literals go to
-``dbm.solve``, and a negative cycle becomes a blocking clause.
+child imports no ``tspbmc`` module but ``sexpr`` and ``dbm``.
 
-Supported theory atoms are linear (in)equalities that normalize to at most
-two real variables with opposite coefficients (x - y <= c, x <= c,
-x = c, ...). That covers step-delay, clock-monotonicity and lifetime
-constraints; anything richer, or a real equality under negation, is
-reported as an error.
+Assertions become clauses along one path, ``Solver._clauses``, a
+polarity-aware clause builder: ``not`` flips the polarity, ``=>`` is an
+``or``, a Boolean ``=`` is two implications, a conjunction is the union
+of its parts' clauses, and a disjunction is one clause, distributed over
+its first disjunct of several clauses, with a fresh literal that implies
+each later such disjunct. The accepted fragment is what the encoder
+emits: ``and``, ``or``, ``not``, ``=>``, a binary ``=`` whose first
+argument is a Bool symbol, ``true``, ``false``, Bool symbols, and the
+relations ``<= < >= > =`` between sums of Real symbols and constants
+that normalize to at most two variables with opposite coefficients
+(x - y <= c, x <= c, x = c, ...), a real ``=`` only positively.
+Anything else is answered with an ``(error "unsupported: ...")`` reply.
+
+The search is a lazy DPLL(T): a small watched-literal SAT core over those
+clauses. Each theory atom becomes difference edges once, when it is
+interned with the polarity in which it occurs; at a full assignment the
+edges of the assigned atom literals go to ``dbm.solve``, and a negative
+cycle becomes a blocking clause.
 """
 
 from __future__ import annotations
@@ -24,9 +33,8 @@ import sys
 from fractions import Fraction
 
 from .dbm import ZERO, solve
-from .sexpr import Reader, render_value, string_literal, string_value
+from .sexpr import Reader, parse_value, render_value, string_literal, string_value
 
-_BOOL_OPS = {"and", "or", "not", "=>", "xor"}
 _REL_OPS = {"<=", "<", ">=", ">", "="}
 
 
@@ -80,6 +88,8 @@ class Solver:
         return self.nvars
 
     def declare(self, name: str, sort: str):
+        if sort not in ("Bool", "Real"):
+            raise Unsupported(f"sort {sort!r}")
         self.sorts[name] = sort
         if sort == "Bool":
             self.var_of_name[name] = self.new_var()
@@ -97,6 +107,9 @@ class Solver:
         if any(-l in lits for l in lits):
             return True
         self._note_order(lits)
+        if not lits:
+            self.unsat_at_root = True
+            return False
         if len(lits) == 1:
             if not self._enqueue(lits[0]):
                 self.unsat_at_root = True
@@ -202,12 +215,6 @@ class Solver:
                 lit = v if self.default_pol[v] else -v
                 self._enqueue(lit)
                 return True
-        for v in range(1, self.nvars + 1):
-            if self.val[v] == 0:
-                self.decisions.append((len(self.trail), v, False))
-                lit = v if self.default_pol[v] else -v
-                self._enqueue(lit)
-                return True
         return False
 
     def check(self) -> str:
@@ -242,7 +249,8 @@ class Solver:
         """
         constraints = []
         for var in self.atoms.values():
-            constraints += self.edges.get(var if self.val[var] == 1 else -var, ())
+            if self.val[var]:
+                constraints += self.edges.get(var * self.val[var], ())
         ok, payload = solve(constraints)
         if ok:
             return True, payload
@@ -250,69 +258,35 @@ class Solver:
 
     # ---- compilation ---------------------------------------------------
 
-    def _is_real_expr(self, ast) -> bool:
-        if isinstance(ast, str):
-            if self.sorts.get(ast) == "Real":
-                return True
-            try:
-                Fraction(ast)
-                return True
-            except ValueError:
-                return False
-        return ast and ast[0] in ("+", "-", "*", "/")
-
     def _linear(self, ast):
-        """Normalize an arithmetic expression to (coeffs, const)."""
-        if isinstance(ast, str):
-            if self.sorts.get(ast) == "Real":
-                return {ast: Fraction(1)}, Fraction(0)
-            return {}, Fraction(ast)
-        op, args = ast[0], ast[1:]
-        if op == "+":
+        """(coeffs, const) of a sum of Real symbols and constants."""
+        if isinstance(ast, list) and ast and ast[0] == "+":
             coeffs, const = {}, Fraction(0)
-            for a in args:
-                c2, k2 = self._linear(a)
-                for x, a2 in c2.items():
+            for a in ast[1:]:
+                c, k = self._linear(a)
+                for x, a2 in c.items():
                     coeffs[x] = coeffs.get(x, Fraction(0)) + a2
-                const += k2
+                const += k
             return {x: a for x, a in coeffs.items() if a != 0}, const
-        if op == "-":
-            if len(args) == 1:
-                c, k = self._linear(args[0])
-                return {x: -a for x, a in c.items()}, -k
-            coeffs, const = self._linear(args[0])
-            coeffs = dict(coeffs)
-            for a in args[1:]:
-                c2, k2 = self._linear(a)
-                for x, a2 in c2.items():
-                    coeffs[x] = coeffs.get(x, Fraction(0)) - a2
-                const -= k2
-            return {x: a for x, a in coeffs.items() if a != 0}, const
-        if op == "*":
-            if len(args) != 2:
-                raise Unsupported("n-ary multiplication")
-            c1, k1 = self._linear(args[0])
-            c2, k2 = self._linear(args[1])
-            if c1 and c2:
-                raise Unsupported("nonlinear multiplication")
-            if c1:
-                return {x: a * k2 for x, a in c1.items()}, k1 * k2
-            return {x: a * k1 for x, a in c2.items()}, k1 * k2
-        if op == "/":
-            c1, k1 = self._linear(args[0])
-            c2, k2 = self._linear(args[1])
-            if c2:
-                raise Unsupported("division by a variable")
-            return {x: a / k2 for x, a in c1.items()}, k1 / k2
-        raise Unsupported(f"arithmetic operator {op!r}")
+        if isinstance(ast, str) and self.sorts.get(ast) == "Real":
+            return {ast: Fraction(1)}, Fraction(0)
+        try:
+            value = parse_value(ast)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or isinstance(value, bool):
+            raise Unsupported(f"arithmetic term {ast!r}")
+        return {}, value
 
-    def _atom_var(self, ast, negative: bool) -> int:
-        """Intern a theory atom; returns its propositional variable.
+    def _theory_lit(self, ast, positive: bool) -> int:
+        """Intern a theory atom; returns its literal in the given polarity.
 
-        The difference edges of its true literal, and of its false literal
-        once the atom occurs negatively, are made here, each tagged with
-        the literal that blocks it.
+        The difference edges of its true literal are made when the atom is
+        interned, and those of its false literal once the atom occurs
+        negatively, each tagged with the literal that blocks it.
         """
+        if len(ast) != 3:
+            raise Unsupported(f"{ast[0]!r} takes two arguments")
         op = ast[0]
         lc, lk = self._linear(ast[1])
         rc, rk = self._linear(ast[2])
@@ -330,7 +304,7 @@ class Solver:
             if coeffs[first] < 0:
                 coeffs = {x: -a for x, a in coeffs.items()}
                 const = -const
-        if op == "=" and negative:
+        if op == "=" and not positive:
             raise Unsupported("negated equality over reals")
         key = (op, tuple(sorted(coeffs.items())), const)
         v = self.atoms.get(key)
@@ -340,138 +314,76 @@ class Solver:
             self.edges[v] = [edge]
             if op == "=":
                 self.edges[v].append((edge[1], edge[0], -edge[2], False, -v))
-        if negative and -v not in self.edges:
+        if not positive and -v not in self.edges:
             # the reversed edge: not(x_b - x_a <= w) is x_a - x_b < -w, and
             # not(x_b - x_a < w) is x_a - x_b <= -w
             a, b, w, strict, _ = self.edges[v][0]
             self.edges[-v] = [(b, a, -w, not strict, v)]
-        return v
+        return v if positive else -v
 
-    def _literal(self, ast, negative: bool):
-        """Literal for an atomic formula, or None if ``ast`` is compound."""
+    def _clauses(self, ast, positive: bool = True) -> list:
+        """The clauses of ``ast``, or of its negation when not ``positive``.
+
+        ``true`` is no clause and ``false`` the empty clause. A Bool symbol
+        or a theory atom is a unit clause; ``not`` flips the polarity.
+        """
         if isinstance(ast, str):
-            if ast == "true":
-                return self._true_lit()
-            if ast == "false":
-                return -self._true_lit()
+            if ast in ("true", "false"):
+                return [] if (ast == "true") == positive else [[]]
             v = self.var_of_name.get(ast)
             if v is None:
                 raise Unsupported(f"unknown symbol {ast!r}")
-            return v
-        op = ast[0]
-        if op == "not":
-            inner = self._literal(ast[1], not negative)
-            return None if inner is None else -inner
-        if op in _REL_OPS:
-            if op == "=" and not self._is_real_expr(ast[1]):
-                return None  # boolean equivalence, handled structurally
-            return self._atom_var(ast, negative)
-        return None
-
-    def _true_lit(self) -> int:
-        if not hasattr(self, "_tl"):
-            self._tl = self.new_var()
-            self.add_clause([self._tl])
-        return self._tl
-
-    def _compile(self, ast, negative: bool) -> int:
-        lit = self._literal(ast, negative)
-        if lit is not None:
-            return lit
+            return [[v if positive else -v]]
         op, args = ast[0], ast[1:]
-        if op == "not":
-            return -self._compile(args[0], not negative)
-        if op == "=>":
-            # right-associative implication chain
-            cur = self._compile(args[-1], negative)
-            for a in reversed(args[:-1]):
-                cur = self._mk_or([-self._compile(a, not negative), cur])
-            return cur
-        if op == "and":
-            return -self._mk_or([-self._compile(a, negative) for a in args])
-        if op == "or":
-            return self._mk_or([self._compile(a, negative) for a in args])
-        if op in ("=", "xor"):
-            lits = [self._compile(a, True) for a in args]  # both polarities used
-            out = None
-            for x, y in zip(lits, lits[1:]):
-                if op == "xor":
-                    eq = -self._mk_iff(x, y)
-                else:
-                    eq = self._mk_iff(x, y)
-                out = eq if out is None else -self._mk_or([-out, -eq])
-            return out
-        if op == "ite":
-            c = self._compile(args[0], True)
-            t = self._compile(args[1], negative)
-            e = self._compile(args[2], negative)
-            return self._mk_and2(self._mk_or([-c, t]), self._mk_or([c, e]))
-        raise Unsupported(f"operator {op!r}")
+        if op == "not" and len(args) == 1:
+            return self._clauses(args[0], not positive)
+        bool_eq = op == "=" and len(args) == 2 and isinstance(args[0], str)
+        if bool_eq and self.sorts.get(args[0]) == "Bool":
+            # a = b is (not a or b) and (a or not b); its negation swaps b's
+            # polarity: (not a or not b) and (a or b)
+            a, b = self.var_of_name[args[0]], args[1]
+            return (self._disjunction([[[-a]], self._clauses(b, positive)])
+                    + self._disjunction([[[a]], self._clauses(b, not positive)]))
+        if op in _REL_OPS:
+            return [[self._theory_lit(ast, positive)]]
+        if op == "=>" and len(args) == 2:
+            # (=> a b) is (or (not a) b)
+            parts = [self._clauses(args[0], not positive), self._clauses(args[1], positive)]
+        elif op in ("and", "or") and args:
+            parts = [self._clauses(a, positive) for a in args]
+        else:
+            raise Unsupported(f"operator {op!r}")
+        if (op == "and") == positive:
+            return [c for part in parts for c in part]
+        return self._disjunction(parts)
 
-    def _mk_and2(self, x: int, y: int) -> int:
-        return -self._mk_or([-x, -y])
+    def _disjunction(self, parts) -> list:
+        """The clauses of the disjunction of clause sets ``parts``.
 
-    def _mk_or(self, lits) -> int:
-        v = self.new_var()
-        for l in lits:
-            self.add_clause([v, -l])
-        self.add_clause([-v] + list(lits))
-        return v
-
-    def _mk_iff(self, x: int, y: int) -> int:
-        v = self.new_var()
-        self.add_clause([-v, -x, y])
-        self.add_clause([-v, x, -y])
-        self.add_clause([v, x, y])
-        self.add_clause([v, -x, -y])
-        return v
+        One clause, distributed over the first part of several clauses;
+        each later such part is replaced by a fresh literal that implies
+        it (Plaisted & Greenbaum, J. Symbolic Computation 2(3), 1986).
+        """
+        if [] in parts:
+            return []  # a true disjunct
+        out, defs, distributed = [[]], [], False
+        for part in parts:
+            if len(part) == 1:
+                for c in out:
+                    c.extend(part[0])
+            elif not distributed:
+                out = [c + d for c in out for d in part]
+                distributed = True
+            else:
+                fresh = self.new_var()
+                for c in out:
+                    c.append(fresh)
+                defs += [[-fresh] + d for d in part]
+        return out + defs
 
     def assert_formula(self, ast):
-        # peephole the dominant generated shapes to avoid Tseitin variables
-        if isinstance(ast, list) and ast:
-            op = ast[0]
-            if op == "or":
-                lits = [self._literal(a, False) for a in ast[1:]]
-                if all(l is not None for l in lits):
-                    self.add_clause(lits)
-                    return
-            if op == "=>" and len(ast) == 3:
-                lhs = self._literal(ast[1], True)
-                if lhs is not None:
-                    rhs = ast[2]
-                    rl = self._literal(rhs, False)
-                    if rl is not None:
-                        self.add_clause([-lhs, rl])
-                        return
-                    if isinstance(rhs, list) and rhs[0] == "and":
-                        parts = [self._literal(a, False) for a in rhs[1:]]
-                        if all(p is not None for p in parts):
-                            for p in parts:
-                                self.add_clause([-lhs, p])
-                            return
-                    if isinstance(rhs, list) and rhs[0] == "or":
-                        parts = [self._literal(a, False) for a in rhs[1:]]
-                        if all(p is not None for p in parts):
-                            self.add_clause([-lhs] + parts)
-                            return
-            if op == "=" and len(ast) == 3 and not self._is_real_expr(ast[1]):
-                lhs = self._literal(ast[1], True)
-                rhs = ast[2]
-                if lhs is not None:
-                    if isinstance(rhs, list) and rhs and rhs[0] == "or":
-                        parts = [self._literal(a, True) for a in rhs[1:]]
-                        if all(p is not None for p in parts):
-                            self.add_clause([-lhs] + parts)
-                            for p in parts:
-                                self.add_clause([lhs, -p])
-                            return
-                    rl = self._literal(rhs, True)
-                    if rl is not None:
-                        self.add_clause([-lhs, rl])
-                        self.add_clause([lhs, -rl])
-                        return
-        lit = self._compile(ast, False)
-        self.add_clause([lit])
+        for clause in self._clauses(ast):
+            self.add_clause(clause)
 
     # ---- values ----------------------------------------------------------
 
@@ -501,10 +413,6 @@ def main(argv=None) -> int:
                 pass
             elif head == "declare-const":
                 solver.declare(cmd[1], cmd[2])
-            elif head == "declare-fun":
-                if cmd[2] != []:
-                    raise Unsupported("only constants are supported")
-                solver.declare(cmd[1], cmd[3])
             elif head == "assert":
                 solver.assert_formula(cmd[1])
             elif head == "check-sat":

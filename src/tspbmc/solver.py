@@ -55,8 +55,10 @@ class SolverConfig:
     max_bound: Optional[int] = None  # capped at, and by default, the exec-step count
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise SolverError("timeout must be positive")
+        # NaN fails both comparisons; join() rejects a wait past TIMEOUT_MAX
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise SolverError(
+                f"timeout must be positive and at most {threading.TIMEOUT_MAX:g} s")
         if self.max_bound is not None and self.max_bound < 1:
             raise SolverError("max_bound must be >= 1")
 

@@ -82,8 +82,8 @@ class Cipher:
 
 
 _KEY_FORMS = (PubKey, PrivKey, SymKey, Fresh)
+MAX_DEPTH = 256  # pairs and ciphers a parsed term may nest
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Z][A-Za-z0-9]*)|(?P<punct>[<>,|'#])|(?P<num>[0-9]+))")
 _IDENT_RE = re.compile(r"^[A-Z]$")
 _PUBKEY_RE = re.compile(r"^K[A-Z]$")
 _SYMKEY_RE = re.compile(r"^K[A-Z][A-Z]$")
@@ -121,27 +121,30 @@ class _Parser:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def term(self) -> Term:
+    def term(self, depth: int = 0) -> Term:
+        """A term inside ``depth`` pairs and ciphers."""
+        if depth > MAX_DEPTH:
+            self.error(f"term nested more than {MAX_DEPTH} levels deep")
         if self.peek() == "<":
-            return self.enc()
-        return self.cat()
+            return self.enc(depth)
+        return self.cat(depth)
 
-    def enc(self) -> Cipher:
+    def enc(self, depth: int) -> Cipher:
         key_pos = self.pos
         self.expect("<")
-        key = self.term()
+        key = self.term(depth + 1)
         if not is_key_form(key):
             raise TermSyntaxError("cipher key must be a key-form term", key_pos)
         self.expect(",")
-        body = self.term()
+        body = self.term(depth + 1)
         self.expect(">")
         return Cipher(key, body)
 
-    def cat(self) -> Term:
+    def cat(self, depth: int) -> Term:
         left = self.atom()
         if self.peek() == "|":
             self.pos += 1
-            return Pair(left, self.term())
+            return Pair(left, self.term(depth + 1))
         return left
 
     def atom(self) -> Term:

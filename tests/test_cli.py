@@ -202,6 +202,10 @@ def _replace(**fields):
     (None, {"compromised": "KAB"}, "'compromised'"),
     (None, {"eavesdrop": "false"}, "'eavesdrop'"),
     (None, _retime(sid=1.5, delay=1), "override 0: bad or missing sid/step"),
+    (None, _replace(edge="A->B", L="<KB," * 600 + "A" + ">" * 600),
+     "override 0: bad term in L: term nested more than 256 levels deep"),
+    (None, _replace(edge="A->B", L="|".join(["A"] * 3000)),
+     "override 0: bad term in L: term nested more than 256 levels deep"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit, needle):
     protocol = library.get("nspkt").protocol
@@ -215,3 +219,20 @@ def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit,
     assert code == 2
     assert err.startswith("error:") and needle in err
     assert "Traceback" not in err
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    (tmp_path / "s.json").write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "oracle", "nspkt", str(tmp_path / "s.json"))
+    assert code == 2
+    assert err == "error: malformed JSON: nested too deeply\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "1e12"])
+def test_unusable_timeout_exits_2(capsys, timeout):
+    code, out, err = run(capsys, "check", "nspkt", "fair", "--timeout", timeout)
+    assert code == 2
+    assert err.startswith("error: timeout must be positive")
+    assert "Traceback" not in err
+    assert out == ""

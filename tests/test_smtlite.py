@@ -1,10 +1,14 @@
 import io
+import itertools
+import operator
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from tspbmc.dbm import ZERO, solve
 from tspbmc.sexpr import (
     Reader,
     parse_all,
@@ -14,6 +18,7 @@ from tspbmc.sexpr import (
     render_value,
     string_value,
 )
+from tspbmc.smtlite import Solver
 
 
 def run_script(text: str) -> list:
@@ -121,6 +126,134 @@ def test_theory_propagation_through_booleans():
     assert out[0] == "sat"
     vals = model_values(out[1])
     assert vals == {"p": False, "q": True, "x": 7}
+
+
+def test_negated_atom_under_boolean_equality():
+    # d means y >= x - 1, that is x <= y + 1, against x > y + 2
+    out = run_script(
+        "(declare-const d Bool)(declare-const x Real)(declare-const y Real)\n"
+        "(assert (= d (not (< y (+ x (- 1.0))))))(assert (> x (+ y 2.0)))(assert d)"
+        "(check-sat)")
+    assert out == ["unsat"]
+
+
+@pytest.mark.parametrize("command, message", [
+    ("(assert (xor p p))", "operator 'xor'"),
+    ("(assert (ite p p p))", "operator 'ite'"),
+    ("(assert (<= (* 2.0 x) 1.0))", "arithmetic term ['*', '2.0', 'x']"),
+    ("(declare-fun f () Bool)", "command 'declare-fun'"),
+])
+def test_outside_the_fragment_is_an_error(command, message):
+    out = run_script(
+        "(declare-const p Bool)(declare-const x Real)\n"
+        f"{command}\n(assert p)(check-sat)")
+    assert [string_value(parse_one(out[0])[1]), out[1]] == [f"unsupported: {message}", "sat"]
+
+
+# ---- random formulas against brute force ------------------------------------
+
+BOOLS = ("b0", "b1", "b2", "b3")
+REALS = ("x", "y")
+RELATIONS = ("<=", "<", ">=", ">")
+# the dbm constraint (a, b, w, strict), x_b - x_a <= w, of u - v op c
+CONSTRAINT = {
+    "<=": lambda u, v, c: (v, u, c, False),
+    "<": lambda u, v, c: (v, u, c, True),
+    ">=": lambda u, v, c: (u, v, -c, False),
+    ">": lambda u, v, c: (u, v, -c, True),
+}
+NEGATION = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
+COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
+def _random_atom(rng):
+    """``(op u (+ v c))``, or ``(op u c)`` when v is ZERO, and (op, u, v, c)."""
+    op, c = rng.choice(RELATIONS), rng.randint(-3, 3)
+    u = rng.choice(REALS)
+    v = rng.choice([w for w in REALS if w != u] + [ZERO])
+    const = ["-", f"{-c}.0"] if c < 0 else f"{c}.0"
+    return [op, u, const if v is ZERO else ["+", v, const]], (op, u, v, c)
+
+
+def _random_formula(rng, depth, atoms):
+    """A formula over BOOLS and difference atoms; ``atoms`` maps each
+    atom's ``str`` to its (op, u, v, c)."""
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.random()
+        if pick < 0.45:
+            return rng.choice(BOOLS)
+        if pick < 0.5:
+            return rng.choice(("true", "false"))
+        ast, atom = _random_atom(rng)
+        atoms[str(ast)] = atom
+        return ast
+    op = rng.choice(("and", "or", "not", "=>", "="))
+    arity = {"not": 1, "=>": 2, "=": 1}.get(op) or rng.randint(2, 3)
+    args = [_random_formula(rng, depth - 1, atoms) for _ in range(arity)]
+    return [op, rng.choice(BOOLS), *args] if op == "=" else [op, *args]
+
+
+def _holds(ast, bools, truth):
+    """The formula's value under Bool values and atom truth values."""
+    if isinstance(ast, str):
+        return {"true": True, "false": False}.get(ast, bools.get(ast))
+    op = ast[0]
+    if op in RELATIONS:
+        return truth[str(ast)]
+    v = [_holds(a, bools, truth) for a in ast[1:]]
+    if op == "and":
+        return all(v)
+    if op == "or":
+        return any(v)
+    if op == "not":
+        return not v[0]
+    if op == "=>":
+        return not v[0] or v[1]
+    return v[0] == v[1]
+
+
+def _brute_force(ast, atoms):
+    """sat iff some atom truth assignment that dbm.solve finds feasible
+    and some Bool assignment make the formula true."""
+    keys = sorted(atoms)
+    for signs in itertools.product((True, False), repeat=len(keys)):
+        constraints = []
+        for key, sign in zip(keys, signs):
+            op, u, v, c = atoms[key]
+            constraints.append(CONSTRAINT[op if sign else NEGATION[op]](u, v, c))
+        if not solve(constraints)[0]:
+            continue
+        truth = dict(zip(keys, signs))
+        for values in itertools.product((True, False), repeat=len(BOOLS)):
+            if _holds(ast, dict(zip(BOOLS, values)), truth):
+                return "sat"
+    return "unsat"
+
+
+def test_random_formulas_match_brute_force():
+    rng = random.Random(7)
+    statuses = set()
+    for _ in range(1000):
+        atoms = {}
+        ast = _random_formula(rng, 3, atoms)
+        solver = Solver()
+        for name in BOOLS:
+            solver.declare(name, "Bool")
+        for name in REALS:
+            solver.declare(name, "Real")
+        solver.assert_formula(ast)
+        status = solver.check()
+        assert status == _brute_force(ast, atoms), ast
+        statuses.add(status)
+        if status == "sat":
+            # the model itself satisfies the formula
+            reals = {r: solver.value_of(r) for r in REALS}
+            reals[ZERO] = 0
+            truth = {key: COMPARE[op](reals[u] - reals[v], c)
+                     for key, (op, u, v, c) in atoms.items()}
+            bools = {b: solver.value_of(b) for b in BOOLS}
+            assert _holds(ast, bools, truth), ast
+    assert statuses == {"sat", "unsat"}
 
 
 def test_error_reply_keeps_pipe_alive():

@@ -4,6 +4,7 @@ import pytest
 
 from tspbmc.errors import TermError, TermSyntaxError
 from tspbmc.terms import (
+    MAX_DEPTH,
     Cipher,
     Fresh,
     Ident,
@@ -57,6 +58,16 @@ def test_cipher_key_must_be_key_form():
 def test_nested_cipher_in_body():
     t = parse_term("<KA,<KB,Ta>>")
     assert isinstance(t.body, Cipher)
+
+
+def test_nesting_depth_is_capped():
+    # each pair and each cipher is one level
+    pairs = "|".join(["A"] * (MAX_DEPTH + 1))
+    ciphers = "<KB," * MAX_DEPTH + "A" + ">" * MAX_DEPTH
+    assert term_depth(parse_term(pairs)) == term_depth(parse_term(ciphers)) == MAX_DEPTH
+    for text in (pairs + "|A", "<KB," + ciphers + ">"):
+        with pytest.raises(TermSyntaxError, match=f"nested more than {MAX_DEPTH} levels"):
+            parse_term(text)
 
 
 def test_syntax_errors_report_offset():
