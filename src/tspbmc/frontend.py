@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -51,7 +51,6 @@ from .terms import (
     Term,
     instantiate,
     parse_term,
-    render_term,
     subterms,
 )
 
@@ -213,7 +212,7 @@ def parse_protocol(text: str) -> ProtocolSpec:
             if sender == receiver:
                 raise ProtocolError("sender and receiver must differ", lineno)
             try:
-                msg = parse_term(msg_text, decls={d.name: (d.owner, d.klass) for d in decls})
+                msg = parse_term(msg_text)
             except TermSyntaxError as e:
                 raise ProtocolError(f"bad message term: {e}", lineno)
             try:
@@ -448,7 +447,7 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
                 if ag != INTRUDER and ag not in spec.roles:
                     raise ScenarioError(f"override edge names undeclared agent {ag!r}")
             msg = instantiate(ov.message, ov.sid)
-            msg = _resolve_fresh(msg, decl_map)
+            _check_fresh(msg, decl_map)
             cur = dc_replace(
                 cur, sender=sender, receiver=receiver, message=msg,
                 gated=(ov.kind == "intruder"),
@@ -482,23 +481,20 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
     return out
 
 
-def _resolve_fresh(t: Term, decl_map) -> Term:
-    """Attach declaration metadata to fresh atoms in an override message."""
-    if isinstance(t, Fresh):
-        d = decl_map.get(t.name)
-        if d is None:
-            raise ScenarioError(f"override message uses undeclared fresh atom {t.name!r}")
-        return Fresh(t.name, t.sid, owner=d.owner, klass=d.klass)
+def _check_fresh(t: Term, decl_map):
+    """Every fresh atom in an override message is declared, and a fresh
+    cipher key is a declared session key; checked left to right."""
+    if isinstance(t, Fresh) and t.name not in decl_map:
+        raise ScenarioError(f"override message uses undeclared fresh atom {t.name!r}")
     if isinstance(t, Pair):
-        return Pair(_resolve_fresh(t.left, decl_map), _resolve_fresh(t.right, decl_map))
+        _check_fresh(t.left, decl_map)
+        _check_fresh(t.right, decl_map)
     if isinstance(t, Cipher):
-        key = _resolve_fresh(t.key, decl_map)
-        if isinstance(key, Fresh) and key.klass != "sesskey":
+        _check_fresh(t.key, decl_map)
+        if isinstance(t.key, Fresh) and decl_map[t.key.name].klass != "sesskey":
             raise ScenarioError(
-                f"override cipher key {key.name!r} is not a declared session key"
-            )
-        return Cipher(key, _resolve_fresh(t.body, decl_map))
-    return t
+                f"override cipher key {t.key.name!r} is not a declared session key")
+        _check_fresh(t.body, decl_map)
 
 
 def effective_require_complete(spec: ProtocolSpec, steps, k: int) -> frozenset:

@@ -21,10 +21,6 @@ class LibraryEntry:
     notes: str = ""
 
 
-def _read(package, filename: str) -> str:
-    return (resources.files(package) / filename).read_text(encoding="utf-8")
-
-
 def entries() -> dict:
     """All library entries, keyed by name, deterministically ordered."""
     out = {}

@@ -6,6 +6,11 @@ intruder's minimal root supports (``labels``, exact, in the manner of de
 Kleer's ATMS labels, AIJ 1986) and the timing structure. The resulting
 TiisModel is immutable and shared by the SMT encoder, the witness
 replayer and the explicit-state oracle.
+
+``Run`` is the one concrete semantics of a model: session order,
+delivery to ``receivers`` with knowledge closure, and the goal test.
+Decoding, replay, the oracle and ``adequacy_warnings`` step through it;
+the timing rules are ``step_constraints``.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class TiisModel:
     scenario: str
     sessions: int
     agents: tuple  # roles + intruder
-    exec_steps: tuple
+    exec_steps: tuple  # in (sid, index) order
     universe: TermUniverse
     rules: tuple
     depth: int  # universe nesting depth (at least 1)
@@ -110,7 +115,7 @@ def build_universe(steps, roles, compromised=()) -> TermUniverse:
     return TermUniverse(members)
 
 
-def initial_knowledge(agent: str, spec: ProtocolSpec, universe: TermUniverse,
+def initial_knowledge(agent: str, universe: TermUniverse,
                       compromised=()) -> FrozenSet[int]:
     """Initial Dolev-Yao knowledge: identities, public keys, own secrets.
 
@@ -169,7 +174,7 @@ def closure(known, rules) -> FrozenSet[int]:
     while changed:
         changed = False
         for r in rules:
-            if r.conclusion not in out and all(p in out for p in r.premises):
+            if r.conclusion not in out and out.issuperset(r.premises):
                 out.add(r.conclusion)
                 changed = True
     return frozenset(out)
@@ -213,17 +218,16 @@ def step_constraints(model: TiisModel, sequence) -> list:
     return out
 
 
-def build_model(spec: ProtocolSpec, scenario: Scenario, k: Optional[int] = None,
-                eavesdrop: Optional[bool] = None) -> TiisModel:
+def build_model(spec: ProtocolSpec, scenario: Scenario,
+                k: Optional[int] = None) -> TiisModel:
     """Compose the frontend and knowledge machinery into a TiisModel."""
     k = scenario.sessions if k is None else k
-    eav = scenario.eavesdrop if eavesdrop is None else eavesdrop
 
     steps = apply_overrides(spec, scenario, k)
     universe = build_universe(steps, spec.roles, scenario.compromised)
     agents = tuple(spec.roles) + (INTRUDER,)
     init = {
-        a: initial_knowledge(a, spec, universe, scenario.compromised if a == INTRUDER else ())
+        a: initial_knowledge(a, universe, scenario.compromised if a == INTRUDER else ())
         for a in agents
     }
     rules = compile_rules(universe)
@@ -243,7 +247,7 @@ def build_model(spec: ProtocolSpec, scenario: Scenario, k: Optional[int] = None,
 
     require = effective_require_complete(spec, steps, k)
     roots = {universe.id_of(st.message) for st in steps
-             if INTRUDER in receivers(st, eav)}
+             if INTRUDER in receivers(st, scenario.eavesdrop)}
     labels = support_labels(universe, rules, init[INTRUDER], roots)
 
     model = TiisModel(
@@ -259,7 +263,7 @@ def build_model(spec: ProtocolSpec, scenario: Scenario, k: Optional[int] = None,
         generation=generation,
         require_complete=require,
         goal_secret_ids=tuple(secret_ids),
-        eavesdrop=eav,
+        eavesdrop=scenario.eavesdrop,
         labels=tuple(_sorted_label(lab) for lab in labels),
     )
     return TiisModel(**{**model.__dict__, "warnings": tuple(adequacy_warnings(model))})
@@ -318,39 +322,58 @@ def receivers(step, eavesdrop: bool) -> set:
     return {step.receiver, INTRUDER} if eavesdrop else {step.receiver}
 
 
-def closed_initial_knowledge(model: TiisModel) -> dict:
-    """Agent -> mutable set of the closure of its initial knowledge."""
-    return {a: set(closure(model.initial_knowledge[a], model.rules))
-            for a in model.agents}
-
-
-def deliver(model: TiisModel, knowledge: dict, step) -> dict:
-    """Add ``step``'s message to its receivers' knowledge and close it.
-
-    ``knowledge`` (agent -> set of term ids) is updated in place. Returns
-    agent -> sorted tuple of the term ids that agent newly knows.
+@dataclass(frozen=True, eq=False, slots=True)
+class Run:
+    """The concrete state of an interleaving of ``model``'s exec steps: for
+    each session the index of its next step, for each agent its knowledge,
+    closed under the rules. Decode, replay, the oracle and the adequacy
+    check all step through it, so the concrete semantics is written once.
     """
-    rid = model.universe.id_of(step.message)
-    deltas = {}
-    for a in sorted(receivers(step, model.eavesdrop)):
-        before = knowledge[a]
-        knowledge[a] = set(closure(before | {rid}, model.rules))
-        gained = tuple(sorted(knowledge[a] - before))
-        if gained:
-            deltas[a] = gained
-    return deltas
+    model: TiisModel
+    pc: tuple  # sid - 1 -> index of the session's next step
+    known: dict  # agent -> frozenset of term ids
+
+    @classmethod
+    def start(cls, model: TiisModel) -> "Run":
+        return cls(model, (1,) * model.sessions,
+                   {a: closure(model.initial_knowledge[a], model.rules)
+                    for a in model.agents})
+
+    def then(self, step):
+        """Fire ``step``: its message goes to ``receivers(step,
+        model.eavesdrop)``. Returns the next run and agent -> sorted tuple
+        of the term ids that agent newly knows."""
+        model = self.model
+        rid = model.universe.id_of(step.message)
+        known = dict(self.known)
+        gained = {}
+        for a in sorted(receivers(step, model.eavesdrop)):
+            if rid not in known[a]:  # closed knowledge holding rid is unchanged
+                known[a] = closure(known[a] | {rid}, model.rules)
+                gained[a] = tuple(sorted(known[a] - self.known[a]))
+        pc = self.pc[:step.sid - 1] + (step.index + 1,) + self.pc[step.sid:]
+        return Run(model, pc, known), gained
+
+    def goal(self) -> Optional[int]:
+        """A goal-secret id the intruder knows once every required session
+        has fired its last step; None before that or if it knows none."""
+        last = self.model.steps_per_session()
+        if any(self.pc[sid - 1] <= last for sid in self.model.require_complete):
+            return None
+        return next((tid for tid in self.model.goal_secret_ids
+                     if tid in self.known[INTRUDER]), None)
 
 
 def adequacy_warnings(model: TiisModel):
     """Protocol well-formedness: honest receivers should be able to read
     the ciphers addressed to them when steps run in declaration order."""
     warnings = []
-    knowledge = closed_initial_knowledge(model)
-    for st in sorted(model.exec_steps, key=lambda s: (s.sid, s.index)):
-        deliver(model, knowledge, st)
+    run = Run.start(model)
+    for st in model.exec_steps:
+        run = run.then(st)[0]
         if st.receiver != INTRUDER and isinstance(st.message, Cipher):
             body_id = model.universe.id_of(st.message.body)
-            if body_id not in knowledge[st.receiver]:
+            if body_id not in run.known[st.receiver]:
                 warnings.append(
                     f"step ({st.sid},{st.index}): receiver {st.receiver} cannot decrypt "
                     f"{render_term(st.message)}"

@@ -2,8 +2,11 @@
 
 Independent ground truth for the SMT verdicts at desk scale: a
 breadth-first search over step interleavings (so the first hit is at
-minimal depth), with gating checked against the intruder's concretely
-closed knowledge and timing checked exactly.
+minimal depth). Each frontier node is a ``model.Run`` (session pcs and
+closed knowledge): gating is checked against its intruder knowledge, and
+``Run.goal`` is the goal test. The witness is built by
+``witness.trace_of`` from the node's path, as ``decode`` builds one from a
+sat model.
 
 Timing is decided per explored prefix by ``dbm.solve`` over the fired
 steps' times: each frontier node carries its prefix's constraints and
@@ -24,15 +27,8 @@ from typing import Optional
 
 from .dbm import solve
 from .frontend import INTRUDER
-from .model import (
-    TiisModel,
-    closed_initial_knowledge,
-    closure,
-    constructible,
-    deliver,
-    step_constraints,
-)
-from .witness import Trace, TraceEvent
+from .model import Run, TiisModel, closure, constructible, receivers, step_constraints
+from .witness import Trace, trace_of
 
 
 @dataclass(frozen=True)
@@ -51,26 +47,23 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     last = model.steps_per_session()
-    init_intruder = frozenset(closure(model.initial_knowledge[INTRUDER], model.rules))
     # the intruder learns only the messages delivered to it: a goal secret
     # outside the closure of all of them is unknown in every interleaving
     roots = {model.universe.id_of(st.message) for st in model.exec_steps
-             if st.receiver == INTRUDER or model.eavesdrop}
-    reachable = closure(init_intruder | roots, model.rules)
+             if INTRUDER in receivers(st, model.eavesdrop)}
+    reachable = closure(model.initial_knowledge[INTRUDER] | roots, model.rules)
     if not any(t in reachable for t in model.goal_secret_ids):
         return OracleResult("no-attack-up-to", depth)
-    start_pc = tuple(1 for _ in range(model.sessions))
 
-    frontier = [(start_pc, init_intruder, (), ())]
+    frontier = [(Run.start(model), (), ())]
     for d in range(1, depth + 1):
         nxt = []
-        for pc, iknow, seq, cons in frontier:
-            for sid in range(1, model.sessions + 1):
-                i = pc[sid - 1]
+        for run, seq, cons in frontier:
+            for sid, i in enumerate(run.pc, start=1):
                 if i > last:
                     continue
                 st = model.step_at(sid, i)
-                if st.gated and not constructible(iknow, st.message,
+                if st.gated and not constructible(run.known[INTRUDER], st.message,
                                                   model.universe, model.rules):
                     continue
                 new_seq = seq + (st,)
@@ -78,34 +71,12 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
                 feasible, times = solve(new_cons)
                 if not feasible:
                     continue
-                new_pc = pc[:sid - 1] + (i + 1,) + pc[sid:]
-                new_iknow = iknow
-                if st.receiver == INTRUDER or model.eavesdrop:
-                    new_iknow = frozenset(closure(
-                        iknow | {model.universe.id_of(st.message)}, model.rules))
-                done = all(new_pc[s - 1] == last + 1 for s in model.require_complete)
-                secret = next((t for t in model.goal_secret_ids if t in new_iknow), None)
-                if done and secret is not None:
-                    return OracleResult(
-                        "attack-found", d,
-                        _make_trace(model, new_seq, times, secret, d))
-                nxt.append((new_pc, new_iknow, new_seq, new_cons))
+                new_run = run.then(st)[0]
+                if new_run.goal() is not None:
+                    fired = ((s, times[s.ref]) for s in new_seq)
+                    return OracleResult("attack-found", d, trace_of(model, fired, d))
+                nxt.append((new_run, new_seq, new_cons))
         frontier = nxt
         if not frontier:
             break
     return OracleResult("no-attack-up-to", depth)
-
-
-def _make_trace(model: TiisModel, sequence, times, secret_id, depth) -> Trace:
-    """Witness-schema trace for a successful oracle run, with knowledge
-    deltas recomputed by unbounded closure (as replay expects)."""
-    knowledge = closed_initial_knowledge(model)
-    events = []
-    for pos, st in enumerate(sequence, start=1):
-        deltas = {a: tuple(model.universe.term_of(t) for t in gained)
-                  for a, gained in deliver(model, knowledge, st).items()}
-        events.append(TraceEvent(pos, st.sid, st.index, st.sender, st.receiver,
-                                 st.message, times[st.ref], deltas))
-    return Trace(model.protocol, model.scenario, model.sessions, depth,
-                 tuple(events), model.universe.term_of(secret_id),
-                 tuple(sorted(model.require_complete)))

@@ -12,8 +12,10 @@ decoder reads), or for every declared symbol when it names none. One
 ``(error "... '(' expected")`` is read as one expression and ends the
 exchange with status ``error`` at once.
 The child's stderr is drained on its own thread so that it can never fill
-the pipe and stall the child. A timeout or a protocol error kills the
-child; every exit path closes it.
+the pipe and stall the child. Closing the session kills
+the child and reaps it: every answer the child owes has been read by then.
+A timeout or a protocol error closes the session at once, and so does
+every other exit path.
 
 The bound-n script asks for the goal within at most n transitions, so
 the bounds are monotone and every exec step fires at most once: the
@@ -44,7 +46,7 @@ from .sexpr import Reader, parse_value
 from .witness import decode
 
 DEFAULT_TIMEOUT = 60.0
-EXIT_GRACE = 5.0  # seconds a child gets to exit after (exit) or a kill
+EXIT_GRACE = 5.0  # seconds to wait for the stderr drain and the exchange thread
 STDERR_KEEP = 64 * 1024  # characters of stderr kept per script
 
 
@@ -84,7 +86,10 @@ def resolve_solver_command(explicit: Optional[str] = None) -> tuple:
     """Pick the solver command line; see module docstring for the order."""
     for source in (explicit, os.environ.get("TSPBMC_SOLVER")):
         if source:
-            parts = tuple(shlex.split(source))
+            try:
+                parts = tuple(shlex.split(source))
+            except ValueError as e:
+                raise SolverError(f"solver command {source!r}: {e}") from e
             if not parts:
                 raise SolverError("empty solver command")
             return parts
@@ -141,9 +146,9 @@ def _interact(proc, reader: Reader, script: SmtScript, reset: bool, box: dict):
 class SolverSession:
     """One solver child that answers a sequence of scripts.
 
-    Use as a context manager; ``close`` ends the child on every path. After
-    a timeout or an error the child is killed and the session takes no
-    further script.
+    Use as a context manager; ``close`` kills and reaps the child on every
+    path, since every answer it owes has been read by then. After a timeout
+    or an error the session is closed and takes no further script.
     """
 
     def __init__(self, command: tuple):
@@ -170,9 +175,7 @@ class SolverSession:
     def __enter__(self):
         return self
 
-    def __exit__(self, exc_type, *exc):
-        if exc_type is not None:
-            self._kill()
+    def __exit__(self, *exc):
         self.close()
 
     def _drain_stderr(self):
@@ -191,13 +194,6 @@ class SolverSession:
             self._stderr, self._stderr_len = [], 0
         return text
 
-    def _kill(self):
-        """Kill the child and wait for it and its stderr to end."""
-        self._dead = True
-        self.proc.kill()
-        self.proc.wait()
-        self._drain.join(EXIT_GRACE)
-
     def run(self, script: SmtScript, timeout: float) -> RawResult:
         if self._dead:
             raise SolverError("solver session is closed")
@@ -210,12 +206,12 @@ class SolverSession:
         worker.start()
         worker.join(timeout)
         if worker.is_alive():
-            self._kill()
+            self.close()
             worker.join(EXIT_GRACE)
             return RawResult("timeout", {}, self._take_stderr(),
                              time.monotonic() - start)
         if "exception" in box:
-            self._kill()
+            self.close()
             stderr = self._take_stderr()
             return RawResult("error", {}, f"{box['exception']}\n{stderr}".strip(),
                              time.monotonic() - start)
@@ -224,18 +220,11 @@ class SolverSession:
                          time.monotonic() - start)
 
     def close(self):
-        """Ask the child to exit; kill it if it does not within the grace."""
+        """Kill the child and wait for it and its stderr to end."""
         if not self._dead:
             self._dead = True
-            try:
-                self.proc.stdin.write("(exit)\n")
-                self.proc.stdin.close()
-            except (OSError, ValueError):
-                pass
-            try:
-                self.proc.wait(EXIT_GRACE)
-            except subprocess.TimeoutExpired:
-                self._kill()
+            self.proc.kill()
+            self.proc.wait()
             self._drain.join(EXIT_GRACE)
         for stream in (self.proc.stdin, self.proc.stdout):
             try:

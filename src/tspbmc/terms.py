@@ -21,7 +21,7 @@ Surface conventions (single-letter agent names):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import TermError, TermSyntaxError
@@ -63,10 +63,6 @@ class SymKey:
 class Fresh:
     name: str
     sid: Optional[int] = None
-    # owner/class are declaration metadata, resolved against the protocol's
-    # fresh declarations; they never participate in term identity.
-    owner: Optional[str] = field(default=None, compare=False, hash=False)
-    klass: Optional[str] = field(default=None, compare=False, hash=False)
 
 
 @dataclass(frozen=True)
@@ -100,10 +96,9 @@ def is_key_form(t: Term) -> bool:
 
 
 class _Parser:
-    def __init__(self, text: str, decls=None):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.decls = decls or {}
 
     def error(self, msg: str):
         raise TermSyntaxError(msg, self.pos)
@@ -175,22 +170,15 @@ class _Parser:
                 self.pos += len(m.group(0))
                 if sid < 1:
                     self.error("session index must be >= 1")
-            decl = self.decls.get(name)
-            if decl is not None:
-                return Fresh(name, sid, owner=decl[0], klass=decl[1])
             return Fresh(name, sid)
         self.error(f"unrecognized atom {name!r}")
 
 
-def parse_term(text: str, decls=None) -> Term:
-    """Parse term text into its canonical Term.
-
-    ``decls`` optionally maps fresh-atom names to (owner, class) so the
-    resulting Fresh nodes carry their declaration metadata.
-    """
+def parse_term(text: str) -> Term:
+    """Parse term text into its canonical Term."""
     if not text or not text.strip():
         raise TermSyntaxError("empty term", 0)
-    p = _Parser(text, decls)
+    p = _Parser(text)
     t = p.term()
     p.skip_ws()
     if p.pos != len(p.text):
@@ -241,7 +229,7 @@ def instantiate(template: Term, sid: int) -> Term:
         raise TermError("session index must be >= 1")
     if isinstance(template, Fresh):
         if template.sid is None:
-            return Fresh(template.name, sid, owner=template.owner, klass=template.klass)
+            return Fresh(template.name, sid)
         return template
     if isinstance(template, Pair):
         return Pair(instantiate(template.left, sid), instantiate(template.right, sid))

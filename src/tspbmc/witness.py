@@ -1,15 +1,16 @@
 """Witness decoding, replay validation and reporting.
 
-A sat model is decoded position by position into a Trace (one fired step
-per position, fire time, per-agent knowledge deltas by concrete closure
-over the fired steps), truncated at the first position where the goal
-holds; decoding reads only the ``fire`` and ``tau`` symbols. Idle
-positions change no state, so they can only follow the goal position and
-are never read, and the trace's last event is the model's first goal
-position: the least bound the model witnesses. ``replay`` then
-re-executes that trace under the concrete semantics — session order,
-gating and knowledge closure, and the timing rules of
-``model.step_constraints`` checked on the trace's own times, with no
+``trace_of`` turns fired (step, time) pairs into a Trace by stepping a
+``model.Run``: one event per position with its fire time and per-agent
+knowledge deltas, up to the first position where ``Run.goal`` holds.
+Every witness is made by it: ``decode`` feeds it each position's one
+``fire`` and its ``tau`` from a sat model, read lazily, and the oracle
+feeds it its BFS path. Idle positions change no state, so they can only
+follow the goal position and are never read, and the trace's last event
+is the model's first goal position: the least bound the model witnesses.
+``replay`` then re-executes a trace on a ``Run`` — session order,
+gating, knowledge deltas and the goal, with the timing rules of
+``model.step_constraints`` checked on the trace's own times and no
 solving — as an independent soundness check of the encoding.
 """
 
@@ -25,13 +26,7 @@ from .dbm import ZERO
 from .encoder import SmtScript, fire_name, tau_name
 from .errors import ModelError
 from .frontend import INTRUDER
-from .model import (
-    TiisModel,
-    closed_initial_knowledge,
-    constructible,
-    deliver,
-    step_constraints,
-)
+from .model import Run, TiisModel, constructible, step_constraints
 from .terms import Term, parse_term, render_term
 
 if TYPE_CHECKING:
@@ -79,51 +74,46 @@ def _bool(values: dict, name: str) -> bool:
     return v
 
 
+def trace_of(model: TiisModel, fired, bound: int) -> Trace:
+    """The Trace of ``fired``, (ExecStep, time) pairs in firing order, up
+    to the first position where the goal holds; ``fired`` is read no
+    further. Knowledge deltas come from stepping a ``Run``."""
+    universe = model.universe
+    run = Run.start(model)
+    events = []
+    for j, (st, time) in enumerate(fired, start=1):
+        run, gained = run.then(st)
+        deltas = {a: tuple(universe.term_of(t) for t in ids) for a, ids in gained.items()}
+        events.append(TraceEvent(j, st.sid, st.index, st.sender, st.receiver,
+                                 st.message, time, deltas))
+        secret = run.goal()
+        if secret is not None:
+            return Trace(model.protocol, model.scenario, model.sessions, bound,
+                         tuple(events), universe.term_of(secret),
+                         tuple(sorted(model.require_complete)))
+    raise ModelError("the run satisfies the goal at no position")
+
+
 def decode(result: RawResult, script: SmtScript, model: TiisModel) -> Trace:
     """Decode a sat model into a goal-truncated Trace."""
     if result.status != "sat":
         raise ModelError(f"cannot decode a {result.status} result")
     values = result.values
-    last = model.steps_per_session()
-    universe = model.universe
-    knowledge = closed_initial_knowledge(model)
-    done = set()
 
-    events = []
-    secret = None
-    completed = ()
-    for j in range(1, script.bound + 1):
-        fired = [
-            st for st in model.exec_steps
-            if _bool(values, fire_name(j, st.sid, st.index))
-        ]
-        if len(fired) != 1:
-            raise ModelError(
-                f"position {j}: expected exactly one firing step, got "
-                f"{[(s.sid, s.index) for s in fired]}"
-            )
-        st = fired[0]
-        time = values.get(tau_name(j))
-        if not isinstance(time, Fraction):
-            raise ModelError(f"missing time value {tau_name(j)}")
-        done.add((st.sid, st.index))
-        deltas = {a: tuple(universe.term_of(t) for t in gained)
-                  for a, gained in deliver(model, knowledge, st).items()}
-        events.append(TraceEvent(j, st.sid, st.index, st.sender, st.receiver,
-                                 st.message, time, deltas))
+    def fired():
+        for j in range(1, script.bound + 1):
+            steps = [st for st in model.exec_steps
+                     if _bool(values, fire_name(j, st.sid, st.index))]
+            if len(steps) != 1:
+                raise ModelError(
+                    f"position {j}: expected exactly one firing step, got "
+                    f"{[(s.sid, s.index) for s in steps]}")
+            time = values.get(tau_name(j))
+            if not isinstance(time, Fraction):
+                raise ModelError(f"missing time value {tau_name(j)}")
+            yield steps[0], time
 
-        done_all = all((sid, last) in done for sid in model.require_complete)
-        secrets_known = [tid for tid in model.goal_secret_ids
-                         if tid in knowledge[INTRUDER]]
-        if done_all and secrets_known:
-            secret = universe.term_of(secrets_known[0])
-            completed = tuple(sorted(model.require_complete))
-            break
-    if secret is None:
-        raise ModelError("sat model satisfies the goal at no position")
-
-    return Trace(model.protocol, model.scenario, model.sessions, script.bound,
-                 tuple(events), secret, completed)
+    return trace_of(model, fired(), script.bound)
 
 
 def _clock(node) -> str:
@@ -133,11 +123,9 @@ def _clock(node) -> str:
 def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
     """Concrete re-execution; returns None if valid, else the first violation."""
     universe = model.universe
-    pc = {sid: 1 for sid in range(1, model.sessions + 1)}
-    knowledge = closed_initial_knowledge(model)
+    run = Run.start(model)
     fired = []
     times = {ZERO: Fraction(0)}  # (sid, index) node -> fire time
-    last = model.steps_per_session()
 
     for ev in trace.events:
         try:
@@ -145,11 +133,12 @@ def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
         except KeyError:
             return ReplayViolation("session order", ev.position,
                                    f"unknown step ({ev.sid},{ev.index})")
-        if pc.get(ev.sid) != ev.index:
+        expected = run.pc[ev.sid - 1]
+        if expected != ev.index:
             return ReplayViolation(
                 "session order", ev.position,
-                f"session {ev.sid} expects step {pc.get(ev.sid)}, got {ev.index}")
-        if st.gated and not constructible(knowledge[INTRUDER], st.message,
+                f"session {ev.sid} expects step {expected}, got {ev.index}")
+        if st.gated and not constructible(run.known[INTRUDER], st.message,
                                           universe, model.rules):
             return ReplayViolation(
                 "gating", ev.position,
@@ -164,8 +153,7 @@ def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
                     f"{_clock(v)} - {_clock(u)} = {diff}, must be "
                     f"{'<' if strict else '<='} {w}")
 
-        pc[ev.sid] = ev.index + 1
-        gains = deliver(model, knowledge, st)
+        run, gains = run.then(st)
         for a in model.agents:
             actual = {universe.term_of(t) for t in gains.get(a, ())}
             declared = set(ev.deltas.get(a, ()))
@@ -179,9 +167,9 @@ def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
     secret_id = universe.id_of(trace.secret) if trace.secret in universe else None
     goal_ok = (
         final is not None
+        and run.goal() is not None
         and secret_id in model.goal_secret_ids
-        and secret_id in knowledge[INTRUDER]
-        and all(pc[sid] == last + 1 for sid in model.require_complete)
+        and secret_id in run.known[INTRUDER]
         and set(trace.completed_sessions) == set(model.require_complete)
     )
     if not goal_ok:

@@ -206,6 +206,10 @@ def _replace(**fields):
      "override 0: bad term in L: term nested more than 256 levels deep"),
     (None, _replace(edge="A->B", L="|".join(["A"] * 3000)),
      "override 0: bad term in L: term nested more than 256 levels deep"),
+    (None, _replace(edge="A->B", L="Zz"),
+     "override message uses undeclared fresh atom 'Zz'"),
+    (None, _replace(edge="A->B", L="<Ta,A>"),
+     "override cipher key 'Ta' is not a declared session key"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit, needle):
     protocol = library.get("nspkt").protocol
@@ -227,6 +231,16 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path):
     assert code == 2
     assert err == "error: malformed JSON: nested too deeply\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("option, env", [(["--solver", '"'], None), ([], '"')])
+def test_unbalanced_solver_quote_exits_2(capsys, monkeypatch, option, env):
+    if env is not None:
+        monkeypatch.setenv("TSPBMC_SOLVER", env)
+    code, out, err = run(capsys, "check", "nspkt", "fair", *option)
+    assert code == 2
+    assert err.startswith("error: solver command '\"': No closing quotation")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("timeout", ["nan", "inf", "1e12"])

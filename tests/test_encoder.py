@@ -108,7 +108,8 @@ def test_eavesdrop_off_removes_intruder_taps(lib):
     from tspbmc.model import build_model
     from conftest import load
     spec, scen = load(lib, "nspkt", "mitm1_lowe")
-    models = {eav: build_model(spec, scen, eavesdrop=eav) for eav in (True, False)}
+    models = {eav: build_model(spec, replace(scen, eavesdrop=eav))
+              for eav in (True, False)}
     assert all(m.labels[m.goal_secret_ids[0]] for m in models.values())
     honest = [st for st in models[True].exec_steps
               if INTRUDER not in (st.sender, st.receiver)]

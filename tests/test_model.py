@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -153,6 +154,6 @@ def test_model_to_json_deterministic(lib):
 
 def test_eavesdrop_flag_controls_intruder_taps(lib):
     spec, scen = load(lib, "nspkt", "fair")
-    on = build_model(spec, scen, eavesdrop=True)
-    off = build_model(spec, scen, eavesdrop=False)
+    on = build_model(spec, replace(scen, eavesdrop=True))
+    off = build_model(spec, replace(scen, eavesdrop=False))
     assert on.eavesdrop and not off.eavesdrop

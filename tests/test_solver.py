@@ -2,6 +2,7 @@ import json
 import os
 import re
 import sys
+import time
 
 import pytest
 
@@ -164,6 +165,21 @@ def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_close_kills_a_child_that_stops_reading(tmp_path):
+    # the child answers, then sleeps without reading stdin: closing the
+    # session after the answer kills and reaps it at once
+    pidfile = tmp_path / "pids"
+    body = "print('unsat', flush=True); import time; time.sleep(60)"
+    cfg = solver_config(command=pid_logging(pidfile, body), timeout=20.0)
+    start = time.monotonic()
+    result = run_solver(script_of("(check-sat)\n", {}), cfg)
+    assert result.status == "unsat"
+    assert time.monotonic() - start < 2.0
+    pids = spawned(pidfile)
+    assert len(pids) == 1
+    assert_reaped(pids)
 
 
 SMTLITE_BODY = "import sys; from tspbmc.smtlite import main; sys.exit(main())"

@@ -138,11 +138,6 @@ def test_is_key_form():
     assert not is_key_form(parse_term("Ta|Tb"))
 
 
-def test_fresh_metadata_not_part_of_identity():
-    assert Fresh("Ta", 1, owner="A", klass="nonce") == Fresh("Ta", 1)
-    assert hash(Fresh("Ta", 1, owner="A", klass="nonce")) == hash(Fresh("Ta", 1))
-
-
 def test_universe_deterministic_and_subterm_closed():
     members = [parse_term("<KB,Ta#1|A>"), parse_term("Tb#1")]
     u1 = TermUniverse(members)
