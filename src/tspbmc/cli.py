@@ -44,11 +44,18 @@ class UsageError(Exception):
     pass
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{what} {path!r}: not UTF-8 text (byte {e.start})") from e
+
+
 def _load_inputs(protocol_arg: str, scenario_arg: str):
     """Resolve each argument as a file path first, then as a library name."""
     entry = None
     if Path(protocol_arg).is_file():
-        protocol_text = Path(protocol_arg).read_text(encoding="utf-8")
+        protocol_text = _read_text(protocol_arg, "protocol")
     else:
         try:
             entry = library.get(protocol_arg)
@@ -58,7 +65,7 @@ def _load_inputs(protocol_arg: str, scenario_arg: str):
         protocol_text = entry.protocol
 
     if Path(scenario_arg).is_file():
-        scenario_text = Path(scenario_arg).read_text(encoding="utf-8")
+        scenario_text = _read_text(scenario_arg, "scenario")
     elif entry is not None and scenario_arg in entry.scenarios:
         scenario_text = entry.scenarios[scenario_arg]
     else:

@@ -11,11 +11,14 @@ decoder reads), or for every declared symbol when it names none. One
 ``sexpr.Reader`` per child reads every reply, so a reply such as
 ``(error "... '(' expected")`` is read as one expression and ends the
 exchange with status ``error`` at once.
-The child's stderr is drained on its own thread so that it can never fill
-the pipe and stall the child. Closing the session kills
-the child and reaps it: every answer the child owes has been read by then.
-A timeout or a protocol error closes the session at once, and so does
-every other exit path.
+The child runs in a process group of its own, and its stderr goes to an
+unnamed temporary file, which never fills, so no thread has to read it.
+Closing the session kills the whole group and reaps the child: every
+answer the child owes has been read by then, and a wrapper command such
+as ``timeout 60 z3 -in`` ends with everything it started. A timeout or a
+protocol error closes the session at once, and so does every other exit
+path. Only a failed query reads stderr: what the group wrote since the
+query began, read once the kill has stopped every writer.
 
 The bound-n script asks for the goal within at most n transitions, so
 the bounds are monotone and every exec step fires at most once: the
@@ -32,22 +35,24 @@ from __future__ import annotations
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .encoder import BmcProblem, SmtScript, encode
-from .errors import SolverError
+from .errors import ModelError, SolverError
 from .model import TiisModel
 from .sexpr import Reader, parse_value
 from .witness import decode
 
 DEFAULT_TIMEOUT = 60.0
-EXIT_GRACE = 5.0  # seconds to wait for the stderr drain and the exchange thread
-STDERR_KEEP = 64 * 1024  # characters of stderr kept per script
+EXIT_GRACE = 5.0  # seconds to wait for the exchange thread after the kill
+STDERR_KEEP = 64 * 1024  # bytes of stderr kept from a failed query
 
 
 @dataclass(frozen=True)
@@ -146,31 +151,30 @@ def _interact(proc, reader: Reader, script: SmtScript, reset: bool, box: dict):
 class SolverSession:
     """One solver child that answers a sequence of scripts.
 
-    Use as a context manager; ``close`` kills and reaps the child on every
-    path, since every answer it owes has been read by then. After a timeout
-    or an error the session is closed and takes no further script.
+    Use as a context manager; ``close`` kills the child's process group and
+    reaps the child on every path, since every answer it owes has been read
+    by then. After a timeout or an error the session is closed and takes no
+    further script.
     """
 
     def __init__(self, command: tuple):
+        self._stderr = tempfile.TemporaryFile()
         try:
             self.proc = subprocess.Popen(
                 list(command),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
+                stderr=self._stderr,
                 text=True,
                 errors="replace",
+                start_new_session=True,
             )
         except OSError as e:
+            self._stderr.close()
             raise SolverError(f"cannot spawn solver {command!r}: {e}") from e
         self.reader = Reader(self.proc.stdout)
         self._used = False
         self._dead = False
-        self._lock = threading.Lock()
-        self._stderr = []
-        self._stderr_len = 0
-        self._drain = threading.Thread(target=self._drain_stderr, daemon=True)
-        self._drain.start()
 
     def __enter__(self):
         return self
@@ -178,26 +182,11 @@ class SolverSession:
     def __exit__(self, *exc):
         self.close()
 
-    def _drain_stderr(self):
-        try:
-            for line in self.proc.stderr:
-                with self._lock:
-                    if self._stderr_len < STDERR_KEEP:
-                        self._stderr.append(line)
-                        self._stderr_len += len(line)
-        except (OSError, ValueError):
-            pass
-
-    def _take_stderr(self) -> str:
-        with self._lock:
-            text = "".join(self._stderr)
-            self._stderr, self._stderr_len = [], 0
-        return text
-
     def run(self, script: SmtScript, timeout: float) -> RawResult:
         if self._dead:
             raise SolverError("solver session is closed")
         reset, self._used = self._used, True
+        mark = os.fstat(self._stderr.fileno()).st_size
         start = time.monotonic()
         box: dict = {}
         worker = threading.Thread(
@@ -205,34 +194,29 @@ class SolverSession:
             daemon=True)
         worker.start()
         worker.join(timeout)
-        if worker.is_alive():
-            self.close()
-            worker.join(EXIT_GRACE)
-            return RawResult("timeout", {}, self._take_stderr(),
+        timed_out = worker.is_alive()
+        if not (timed_out or "exception" in box):
+            return RawResult(box["status"], box["values"], "\n".join(box["notes"]),
                              time.monotonic() - start)
-        if "exception" in box:
-            self.close()
-            stderr = self._take_stderr()
-            return RawResult("error", {}, f"{box['exception']}\n{stderr}".strip(),
-                             time.monotonic() - start)
-        stderr = "\n".join(box["notes"] + [self._take_stderr()]).strip()
-        return RawResult(box["status"], box["values"], stderr,
+        os.killpg(self.proc.pid, signal.SIGKILL)  # the group writes no more
+        worker.join(EXIT_GRACE)
+        stderr = os.pread(self._stderr.fileno(), STDERR_KEEP, mark)
+        self.close()
+        status, note = ("timeout", "") if timed_out else ("error", f"{box['exception']}\n")
+        return RawResult(status, {}, (note + stderr.decode(errors="replace")).strip(),
                          time.monotonic() - start)
 
     def close(self):
-        """Kill the child and wait for it and its stderr to end."""
+        """Kill the child's process group, reap the child, close its streams."""
         if not self._dead:
             self._dead = True
-            self.proc.kill()
+            os.killpg(self.proc.pid, signal.SIGKILL)
             self.proc.wait()
-            self._drain.join(EXIT_GRACE)
-        for stream in (self.proc.stdin, self.proc.stdout):
+        for stream in (self.proc.stdin, self.proc.stdout, self._stderr):
             try:
                 stream.close()
             except (OSError, ValueError):
                 pass
-        if not self._drain.is_alive():
-            self.proc.stderr.close()
 
 
 def open_session(config: SolverConfig) -> SolverSession:
@@ -282,7 +266,12 @@ def iterate_bounds(model: TiisModel, config: Optional[SolverConfig] = None) -> V
                 if result.solver_stderr:
                     reason += f": {result.solver_stderr.splitlines()[0]}"
                 return Verdict("inconclusive", n, result, reason, tuple(log))
-            attack = (decode(result, script, model).events[-1].position, result)
+            try:
+                attack = (decode(result, script, model).events[-1].position, result)
+            except ModelError as e:
+                return Verdict("inconclusive", n, result,
+                               f"solver model at bound {n} is not a run: {e}",
+                               tuple(log))
             n = attack[0] - 1
     if attack is None:
         return Verdict("no-attack-up-to", cap, per_bound_log=tuple(log))

@@ -8,8 +8,9 @@ Every witness is made by it: ``decode`` feeds it each position's one
 feeds it its BFS path. Idle positions change no state, so they can only
 follow the goal position and are never read, and the trace's last event
 is the model's first goal position: the least bound the model witnesses.
-``replay`` then re-executes a trace on a ``Run`` — session order,
-gating, knowledge deltas and the goal, with the timing rules of
+``replay`` then re-executes a trace on a ``Run`` — positions 1, 2, …
+within the bound, each event's sender, receiver and message, session
+order, gating, knowledge deltas and the goal, with the timing rules of
 ``model.step_constraints`` checked on the trace's own times and no
 solving — as an independent soundness check of the encoding.
 """
@@ -62,7 +63,9 @@ class Trace:
 
 @dataclass(frozen=True)
 class ReplayViolation:
-    kind: str  # session order | gating | delay | lifetime | knowledge delta | goal
+    # position | step label | session order | gating | delay | lifetime |
+    # knowledge delta | goal
+    kind: str
     position: int
     detail: str
 
@@ -127,12 +130,21 @@ def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
     fired = []
     times = {ZERO: Fraction(0)}  # (sid, index) node -> fire time
 
-    for ev in trace.events:
+    for j, ev in enumerate(trace.events, start=1):
+        if ev.position != j or j > trace.bound:
+            return ReplayViolation(
+                "position", ev.position,
+                f"event {j} of a bound-{trace.bound} trace has position {ev.position}")
         try:
             st = model.step_at(ev.sid, ev.index)
         except KeyError:
             return ReplayViolation("session order", ev.position,
                                    f"unknown step ({ev.sid},{ev.index})")
+        if (ev.sender, ev.receiver, ev.message) != (st.sender, st.receiver, st.message):
+            return ReplayViolation(
+                "step label", ev.position,
+                f"step ({ev.sid},{ev.index}) is {st.sender} -> {st.receiver} : "
+                f"{render_term(st.message)}")
         expected = run.pc[ev.sid - 1]
         if expected != ev.index:
             return ReplayViolation(

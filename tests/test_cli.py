@@ -250,3 +250,41 @@ def test_unusable_timeout_exits_2(capsys, timeout):
     assert err.startswith("error: timeout must be positive")
     assert "Traceback" not in err
     assert out == ""
+
+
+# answers sat to every script, and false (or 0.0 for a position time) to
+# every get-value symbol: no step fires at position 1
+FALSE_MODEL = (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    if 'check-sat' in line: print('sat', flush=True)\n"
+    "    if line.startswith('(get-value'):\n"
+    "        names = line.strip()[len('(get-value ('):-2].split()\n"
+    "        print('(' + ' '.join('(%s %s)' % (n, '0.0' if n.startswith('tau_') "
+    "else 'false') for n in names) + ')', flush=True)\n")
+
+
+def test_model_that_is_not_a_run_exits_3(capsys):
+    import shlex
+    import sys
+    solver = shlex.join([sys.executable, "-c", FALSE_MODEL])
+    code, out, err = run(capsys, "check", "nspkt", "fair", "--solver", solver)
+    assert code == 3
+    assert out == ""
+    assert "bound 3: sat" in err
+    assert "inconclusive: solver model at bound 3 is not a run: position 1:" in err
+    assert "error:" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["protocol", "scenario"])
+def test_non_utf8_input_exits_2(capsys, tmp_path, bad):
+    entry = library.get("nspkt")
+    files = {"protocol": tmp_path / "p.ab", "scenario": tmp_path / "s.json"}
+    files["protocol"].write_text(entry.protocol, encoding="utf-8")
+    files["scenario"].write_text(entry.scenarios["fair"], encoding="utf-8")
+    files[bad].write_bytes(files[bad].read_bytes() + b"\xff")
+    code, out, err = run(capsys, "check", str(files["protocol"]), str(files["scenario"]))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad} '{files[bad]}': not UTF-8 text")
+    assert "Traceback" not in err

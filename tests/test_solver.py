@@ -342,3 +342,61 @@ def test_stranded_session_attack_is_found_from_the_cap(lib):
     assert (verdict.outcome, verdict.bound) == ("attack-found", 3)
     log = [(b, s) for b, s, _ in verdict.per_bound_log]
     assert log[0] == (6, "sat") and log[-1] == (2, "unsat")
+
+
+def test_timeout_ends_a_wrapper_command():
+    # sh forks sleep, which holds the pipes: only killing the whole
+    # process group ends the query at the timeout
+    cfg = solver_config(command=("sh", "-c", "sleep 20; true"), timeout=0.5)
+    start = time.monotonic()
+    result = run_solver(script_of("(check-sat)\n", {}), cfg)
+    assert result.status == "timeout"
+    assert time.monotonic() - start < 3.0
+
+
+def gone_or_zombie(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as f:
+            return any(line.split()[1] == "Z" for line in f
+                       if line.startswith("State:"))
+    except FileNotFoundError:
+        return True
+
+
+def test_close_kills_what_the_solver_command_started(tmp_path):
+    # the child starts a grandchild that keeps its pipes and stderr, then
+    # answers: closing the session ends the grandchild too, at once
+    pidfile = tmp_path / "pids"
+    body = ("import subprocess; p = subprocess.Popen(['sleep', '30']); "
+            "open(%r, 'w').write(str(p.pid)); print('unsat', flush=True)" % str(pidfile))
+    cfg = solver_config(command=(sys.executable, "-c", body), timeout=20.0)
+    start = time.monotonic()
+    result = run_solver(script_of("(check-sat)\n", {}), cfg)
+    assert result.status == "unsat"
+    assert time.monotonic() - start < 2.0
+    grandchild = int(pidfile.read_text())
+    deadline = time.monotonic() + 2.0  # SIGKILL lands when the sleep is next scheduled
+    while not gone_or_zombie(grandchild) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert gone_or_zombie(grandchild)  # PID 1 may reap it late
+
+
+def test_failed_query_reports_only_its_own_stderr():
+    fake = ("import sys, time\n"
+            "n = 0\n"
+            "for line in sys.stdin:\n"
+            "    if 'check-sat' not in line: continue\n"
+            "    n += 1\n"
+            "    sys.stderr.write('first\\n' if n == 1 else 'second\\n')\n"
+            "    sys.stderr.flush()\n"
+            "    time.sleep(0.2)\n"
+            "    print('unsat' if n == 1 else 'hello', flush=True)\n"
+            "    if n == 2: exit()\n")
+    script = script_of("(check-sat)\n", {})
+    with SolverSession((sys.executable, "-c", fake)) as session:
+        first = session.run(script, 20.0)
+        second = session.run(script, 20.0)
+    assert (first.status, first.solver_stderr) == ("unsat", "")
+    assert second.status == "error"
+    assert "second" in second.solver_stderr
+    assert "first" not in second.solver_stderr

@@ -154,3 +154,43 @@ def test_oracle_trace_uses_same_schema(lib):
     model = model_of(lib, "dsp", "key_compromise")
     trace = explicit_reach(model, depth=8).trace
     assert parse_json(render_json(trace)) == trace
+
+
+@pytest.fixture(scope="module")
+def oracle_mitm(lib):
+    model = model_of(lib, "nspkt", "mitm1_lowe", k=2)
+    trace = explicit_reach(model, depth=len(model.exec_steps)).trace
+    assert trace is not None and replay(trace, model) is None
+    return model, trace
+
+
+@pytest.mark.parametrize("fields", [
+    {"sender": "B"},
+    {"receiver": "B"},
+    {"message": parse_term("<KB,Ta#1|A>")},
+    {"sender": "B", "receiver": "A", "message": parse_term("<KB,Ta#1|A>")},
+])
+def test_replay_rejects_a_relabelled_event(oracle_mitm, fields):
+    model, trace = oracle_mitm
+    first = trace.events[0]
+    assert all(getattr(first, name) != value for name, value in fields.items())
+    events = (replace(first, **fields),) + trace.events[1:]
+    violation = replay(replace(trace, events=events), model)
+    assert violation is not None
+    assert (violation.kind, violation.position) == ("step label", 1)
+
+
+def test_replay_rejects_renumbered_positions(oracle_mitm):
+    model, trace = oracle_mitm
+    events = tuple(replace(ev, position=7) for ev in trace.events)
+    violation = replay(replace(trace, events=events), model)
+    assert violation is not None
+    assert violation.kind == "position"
+
+
+def test_replay_rejects_more_events_than_the_bound(oracle_mitm):
+    model, trace = oracle_mitm
+    assert len(trace.events) > 1
+    violation = replay(replace(trace, bound=1), model)
+    assert violation is not None
+    assert (violation.kind, violation.position) == ("position", 2)
