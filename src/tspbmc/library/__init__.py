@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -21,32 +22,39 @@ class LibraryEntry:
     notes: str = ""
 
 
+def _read_entry(item) -> Optional[LibraryEntry]:
+    """The entry in package directory ``item``; None if it is not one."""
+    if not item.is_dir() or not (item / "protocol.ab").is_file():
+        return None
+    scenarios = {}
+    for f in sorted(item.iterdir(), key=lambda p: p.name):
+        if f.name.endswith(".json"):
+            scenarios[f.name[:-len(".json")]] = f.read_text(encoding="utf-8")
+    first = (item / "protocol.ab").read_text(encoding="utf-8")
+    notes = "\n".join(
+        line.lstrip("# ").rstrip()
+        for line in first.splitlines()
+        if line.startswith("#")
+    )
+    return LibraryEntry(item.name, first, scenarios, notes)
+
+
 def entries() -> dict:
     """All library entries, keyed by name, deterministically ordered."""
-    out = {}
-    root = resources.files(__name__)
-    for item in sorted(root.iterdir(), key=lambda p: p.name):
-        if not item.is_dir() or not (item / "protocol.ab").is_file():
-            continue
-        scenarios = {}
-        for f in sorted(item.iterdir(), key=lambda p: p.name):
-            if f.name.endswith(".json"):
-                scenarios[f.name[:-len(".json")]] = f.read_text(encoding="utf-8")
-        first = (item / "protocol.ab").read_text(encoding="utf-8")
-        notes = "\n".join(
-            line.lstrip("# ").rstrip()
-            for line in first.splitlines()
-            if line.startswith("#")
-        )
-        out[item.name] = LibraryEntry(item.name, first, scenarios, notes)
-    return out
+    found = (_read_entry(item) for item in
+             sorted(resources.files(__name__).iterdir(), key=lambda p: p.name))
+    return {entry.name: entry for entry in found if entry is not None}
 
 
 def get(name: str) -> LibraryEntry:
-    entry = entries().get(name)
-    if entry is None:
-        raise KeyError(f"no library entry named {name!r}")
-    return entry
+    """The named entry, reading only its own files. The name is matched
+    against the package directory's entries, never joined into a path."""
+    for item in resources.files(__name__).iterdir():
+        if item.name == name:
+            entry = _read_entry(item)
+            if entry is not None:
+                return entry
+    raise KeyError(f"no library entry named {name!r}")
 
 
 def export(directory) -> list:

@@ -7,6 +7,12 @@ Kleer's ATMS labels, AIJ 1986) and the timing structure. The resulting
 TiisModel is immutable and shared by the SMT encoder, the witness
 replayer and the explicit-state oracle.
 
+``goal_analysis`` adds two static facts that the encoder and the bound
+loop use and the oracle does not: the goal's cone of influence (the
+steps a goal run can need, as in Clarke, Grumberg & Peled, *Model
+Checking*, 1999) and earliest positions (no step fires, and no goal
+holds, before them).
+
 ``Run`` is the one concrete semantics of a model: session order,
 delivery to ``receivers`` with knowledge closure, and the goal test.
 Decoding, replay, the oracle and ``adequacy_warnings`` step through it;
@@ -70,6 +76,9 @@ class TiisModel:
     goal_secret_ids: tuple  # term ids the intruder must learn (disjunction)
     eavesdrop: bool
     labels: tuple  # term id -> minimal root supports (sorted id tuples)
+    cone: frozenset  # refs of the steps a goal run can need
+    earliest: dict  # cone step ref -> first position it can fire at
+    goal_floor: int  # L: no goal holds at a position before it
     warnings: tuple = ()
 
     def steps_per_session(self) -> int:
@@ -246,9 +255,11 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
         )
 
     require = effective_require_complete(spec, steps, k)
-    roots = {universe.id_of(st.message) for st in steps
-             if INTRUDER in receivers(st, scenario.eavesdrop)}
-    labels = support_labels(universe, rules, init[INTRUDER], roots)
+    deliveries = intruder_deliveries(steps, universe, scenario.eavesdrop)
+    labels = tuple(_sorted_label(lab) for lab in
+                   support_labels(universe, rules, init[INTRUDER], deliveries))
+    cone, earliest, goal_floor = goal_analysis(
+        steps, universe, labels, deliveries, require, secret_ids)
 
     model = TiisModel(
         protocol=spec.name,
@@ -264,7 +275,10 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
         require_complete=require,
         goal_secret_ids=tuple(secret_ids),
         eavesdrop=scenario.eavesdrop,
-        labels=tuple(_sorted_label(lab) for lab in labels),
+        labels=labels,
+        cone=cone,
+        earliest=earliest,
+        goal_floor=goal_floor,
     )
     return TiisModel(**{**model.__dict__, "warnings": tuple(adequacy_warnings(model))})
 
@@ -320,6 +334,85 @@ def support_labels(universe: TermUniverse, rules, init, roots) -> list:
 def receivers(step, eavesdrop: bool) -> set:
     """Agents that learn ``step``'s message when it fires."""
     return {step.receiver, INTRUDER} if eavesdrop else {step.receiver}
+
+
+def intruder_deliveries(steps, universe: TermUniverse, eavesdrop: bool) -> dict:
+    """Root id -> the exec steps that deliver it to the intruder, in the
+    order of ``steps``; the keys are the intruder's roots."""
+    out = {}
+    for st in steps:
+        if INTRUDER in receivers(st, eavesdrop):
+            out.setdefault(universe.id_of(st.message), []).append(st)
+    return out
+
+
+def goal_analysis(steps, universe: TermUniverse, labels, deliveries: dict,
+                  require, secret_ids):
+    """The goal's cone of influence and the earliest positions.
+
+    The cone holds every step of each required session and every
+    deliverer of a root of a goal-secret support, closed under session
+    prefix and, for each gated step, under every deliverer of every root
+    of every support of its label. Dropping the steps outside it from a
+    goal run leaves a run: session order, every gate and the goal see the
+    same deliveries, times are kept, and a lifetime binds only after its
+    generation step has fired. So a run reaching the goal within n
+    transitions has a cone run that does too.
+
+    A cone step fires no earlier than one position after its session
+    predecessor and, if gated, than one after the earliest position some
+    support of its label can be delivered by. The goal floor L is the
+    required sessions' step count plus, for the cheapest goal support,
+    the longest session prefix outside them that a root needs, and no
+    less than the earliest delivery of a goal support. A position past
+    every run (the step count plus one) stands for never.
+
+    Returns (cone refs, cone ref -> earliest position, L).
+    """
+    by_ref = {st.ref: st for st in steps}
+    never = len(steps) + 1
+    goal_label = [sup for tid in secret_ids for sup in labels[tid]]
+
+    def deliverers(label):
+        return [d for sup in label for m in sup for d in deliveries[m]]
+
+    cone = set()
+    todo = [st for st in steps if st.sid in require] + deliverers(goal_label)
+    while todo:
+        st = todo.pop()
+        if st.ref in cone:
+            continue
+        cone.add(st.ref)
+        todo += [by_ref[(st.sid, i)] for i in range(1, st.index)]
+        if st.gated:
+            todo += deliverers(labels[universe.id_of(st.message)])
+
+    def delivered(label, first):
+        """Earliest position by which some support of ``label`` is delivered."""
+        return min((max((min(first[d.ref] for d in deliveries[m]) for m in sup),
+                        default=0) for sup in label), default=never)
+
+    # a monotone fixpoint from the session-order bound up: every value
+    # stays at or below the true earliest position
+    first = {ref: ref[1] for ref in cone}
+    changed = True
+    while changed:
+        changed = False
+        for ref in sorted(cone):
+            st = by_ref[ref]
+            at = first[(st.sid, st.index - 1)] + 1 if st.index > 1 else 1
+            if st.gated:
+                at = max(at, delivered(labels[universe.id_of(st.message)], first) + 1)
+            at = min(at, never)
+            if at > first[ref]:
+                first[ref] = at
+                changed = True
+
+    last = max(st.index for st in steps)
+    outside = min((max((min(0 if d.sid in require else d.index for d in deliveries[m])
+                        for m in sup), default=0) for sup in goal_label), default=never)
+    floor = max(1, len(require) * last + outside, delivered(goal_label, first))
+    return frozenset(cone), first, min(floor, never)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -421,5 +514,8 @@ def model_to_json(model: TiisModel) -> dict:
         },
         "require_complete": sorted(model.require_complete),
         "goal_secrets": [render_term(model.universe.term_of(i)) for i in model.goal_secret_ids],
+        "cone": [{"sid": sid, "step": i, "earliest": model.earliest[(sid, i)]}
+                 for sid, i in sorted(model.cone)],
+        "goal_floor": model.goal_floor,
         "warnings": list(model.warnings),
     }

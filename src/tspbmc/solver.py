@@ -21,9 +21,11 @@ path. Only a failed query reads stderr: what the group wrote since the
 query began, read once the kill has stopped every writer.
 
 The bound-n script asks for the goal within at most n transitions, so
-the bounds are monotone and every exec step fires at most once: the
-bound at the exec-step count covers every run. The loop queries the cap
-first and then works down from each sat model's first goal position.
+the bounds are monotone and every exec step fires at most once. Every
+goal run reduces to a run of the goal's cone steps, so the bound at the
+cone's size covers every run. The loop queries min(cap, cone size)
+first and then works down from each sat model's first goal position,
+never below the goal floor L, where no goal holds.
 
 Solver resolution order: explicit ``--solver`` command, the
 ``TSPBMC_SOLVER`` environment variable, ``z3 -in`` if z3 is on PATH, and
@@ -241,19 +243,23 @@ def default_max_bound(model: TiisModel) -> int:
 def iterate_bounds(model: TiisModel, config: Optional[SolverConfig] = None) -> Verdict:
     """Find the least bound with an attack, on one solver child.
 
-    The first query is at the cap ``min(max_bound, exec-step count)``; if it
-    is unsat there is no attack within the cap. A sat model's first goal
+    The cap is ``min(max_bound, exec-step count)``. The first query is at
+    ``min(cap, |cone|)``: every goal run reduces to a cone run of at most
+    |cone| transitions, so if it is unsat there is no attack within the
+    cap, and the verdict reports the cap. A sat model's first goal
     position g (the last event of its decoded trace) bounds the least
     attack from above, so the next query is at g-1, until one is unsat or
-    g = 1. The attack is reported at g with the sat result found there.
+    g-1 is below the goal floor L (``model.goal_floor``), where no goal
+    holds. The attack is reported at g with the sat result found there.
     """
     config = config or SolverConfig()
     steps = default_max_bound(model)
-    n = cap = min(config.max_bound or steps, steps)
+    cap = min(config.max_bound or steps, steps)
+    n = max(1, min(cap, len(model.cone)))
     log = []
     attack = None  # (g, sat result) of the least bound found so far
     with open_session(config) as session:
-        while n >= 1:
+        while n >= model.goal_floor or attack is None:
             script = encode(BmcProblem(model, n))
             result = run_solver(script, config, session)
             log.append((n, result.status, result.elapsed))

@@ -98,15 +98,17 @@ def trace_of(model: TiisModel, fired, bound: int) -> Trace:
 
 
 def decode(result: RawResult, script: SmtScript, model: TiisModel) -> Trace:
-    """Decode a sat model into a goal-truncated Trace."""
+    """Decode a sat model into a goal-truncated Trace; a fire symbol the
+    script does not declare is false."""
     if result.status != "sat":
         raise ModelError(f"cannot decode a {result.status} result")
     values = result.values
 
     def fired():
         for j in range(1, script.bound + 1):
-            steps = [st for st in model.exec_steps
-                     if _bool(values, fire_name(j, st.sid, st.index))]
+            names = [(st, fire_name(j, *st.ref)) for st in model.exec_steps]
+            steps = [st for st, name in names
+                     if name in script.var_index and _bool(values, name)]
             if len(steps) != 1:
                 raise ModelError(
                     f"position {j}: expected exactly one firing step, got "

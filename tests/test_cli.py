@@ -117,6 +117,42 @@ def test_list_and_export(capsys, tmp_path):
     assert (tmp_path / "dsp" / "protocol.ab").is_file()
 
 
+def test_library_get_reads_only_the_named_entry(monkeypatch):
+    read = []
+    real = library._read_entry
+    monkeypatch.setattr(library, "_read_entry",
+                        lambda item: read.append(item.name) or real(item))
+    entry = library.get("wmf")
+    assert read == ["wmf"]
+    assert entry == library.entries()["wmf"]
+    read.clear()
+    for name in ("../library", "wmf/../dsp", "__pycache__", "", "WMF"):
+        with pytest.raises(KeyError):
+            library.get(name)
+    assert set(read) <= {"__pycache__"}  # a directory without protocol.ab
+
+
+def test_check_queries_the_cone_and_reports_the_cap(capsys):
+    # nspkt fair at k=3: the goal's cone is session 1's 3 steps, so one
+    # query at bound 3 covers all 9 steps' runs
+    code, out, err = run(capsys, "check", "nspkt", "fair", "--sessions", "3")
+    assert code == 0
+    assert "bound 3: unsat" in err
+    assert out == ("no attack up to bound 9: "
+                   "all runs of this 3-session scenario covered\n")
+
+
+def test_dump_model_prints_cone_and_goal_floor(capsys):
+    code, out, _ = run(capsys, "dump-model", "nspkt", "mitm1_lowe")
+    assert code == 0
+    data = json.loads(out)
+    assert data["cone"] == [
+        {"sid": 1, "step": 1, "earliest": 1}, {"sid": 1, "step": 2, "earliest": 4},
+        {"sid": 1, "step": 3, "earliest": 5}, {"sid": 2, "step": 1, "earliest": 2},
+        {"sid": 2, "step": 2, "earliest": 3}]
+    assert data["goal_floor"] == 5
+
+
 def test_dump_model_deterministic_json(capsys):
     code, first, _ = run(capsys, "dump-model", "wmf", "replay_generous")
     assert code == 0

@@ -29,15 +29,19 @@ def test_symbol_scheme_and_counts(lib):
     model = model_of(lib, "nspkt", "fair")
     script = encode(BmcProblem(model, 3))
     fires = [n for n in script.var_index if n.startswith("fire_")]
-    assert len(fires) == 9  # 3 positions x 3 steps
+    assert len(fires) == 6  # step i at positions i..3: 3 + 2 + 1
     assert script.var_index["fire_1_1_1"] == "Bool"
+    assert "fire_1_1_2" not in script.var_index  # step 2 cannot fire at 1
     assert script.var_index["t_1_2"] == "Real"
     assert script.var_index["tau_0"] == "Real"
-    # only step and time state: 9 fire, 12 done, 3 t, 4 tau
+    # only step and time state: 6 fire, 6 done, 3 t, 4 tau
     kinds = [n.split("_")[0] for n in script.var_index]
     assert sorted(set(kinds)) == ["done", "fire", "t", "tau"]
-    assert len(script.var_index) == 9 + 12 + 3 + 4
-    assert script.goal_positions == (1, 2, 3)
+    assert len(script.var_index) == 6 + 6 + 3 + 4
+    # no goal secret is derivable, so the goal floor is past every run
+    assert script.goal_positions == ()
+    attack = model_of(lib, "dsp", "key_compromise")  # goal floor 3
+    assert encode(BmcProblem(attack, 4)).goal_positions == (3, 4)
     assert script.text.startswith("(set-logic QF_LRA)")
     assert script.text.rstrip().endswith("(check-sat)")
 
@@ -57,20 +61,24 @@ def test_declarations_sorted(lib):
 
 def test_gating_only_for_intruder_steps(lib):
     model = model_of(lib, "nspkt", "mitm1_lowe")
-    text = encode(BmcProblem(model, 2)).text
+    text = encode(BmcProblem(model, 6)).text
     gating = text.split("; gating")[1].split("; goal")[0]
     gated_refs = {(st.sid, st.index) for st in model.exec_steps if st.gated}
     assert gated_refs == {(1, 2), (2, 1), (2, 3)}
-    for sid, i in gated_refs:
-        assert f"fire_1_{sid}_{i}" in gating
+    # (2,3) is outside the goal's cone: it has no symbols at all
+    assert (2, 3) not in model.cone and "_2_3" not in text
+    for sid, i in gated_refs & model.cone:
+        assert f"(=> fire_{model.earliest[(sid, i)]}_{sid}_{i} " in gating
     for st in model.exec_steps:
-        if not st.gated:
-            assert f"(=> fire_1_{st.sid}_{st.index} " not in gating
+        for j in range(1, 7):
+            if not st.gated:
+                assert f"(=> fire_{j}_{st.sid}_{st.index} " not in gating
 
 
 def test_goal_formula_disjunction_over_instances(lib):
     model = model_of(lib, "dsp", "key_compromise", k=2)
-    text = encode(BmcProblem(model, 2)).text
+    assert model.goal_floor == 6  # both sessions complete
+    text = encode(BmcProblem(model, 7)).text
     goal = text.split("; goal")[1]
     from tspbmc.terms import parse_term
     for sid in (1, 2):
@@ -78,7 +86,7 @@ def test_goal_formula_disjunction_over_instances(lib):
         kab = model.universe.id_of(parse_term(f"Kab#{sid}"))
         delivery = model.step_at(sid, 2)
         assert model.labels[kab] == ((model.universe.id_of(delivery.message),),)
-        for j in (1, 2):
+        for j in (6, 7):
             assert f"done_{j}_{sid}_2" in goal
 
 
@@ -142,9 +150,11 @@ def test_idle_positions_only_as_a_suffix(lib):
     model = model_of(lib, "nspkt", "mitm1_lowe")  # attack at 5 of 6 steps
     script = encode(BmcProblem(model, 6))
 
-    def fires(j):
+    def fires(j):  # the fire symbols the script declares at j
         return "(or " + " ".join(f"fire_{j}_{st.sid}_{st.index}"
-                                 for st in model.exec_steps) + ")"
+                                 for st in model.exec_steps
+                                 if f"fire_{j}_{st.sid}_{st.index}"
+                                 in script.var_index) + ")"
 
     def status_with(extra):
         text = script.text.replace("(check-sat)", f"(assert {extra})\n(check-sat)")

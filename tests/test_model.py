@@ -15,6 +15,7 @@ from tspbmc.model import (
     initial_knowledge,
     model_to_json,
 )
+from tspbmc.oracle import explicit_reach
 from tspbmc.terms import Cipher, Pair, TermUniverse, parse_term
 
 from conftest import assert_labels_exact, library_models, load, model_of
@@ -157,3 +158,50 @@ def test_eavesdrop_flag_controls_intruder_taps(lib):
     on = build_model(spec, replace(scen, eavesdrop=True))
     off = build_model(spec, replace(scen, eavesdrop=False))
     assert on.eavesdrop and not off.eavesdrop
+
+
+# ---- static goal analysis: hand-checked cones and goal floors ---------------
+
+
+def test_cone_of_lowe_fixed_is_session_one(lib):
+    # only session 1 must complete, and Tb#2 reaches the intruder only by
+    # (1,3); the gated (1,2) needs Tb#2 itself, so neither (1,2) nor (1,3)
+    # fires in any run and no goal holds
+    model = model_of(lib, "nspkt_lowe_fixed", "mitm1_lowe_adapted", k=2)
+    assert model.cone == {(1, 1), (1, 2), (1, 3)}
+    never = len(model.exec_steps) + 1
+    assert model.earliest == {(1, 1): 1, (1, 2): never, (1, 3): never}
+    assert model.goal_floor == never
+
+
+def test_cone_of_an_underivable_goal_is_the_required_sessions(lib):
+    model = model_of(lib, "nspkt", "fair", k=3)
+    assert model.cone == {(1, 1), (1, 2), (1, 3)}
+    assert model.goal_floor == 10  # past every run of the 9 steps
+
+
+def test_cone_and_floor_of_wmf_replay_generous(lib):
+    model = model_of(lib, "wmf", "replay_generous", k=2)
+    assert model.cone == {st.ref for st in model.exec_steps}
+    assert model.goal_floor == 6  # both sessions complete
+    assert model.earliest[(2, 1)] == 2  # the replay needs (1,1)'s message
+
+
+def test_cone_of_nspkt_mitm1_lowe_at_three_sessions(lib):
+    model = model_of(lib, "nspkt", "mitm1_lowe", k=3)
+    assert model.cone == {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)}
+    # (1,2) relays (2,2)'s reply, which needs (2,1), which relays (1,1)
+    assert [model.earliest[ref] for ref in sorted(model.cone)] == [1, 4, 5, 2, 3]
+    assert model.goal_floor == 5
+
+
+def test_goal_floor_counts_steps_outside_the_required_sessions(lib):
+    # the goal is Kab#2, which only (2,2) delivers: session 2's first two
+    # steps come on top of session 1's three
+    spec, scen = load(lib, "dsp", "key_compromise")
+    spec = replace(spec, goal=replace(spec.goal, target_sid=2,
+                                      require_complete=frozenset({1})))
+    model = build_model(spec, scen, k=2)
+    assert model.cone == {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)}
+    assert model.goal_floor == 5
+    assert explicit_reach(model, depth=6).depth == 5

@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -116,10 +117,10 @@ def test_iterate_bounds_attack_is_minimal(lib):
     assert verdict.outcome == "attack-found"
     assert verdict.bound == 5
     log = [(b, s) for b, s, _ in verdict.per_bound_log]
-    assert log[0][0] == 6  # the cap: the exec-step count
-    assert log[-1] == (4, "unsat")  # the bound below the attack is unsat
-    assert all(s == "sat" for _, s in log[:-1])
-    sat_bound = log[-2][0]
+    assert log[0][0] == len(model.cone) == 5  # below the cap, the step count 6
+    # the attack is at the goal floor, so no bound below it is asked
+    assert model.goal_floor == 5 and log == [(5, "sat")]
+    sat_bound = log[-1][0]
     names = list(encode(BmcProblem(model, sat_bound)).model_symbols)
     assert names and all(n.startswith(("fire_", "tau_")) for n in names)
     assert sorted(verdict.result.values) == names  # sat carries what decode reads
@@ -196,7 +197,7 @@ def test_iterate_bounds_spawns_one_child(lib, tmp_path, scenario, outcome, bound
     verdict = iterate_bounds(model, config=cfg)
     assert (verdict.outcome, verdict.bound) == (outcome, bound)
     queried = [b for b, _, _ in verdict.per_bound_log]
-    assert queried[0] == default_max_bound(model)
+    assert queried[0] == min(default_max_bound(model), len(model.cone))
     assert queried == sorted(set(queried), reverse=True)
     pids = spawned(pidfile)
     assert len(pids) == 1
@@ -226,11 +227,12 @@ def test_iterate_bounds_timeout_below_a_found_attack(lib):
              "src = sys.stdin; sys.stdin = types.SimpleNamespace(readline=lambda: "
              "(lambda line: time.sleep(60) if line.startswith('(reset)') else line)"
              "(src.readline())); sys.exit(main())")
-    model = model_of(lib, "nspkt", "mitm1_lowe")
+    # a goal floor of 1 proves nothing, so the loop asks below the attack
+    model = replace(model_of(lib, "nspkt", "mitm1_lowe"), goal_floor=1)
     cfg = solver_config(command=(sys.executable, "-c", stall), timeout=3.0)
     verdict = iterate_bounds(model, config=cfg)
-    (cap, first), (below, second) = [(b, s) for b, s, _ in verdict.per_bound_log]
-    assert (cap, first, second) == (6, "sat", "timeout")
+    (cone, first), (below, second) = [(b, s) for b, s, _ in verdict.per_bound_log]
+    assert (cone, first, second) == (5, "sat", "timeout")
     assert (verdict.outcome, verdict.bound) == ("inconclusive", below)
     assert f"an attack exists within bound {below + 1}" in verdict.reason
 
@@ -297,13 +299,20 @@ def test_queried_bounds_descend_to_below_oracle_depth(lib, tmp_path, protocol,
     model = model_of(lib, protocol, scenario, k=k)
     oracle = explicit_reach(model, depth=default_max_bound(model))
     assert oracle.outcome == "attack-found" and oracle.depth > 1
-    cfg = solver_config(command=(sys.executable, "-c", stdin_logging(logfile)))
-    verdict = iterate_bounds(model, config=cfg)
-    assert (verdict.outcome, verdict.bound) == ("attack-found", oracle.depth)
-    queried = queried_bounds(logfile)
-    assert queried == [b for b, _, _ in verdict.per_bound_log]
-    assert queried[0] == default_max_bound(model)
-    assert all(a > b for a, b in zip(queried, queried[1:]))
+    # the first query is at min(cap, |cone|), and the last one is unsat at
+    # g - 1 or sat at g = L; with a goal floor of 1 it is always unsat at g - 1
+    for floor in (model.goal_floor, 1):
+        logfile.unlink(missing_ok=True)
+        cfg = solver_config(command=(sys.executable, "-c", stdin_logging(logfile)))
+        verdict = iterate_bounds(replace(model, goal_floor=floor), config=cfg)
+        assert (verdict.outcome, verdict.bound) == ("attack-found", oracle.depth)
+        queried = queried_bounds(logfile)
+        assert queried == [b for b, _, _ in verdict.per_bound_log]
+        assert queried[0] == min(default_max_bound(model), len(model.cone))
+        assert all(a > b for a, b in zip(queried, queried[1:]))
+        last = verdict.per_bound_log[-1][:2]
+        assert last == (oracle.depth - 1, "unsat") or (
+            last[1] == "sat" and oracle.depth == floor)
     assert verdict.per_bound_log[-1][:2] == (oracle.depth - 1, "unsat")
 
 
@@ -336,12 +345,38 @@ def test_bound_n_is_sat_iff_oracle_attack_within_n(lib):
                                                   model.sessions, n)
 
 
+def test_bound_n_is_sat_iff_oracle_attack_within_n_on_a_partial_cone(lib):
+    # the same exactness where the goal's cone keeps 5 of the 9 steps
+    model = model_of(lib, "nspkt", "mitm1_lowe", k=3)
+    assert (len(model.cone), default_max_bound(model)) == (5, 9)
+    with SolverSession(BUNDLED) as session:
+        for n in range(1, 11):
+            status = session.run(encode(BmcProblem(model, n)), 120.0).status
+            oracle = explicit_reach(model, depth=n)
+            assert status == ("sat" if oracle.outcome == "attack-found"
+                              else "unsat"), n
+
+
+def test_attack_at_the_goal_floor_takes_one_query(lib):
+    # all 4 sessions must complete, so no goal holds before position 12,
+    # and the attack found there needs no unsat query below it
+    model = model_of(lib, "dsp", "key_compromise", k=4)
+    assert (len(model.cone), model.goal_floor) == (12, 12)
+    verdict = iterate_bounds(model, config=solver_config())
+    assert (verdict.outcome, verdict.bound) == ("attack-found", 12)
+    assert [(b, s) for b, s, _ in verdict.per_bound_log] == [(12, "sat")]
+
+
 def test_stranded_session_attack_is_found_from_the_cap(lib):
     model = stranded_model(lib)
     verdict = iterate_bounds(model, config=solver_config())
     assert (verdict.outcome, verdict.bound) == ("attack-found", 3)
     log = [(b, s) for b, s, _ in verdict.per_bound_log]
-    assert log[0] == (6, "sat") and log[-1] == (2, "unsat")
+    # session 2's last step is outside the goal's cone of 5 steps, and the
+    # attack is at the goal floor: session 1's 3 steps
+    assert (len(model.cone), model.goal_floor) == (5, 3)
+    assert log[0] == (5, "sat")
+    assert log[-1] == (2, "unsat") or verdict.bound == model.goal_floor
 
 
 def test_timeout_ends_a_wrapper_command():
