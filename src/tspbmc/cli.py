@@ -26,7 +26,7 @@ from . import library
 from .encoder import BmcProblem, encode
 from .errors import TspbmcError
 from .frontend import parse_protocol, parse_scenario
-from .model import build_model, model_to_json
+from .model import adequacy_warnings, build_model, model_to_json
 from .oracle import explicit_reach
 from .solver import SolverConfig, default_max_bound, iterate_bounds, resolve_solver_command
 from .terms import render_term
@@ -112,7 +112,7 @@ def cmd_check(args) -> int:
     )
     spec, scenario = _load_inputs(args.protocol, args.scenario)
     model = build_model(spec, scenario, k=args.sessions)
-    for w in model.warnings:
+    for w in adequacy_warnings(model):
         print(f"warning: {w}", file=sys.stderr)
     if not any(model.labels[tid] for tid in model.goal_secret_ids):
         for tid in model.goal_secret_ids:

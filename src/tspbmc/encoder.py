@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import TiisModel, intruder_deliveries
+from .model import TiisModel
 from .sexpr import render_value
 
 
@@ -118,7 +118,6 @@ def encode(problem: BmcProblem) -> SmtScript:
     universe = model.universe
     first = {ref: j for ref, j in model.earliest.items() if j <= n}
     steps = [st for st in model.exec_steps if st.ref in first]  # (sid, index) order
-    deliveries = intruder_deliveries(model.exec_steps, universe, model.eavesdrop)
 
     def done(j, st):
         """done_<j>, or false where the step cannot have fired by j."""
@@ -126,7 +125,7 @@ def encode(problem: BmcProblem) -> SmtScript:
 
     def received(j):
         """recv(m, j): some deliverer of root m has fired by j."""
-        return lambda m: _or([done(j, d) for d in deliveries[m]])
+        return lambda m: _or([done(j, d) for d in model.deliveries[m]])
 
     def firing(j):
         return [st for st in steps if first[st.ref] <= j]
@@ -192,12 +191,11 @@ def encode(problem: BmcProblem) -> SmtScript:
     lines.append("; lifetimes")
     for st in steps:
         for check in st.lifetime_checks:
-            gen = model.generation[check.term]
-            if gen.ref in first:
+            if check.gen in first:
                 assert_(
                     f"(=> {done(n, st)} "
                     f"(<= {t_name(*st.ref)} "
-                    f"(+ {t_name(*gen.ref)} {render_value(check.bound)})))"
+                    f"(+ {t_name(*check.gen)} {render_value(check.bound)})))"
                 )
 
     # gating: intruder-sent steps require constructibility at the prior position

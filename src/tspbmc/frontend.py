@@ -51,7 +51,6 @@ from .terms import (
     Term,
     instantiate,
     parse_term,
-    subterms,
 )
 
 INTRUDER = "I"
@@ -126,6 +125,7 @@ class Scenario:
 class LifetimeCheck:
     term: Fresh
     bound: Fraction
+    gen: tuple  # ref of the term's generation step
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,7 @@ class ExecStep:
     min_delay: Fraction
     gated: bool  # true iff sender is the intruder
     lifetime_checks: tuple = ()
+    generates: tuple = ()  # fresh terms whose generation step this is
 
     @property
     def ref(self):
@@ -249,6 +250,20 @@ def parse_protocol(text: str) -> ProtocolSpec:
     return spec
 
 
+def _fresh_atoms(t: Term):
+    """The fresh atoms of ``t`` left to right, with repeats, each paired
+    with whether it is a cipher key there."""
+    if isinstance(t, Fresh):
+        yield t, False
+    elif isinstance(t, Pair):
+        yield from _fresh_atoms(t.left)
+        yield from _fresh_atoms(t.right)
+    elif isinstance(t, Cipher):
+        if isinstance(t.key, Fresh):
+            yield t.key, True
+        yield from _fresh_atoms(t.body)
+
+
 def _validate_spec(spec: ProtocolSpec):
     for i, st in enumerate(spec.steps, start=1):
         if st.index != i:
@@ -266,23 +281,21 @@ def _validate_spec(spec: ProtocolSpec):
 
     seen: set = set()
     for st in spec.steps:
-        for sub in subterms(st.message):
-            if isinstance(sub, Fresh):
-                if sub.name not in decl_map:
-                    raise ProtocolError(f"step {st.index}: undeclared fresh atom {sub.name!r}")
-                if sub.name not in seen:
-                    if st.sender != decl_map[sub.name].owner:
-                        raise ProtocolError(
-                            f"fresh {sub.name!r} first sent by {st.sender!r}, "
-                            f"not its owner {decl_map[sub.name].owner!r}"
-                        )
-                    seen.add(sub.name)
-            if isinstance(sub, Cipher) and isinstance(sub.key, Fresh):
-                kd = decl_map.get(sub.key.name)
-                if kd is None or kd.klass != "sesskey":
+        for atom, is_key in _fresh_atoms(st.message):
+            decl = decl_map.get(atom.name)
+            if decl is None:
+                raise ProtocolError(f"step {st.index}: undeclared fresh atom {atom.name!r}")
+            if atom.name not in seen:
+                if st.sender != decl.owner:
                     raise ProtocolError(
-                        f"step {st.index}: cipher key {sub.key.name!r} is not a session key"
+                        f"fresh {atom.name!r} first sent by {st.sender!r}, "
+                        f"not its owner {decl.owner!r}"
                     )
+                seen.add(atom.name)
+            if is_key and decl.klass != "sesskey":
+                raise ProtocolError(
+                    f"step {st.index}: cipher key {atom.name!r} is not a session key"
+                )
 
 
 _OVERRIDE_KEYS = {"sid", "step", "kind", "edge", "L", "delay", "lifetime"}
@@ -402,24 +415,22 @@ def compute_generation(steps, decl_map) -> dict:
     term at all.
     """
     gen: dict = {}
-    fallback: dict = {}
+    first: dict = {}
     for st in sorted(steps, key=lambda s: (s.sid, s.index)):
-        for sub in subterms(st.message):
-            if isinstance(sub, Fresh):
-                fallback.setdefault(sub, st)
-                if sub not in gen and st.sender == decl_map[sub.name].owner:
-                    gen[sub] = st
-    for t, st in fallback.items():
-        gen.setdefault(t, st)
-    return gen
+        for t, _ in _fresh_atoms(st.message):
+            first.setdefault(t, st)
+            if t not in gen and st.sender == decl_map[t.name].owner:
+                gen[t] = st
+    return {t: gen.get(t, st) for t, st in first.items()}
 
 
 def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
     """Replicate steps over k sessions and substitute the overrides in place.
 
-    Returns the ExecStep list in (sid, index) order, with lifetime checks
-    attached to every use of a lifetime-bounded fresh term outside its
-    generation step.
+    Returns the ExecStep list in (sid, index) order. Each step lists the
+    fresh terms it generates (``compute_generation``), and carries a
+    lifetime check, naming the generation step, for every lifetime-bounded
+    fresh term it uses outside that step.
     """
     if k < 1:
         raise ScenarioError("session count must be >= 1")
@@ -447,7 +458,14 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
                 if ag != INTRUDER and ag not in spec.roles:
                     raise ScenarioError(f"override edge names undeclared agent {ag!r}")
             msg = instantiate(ov.message, ov.sid)
-            _check_fresh(msg, decl_map)
+            for atom, is_key in _fresh_atoms(msg):
+                decl = decl_map.get(atom.name)
+                if decl is None:
+                    raise ScenarioError(
+                        f"override message uses undeclared fresh atom {atom.name!r}")
+                if is_key and decl.klass != "sesskey":
+                    raise ScenarioError(
+                        f"override cipher key {atom.name!r} is not a declared session key")
             cur = dc_replace(
                 cur, sender=sender, receiver=receiver, message=msg,
                 gated=(ov.kind == "intruder"),
@@ -462,39 +480,21 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
         by_ref[(ov.sid, ov.step)] = cur
 
     steps = [by_ref[ref] for ref in sorted(by_ref)]
-    gen = compute_generation(steps, decl_map)
+    gen = {t: st.ref for t, st in compute_generation(steps, decl_map).items()}
 
     out = []
     for st in steps:
-        checks = []
+        fresh = dict.fromkeys(t for t, _ in _fresh_atoms(st.message))
         adjust = lifetime_adjust.get(st.ref, {})
-        for sub in sorted(
-            (s for s in subterms(st.message) if isinstance(s, Fresh)),
-            key=lambda f: (f.name, f.sid),
-        ):
-            if gen[sub].ref == st.ref:
-                continue  # generation itself is unconstrained
-            bound = adjust.get(sub.name, decl_map[sub.name].lifetime)
-            if bound is not None:
-                checks.append(LifetimeCheck(sub, bound))
-        out.append(dc_replace(st, lifetime_checks=tuple(checks)))
+        checks = []
+        for t in sorted(fresh, key=lambda f: (f.name, f.sid)):
+            bound = adjust.get(t.name, decl_map[t.name].lifetime)
+            # generation itself is unconstrained
+            if gen[t] != st.ref and bound is not None:
+                checks.append(LifetimeCheck(t, bound, gen[t]))
+        generates = tuple(t for t in fresh if gen[t] == st.ref)
+        out.append(dc_replace(st, lifetime_checks=tuple(checks), generates=generates))
     return out
-
-
-def _check_fresh(t: Term, decl_map):
-    """Every fresh atom in an override message is declared, and a fresh
-    cipher key is a declared session key; checked left to right."""
-    if isinstance(t, Fresh) and t.name not in decl_map:
-        raise ScenarioError(f"override message uses undeclared fresh atom {t.name!r}")
-    if isinstance(t, Pair):
-        _check_fresh(t.left, decl_map)
-        _check_fresh(t.right, decl_map)
-    if isinstance(t, Cipher):
-        _check_fresh(t.key, decl_map)
-        if isinstance(t.key, Fresh) and decl_map[t.key.name].klass != "sesskey":
-            raise ScenarioError(
-                f"override cipher key {t.key.name!r} is not a declared session key")
-        _check_fresh(t.body, decl_map)
 
 
 def effective_require_complete(spec: ProtocolSpec, steps, k: int) -> frozenset:

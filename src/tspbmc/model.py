@@ -14,7 +14,8 @@ Checking*, 1999) and earliest positions (no step fires, and no goal
 holds, before them).
 
 ``Run`` is the one concrete semantics of a model: session order,
-delivery to ``receivers`` with knowledge closure, and the goal test.
+delivery to ``receivers`` with knowledge closure, a sender's knowledge
+of the fresh terms its step generates, and the goal test.
 Decoding, replay, the oracle and ``adequacy_warnings`` step through it;
 the timing rules are ``step_constraints``.
 """
@@ -32,7 +33,6 @@ from .frontend import (
     ProtocolSpec,
     Scenario,
     apply_overrides,
-    compute_generation,
     effective_require_complete,
 )
 from .terms import (
@@ -71,15 +71,14 @@ class TiisModel:
     rules: tuple
     depth: int  # universe nesting depth (at least 1)
     initial_knowledge: dict  # agent -> frozenset of term ids
-    generation: dict  # Fresh term -> ExecStep
     require_complete: frozenset
     goal_secret_ids: tuple  # term ids the intruder must learn (disjunction)
     eavesdrop: bool
+    deliveries: dict  # intruder root id -> the exec steps delivering it
     labels: tuple  # term id -> minimal root supports (sorted id tuples)
     cone: frozenset  # refs of the steps a goal run can need
     earliest: dict  # cone step ref -> first position it can fire at
     goal_floor: int  # L: no goal holds at a position before it
-    warnings: tuple = ()
 
     def steps_per_session(self) -> int:
         return max(st.index for st in self.exec_steps)
@@ -189,14 +188,14 @@ def closure(known, rules) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def constructible(known, t: Term, universe: TermUniverse, rules) -> bool:
-    """Can the intruder produce ``t`` from the knowledge ``known``?
+def constructible(known, t: Term, universe: TermUniverse) -> bool:
+    """Can the intruder produce ``t`` from the closed knowledge ``known``?
 
     The rules hold pair and encrypt for every universe member, and the
     universe is subterm-closed, so this is membership in the closure; the
     minimal root supports of ``t`` are its label.
     """
-    return universe.id_of(t) in closure(known, rules)
+    return universe.id_of(t) in known
 
 
 def step_constraints(model: TiisModel, sequence) -> list:
@@ -221,9 +220,8 @@ def step_constraints(model: TiisModel, sequence) -> list:
            (node, prev, Fraction(0), False, "delay")]
     fired = {s.ref for s in sequence}
     for check in st.lifetime_checks:
-        gen = model.generation[check.term].ref
-        if gen in fired:
-            out.append((gen, node, check.bound, False, "lifetime"))
+        if check.gen in fired:
+            out.append((check.gen, node, check.bound, False, "lifetime"))
     return out
 
 
@@ -240,7 +238,6 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
         for a in agents
     }
     rules = compile_rules(universe)
-    generation = compute_generation(steps, spec.decl_map())
 
     secret_ids = []
     goal = spec.goal
@@ -261,7 +258,7 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
     cone, earliest, goal_floor = goal_analysis(
         steps, universe, labels, deliveries, require, secret_ids)
 
-    model = TiisModel(
+    return TiisModel(
         protocol=spec.name,
         scenario=scenario.name,
         sessions=k,
@@ -271,16 +268,15 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
         rules=rules,
         depth=max(universe.depth, 1),
         initial_knowledge=init,
-        generation=generation,
         require_complete=require,
         goal_secret_ids=tuple(secret_ids),
         eavesdrop=scenario.eavesdrop,
+        deliveries=deliveries,
         labels=labels,
         cone=cone,
         earliest=earliest,
         goal_floor=goal_floor,
     )
-    return TiisModel(**{**model.__dict__, "warnings": tuple(adequacy_warnings(model))})
 
 
 def _antichain(sets, universe: TermUniverse, tid: int) -> list:
@@ -434,15 +430,19 @@ class Run:
 
     def then(self, step):
         """Fire ``step``: its message goes to ``receivers(step,
-        model.eavesdrop)``. Returns the next run and agent -> sorted tuple
-        of the term ids that agent newly knows."""
+        model.eavesdrop)``, and an honest sender knows the fresh terms the
+        step generates. Returns the next run and agent -> sorted tuple of
+        the term ids that agent newly knows."""
         model = self.model
-        rid = model.universe.id_of(step.message)
+        id_of = model.universe.id_of
+        new = {a: {id_of(step.message)} for a in receivers(step, model.eavesdrop)}
+        if step.sender != INTRUDER:
+            new[step.sender] = {id_of(t) for t in step.generates}
         known = dict(self.known)
         gained = {}
-        for a in sorted(receivers(step, model.eavesdrop)):
-            if rid not in known[a]:  # closed knowledge holding rid is unchanged
-                known[a] = closure(known[a] | {rid}, model.rules)
+        for a in sorted(new):
+            if not new[a] <= known[a]:  # closed knowledge holding them is unchanged
+                known[a] = closure(known[a] | new[a], model.rules)
                 gained[a] = tuple(sorted(known[a] - self.known[a]))
         pc = self.pc[:step.sid - 1] + (step.index + 1,) + self.pc[step.sid:]
         return Run(model, pc, known), gained
@@ -498,24 +498,20 @@ def model_to_json(model: TiisModel) -> dict:
                 "min_delay": str(st.min_delay),
                 "gated": st.gated,
                 "lifetime_checks": [
-                    {"term": render_term(c.term), "bound": str(c.bound)}
+                    {"term": render_term(c.term), "bound": str(c.bound), "gen": list(c.gen)}
                     for c in st.lifetime_checks
                 ],
+                "generates": [render_term(t) for t in st.generates],
             }
             for st in model.exec_steps
         ],
         "initial_knowledge": {
             a: sorted(model.initial_knowledge[a]) for a in model.agents
         },
-        "generation": {
-            render_term(t): [st.sid, st.index] for t, st in sorted(
-                model.generation.items(), key=lambda kv: render_term(kv[0])
-            )
-        },
         "require_complete": sorted(model.require_complete),
         "goal_secrets": [render_term(model.universe.term_of(i)) for i in model.goal_secret_ids],
         "cone": [{"sid": sid, "step": i, "earliest": model.earliest[(sid, i)]}
                  for sid, i in sorted(model.cone)],
         "goal_floor": model.goal_floor,
-        "warnings": list(model.warnings),
+        "warnings": adequacy_warnings(model),
     }

@@ -27,7 +27,7 @@ from typing import Optional
 
 from .dbm import solve
 from .frontend import INTRUDER
-from .model import Run, TiisModel, closure, constructible, receivers, step_constraints
+from .model import Run, TiisModel, closure, constructible, step_constraints
 from .witness import Trace, trace_of
 
 
@@ -49,9 +49,8 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
     last = model.steps_per_session()
     # the intruder learns only the messages delivered to it: a goal secret
     # outside the closure of all of them is unknown in every interleaving
-    roots = {model.universe.id_of(st.message) for st in model.exec_steps
-             if INTRUDER in receivers(st, model.eavesdrop)}
-    reachable = closure(model.initial_knowledge[INTRUDER] | roots, model.rules)
+    reachable = closure(model.initial_knowledge[INTRUDER] | set(model.deliveries),
+                        model.rules)
     if not any(t in reachable for t in model.goal_secret_ids):
         return OracleResult("no-attack-up-to", depth)
 
@@ -64,7 +63,7 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
                     continue
                 st = model.step_at(sid, i)
                 if st.gated and not constructible(run.known[INTRUDER], st.message,
-                                                  model.universe, model.rules):
+                                                  model.universe):
                     continue
                 new_seq = seq + (st,)
                 new_cons = cons + tuple(step_constraints(model, new_seq))

@@ -152,8 +152,7 @@ def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
             return ReplayViolation(
                 "session order", ev.position,
                 f"session {ev.sid} expects step {expected}, got {ev.index}")
-        if st.gated and not constructible(run.known[INTRUDER], st.message,
-                                          universe, model.rules):
+        if st.gated and not constructible(run.known[INTRUDER], st.message, universe):
             return ReplayViolation(
                 "gating", ev.position,
                 f"intruder cannot construct {render_term(st.message)}")

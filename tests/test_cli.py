@@ -6,6 +6,8 @@ from tspbmc import library
 from tspbmc.cli import main
 from tspbmc.witness import parse_json
 
+from conftest import UNREADABLE
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -161,6 +163,36 @@ def test_dump_model_deterministic_json(capsys):
     data = json.loads(first)
     assert data["protocol"] == "WMF_T"
     assert data["sessions"] == 2
+
+
+def test_dump_model_prints_step_facts(capsys):
+    code, out, _ = run(capsys, "dump-model", "wmf", "replay_generous")
+    assert code == 0
+    data = json.loads(out)
+    assert "generation" not in data
+    assert data["warnings"] == []
+    steps = {(st["sid"], st["step"]): st for st in data["exec_steps"]}
+    assert steps[(1, 1)]["generates"] == ["Ta#1", "Kab#1"]
+    assert steps[(2, 1)]["generates"] == []  # the replay of session 1's message
+    assert steps[(2, 1)]["lifetime_checks"] == [{"term": "Ta#1", "bound": "3", "gen": [1, 1]}]
+    assert steps[(2, 2)]["lifetime_checks"] == [{"term": "Ta#1", "bound": "100", "gen": [1, 1]}]
+
+
+@pytest.mark.parametrize("scenario, exit_code", [
+    ("fair", 0), ("replay_generous", 10), ("replay_tight", 0)])
+def test_check_wmf_warns_nothing(capsys, scenario, exit_code):
+    # A decrypts step 3 with the Kab it generated at step 1
+    code, _, err = run(capsys, "check", "wmf", scenario)
+    assert code == exit_code
+    assert "warning:" not in err
+
+
+def test_check_warns_of_an_unreadable_cipher(capsys, tmp_path):
+    (tmp_path / "p.ab").write_text(UNREADABLE, encoding="utf-8")
+    (tmp_path / "s.json").write_text('{"name": "s", "overrides": []}', encoding="utf-8")
+    code, _, err = run(capsys, "check", str(tmp_path / "p.ab"), str(tmp_path / "s.json"))
+    assert code == 0
+    assert err.splitlines()[0] == "warning: step (1,1): receiver B cannot decrypt <Kab#1,Na#1>"
 
 
 def test_sessions_flag_overrides_scenario(capsys):

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import tspbmc
 from tspbmc.errors import ProtocolError, ScenarioError
 from tspbmc.frontend import (
     apply_overrides,
@@ -182,6 +186,76 @@ def test_generation_falls_back_when_owner_send_overridden():
     steps = apply_overrides(spec, scen, 1)
     gen = compute_generation(steps, spec.decl_map())
     assert gen[parse_term("Ta#1")].ref == (1, 1)  # first-containing fallback
+    assert steps[0].generates == (parse_term("Ta#1"),)
+    # B's step 2 is the first to carry Ta#1 once A's step 1 no longer does
+    scen = scenario(overrides=[
+        {"sid": 1, "step": 1, "kind": "replace", "edge": "A->B", "L": "A"}])
+    steps = apply_overrides(spec, scen, 1)
+    assert compute_generation(steps, spec.decl_map())[parse_term("Ta#1")].ref == (1, 2)
+    assert steps[1].generates == (parse_term("Ta#1"), parse_term("Tb#1"))
+    assert steps[1].lifetime_checks == ()
+
+
+def test_step_facts_follow_compute_generation(lib):
+    fallback = scenario(overrides=[
+        {"sid": 1, "step": 1, "kind": "replace", "edge": "A->B", "L": "A"}])
+    cases = [(parse_protocol(NSPK), fallback)] + [
+        (parse_protocol(entry.protocol), parse_scenario(text))
+        for entry in lib.values() for text in entry.scenarios.values()]
+    checked = 0
+    for spec, scen in cases:
+        for k in (1, 2, 3):
+            try:
+                steps = apply_overrides(spec, scen, k)
+            except ScenarioError:
+                continue  # overrides reference sessions beyond k
+            gen = compute_generation(steps, spec.decl_map())
+            assert sorted((t.name, t.sid, st.ref) for st in steps for t in st.generates) \
+                == sorted((t.name, t.sid, g.ref) for t, g in gen.items())
+            for st in steps:
+                for check in st.lifetime_checks:
+                    assert check.gen == gen[check.term].ref != st.ref
+                    checked += 1
+    assert checked > 50
+
+
+_FIRST_BAD_ATOM = """
+from tspbmc.errors import TspbmcError
+from tspbmc.frontend import apply_overrides, parse_protocol, parse_scenario
+head = "name: X\\nroles: A B\\ngoal: secrecy Ta sid any\\n"
+step = "step 1: A -> B : Ta | Xa | Yb | Zc | Wd\\n"
+decls = [("fresh: Ta by A class nonce lifetime none\\n"
+          "fresh: Xa by A class nonce lifetime none\\n"),
+         "".join(f"fresh: {n} by B class nonce lifetime none\\n"
+                 for n in ("Ta", "Xa", "Yb", "Zc", "Wd"))]
+for d in decls:
+    try:
+        parse_protocol(head + d + step)
+    except TspbmcError as e:
+        print(e)
+spec = parse_protocol(head + decls[0] + "step 1: A -> B : Ta\\n")
+scen = parse_scenario('{"name": "s", "overrides": [{"sid": 1, "step": 1, '
+                      '"kind": "replace", "edge": "A->B", "L": "Ta | Zz | Yy | <Xa,Ww>"}]}')
+try:
+    apply_overrides(spec, scen, 1)
+except TspbmcError as e:
+    print(e)
+"""
+
+
+def test_first_bad_fresh_atom_is_named_left_to_right():
+    src = os.path.dirname(os.path.dirname(tspbmc.__file__))
+    outputs = []
+    for seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _FIRST_BAD_ATOM], env=env, check=True,
+            capture_output=True, text=True).stdout.splitlines())
+    assert outputs[0] == outputs[1] == [
+        "step 1: undeclared fresh atom 'Yb'",
+        "fresh 'Ta' first sent by 'A', not its owner 'B'",
+        "override message uses undeclared fresh atom 'Zz'",
+    ]
 
 
 def test_effective_require_complete_default_and_explicit():

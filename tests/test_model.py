@@ -4,8 +4,9 @@ from dataclasses import replace
 import pytest
 
 from tspbmc.errors import ModelError, ScenarioError
-from tspbmc.frontend import INTRUDER, parse_scenario
+from tspbmc.frontend import INTRUDER, parse_protocol, parse_scenario
 from tspbmc.model import (
+    Run,
     adequacy_warnings,
     build_model,
     build_universe,
@@ -18,7 +19,7 @@ from tspbmc.model import (
 from tspbmc.oracle import explicit_reach
 from tspbmc.terms import Cipher, Pair, TermUniverse, parse_term
 
-from conftest import assert_labels_exact, library_models, load, model_of
+from conftest import UNREADABLE, assert_labels_exact, library_models, load, model_of
 
 
 def ids(universe, *texts):
@@ -107,24 +108,31 @@ def test_support_labels_exact_on_library(lib):
 def test_constructible_examples(lib):
     model = model_of(lib, "nspkt", "fair")
     u = model.universe
+
+    def known(*texts):  # constructible takes closed knowledge
+        return closure(ids(u, *texts), model.rules)
+
     t = parse_term("<KB,Ta#1|A>")
-    assert constructible(ids(u, "KB", "Ta#1", "A"), t, u, model.rules)
-    assert constructible(ids(u, "<KB,Ta#1|A>"), t, u, model.rules)  # replay
-    assert not constructible(frozenset(), parse_term("Ta#1"), u, model.rules)
-    assert not constructible(ids(u, "KB", "A"), t, u, model.rules)
+    assert constructible(known("KB", "Ta#1", "A"), t, u)
+    assert constructible(known("<KB,Ta#1|A>"), t, u)  # replay
+    assert not constructible(known(), parse_term("Ta#1"), u)
+    assert not constructible(known("KB", "A"), t, u)
 
 
 def test_build_model_pins(lib):
     model = model_of(lib, "nspkt", "fair")
     assert len(model.exec_steps) == 3
-    assert model.generation[parse_term("Ta#1")].ref == (1, 1)
-    assert model.generation[parse_term("Tb#1")].ref == (1, 2)
+    assert [st.generates for st in model.exec_steps] == [
+        (parse_term("Ta#1"),), (parse_term("Tb#1"),), ()]
+    assert [[(c.term, c.gen) for c in st.lifetime_checks] for st in model.exec_steps] == [
+        [], [(parse_term("Ta#1"), (1, 1))], [(parse_term("Tb#1"), (1, 2))]]
     assert model.require_complete == frozenset({1})
     assert model.goal_secret_ids == (model.universe.id_of(parse_term("Tb#1")),)
 
     mitm = model_of(lib, "nspkt", "mitm1_lowe")
     assert mitm.sessions == 2
-    assert mitm.generation[parse_term("Ta#1")].ref == (1, 1)
+    assert mitm.step_at(1, 1).generates == (parse_term("Ta#1"),)
+    assert mitm.step_at(1, 2).lifetime_checks[0].gen == (1, 1)
     assert [model.universe.term_of(i) for i in model.goal_secret_ids]
 
 
@@ -140,10 +148,33 @@ def test_goal_secret_must_occur(lib):
 
 def test_adequacy_warnings(lib):
     # fair nspkt: all receivers can decrypt
-    assert model_of(lib, "nspkt", "fair").warnings == ()
-    # wmf step 3 is encrypted under Kab, which A never receives
-    warns = model_of(lib, "wmf", "fair").warnings
-    assert any("cannot decrypt" in w for w in warns)
+    assert adequacy_warnings(model_of(lib, "nspkt", "fair")) == []
+    # wmf step 3 is encrypted under Kab, which A generated at step 1
+    for scen in ("fair", "replay_generous", "replay_tight"):
+        assert adequacy_warnings(model_of(lib, "wmf", scen)) == [], scen
+    # here B never learns the session key A encrypts under
+    spec = parse_protocol(UNREADABLE)
+    model = build_model(spec, parse_scenario('{"name": "s", "overrides": []}'))
+    assert adequacy_warnings(model) == ["step (1,1): receiver B cannot decrypt <Kab#1,Na#1>"]
+
+
+def test_honest_sender_knows_what_its_step_generates(lib):
+    model = model_of(lib, "wmf", "fair")
+    u = model.universe
+    _, gained = Run.start(model).then(model.step_at(1, 1))
+    assert ids(u, "Kab#1", "Ta#1") <= set(gained["A"])
+    # the intruder only gets the message
+    assert gained[INTRUDER] == (u.id_of(model.step_at(1, 1).message),)
+    # an intruder-sent generation step gives the intruder nothing extra
+    spec, _ = load(lib, "nspkt", "fair")
+    scen = parse_scenario('{"name": "x", "overrides": [{"sid": 1, "step": 1, '
+                          '"kind": "intruder", "edge": "I->B", "L": "<KB,Ta#1|A>"}]}')
+    model = build_model(spec, scen)
+    first = model.step_at(1, 1)
+    assert first.generates == (parse_term("Ta#1"),)
+    _, gained = Run.start(model).then(first)
+    assert set(gained) == {"B", INTRUDER}
+    assert parse_term("Ta#1") not in {model.universe.term_of(t) for t in gained[INTRUDER]}
 
 
 def test_model_to_json_deterministic(lib):

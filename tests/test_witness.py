@@ -38,6 +38,7 @@ def test_decode_shape(mitm):
     assert (first.sid, first.index) == (1, 1)
     assert first.message == parse_term("<KI,Ta#1|A>")
     assert parse_term("<KI,Ta#1|A>") in first.deltas["I"]
+    assert parse_term("Ta#1") in first.deltas["A"]  # A generates Ta#1 here
     assert trace.secret == parse_term("Tb#2")
     assert trace.completed_sessions == (1,)
 
