@@ -48,9 +48,11 @@ from .terms import (
     Cipher,
     Fresh,
     Pair,
+    SymKey,
     Term,
     instantiate,
     parse_term,
+    render_term,
 )
 
 INTRUDER = "I"
@@ -424,16 +426,37 @@ def compute_generation(steps, decl_map) -> dict:
     return {t: gen.get(t, st) for t, st in first.items()}
 
 
+def _check_compromised(spec: ProtocolSpec, compromised, k: int):
+    """Each compromised entry names only declared roles or the intruder, and
+    a fresh atom in it is a declared session key of one of the k sessions."""
+    sesskeys = {d.name for d in spec.fresh_decls if d.klass == "sesskey"}
+    for text in compromised:
+        key = parse_term(text)
+        if isinstance(key, Fresh) and not (key.name in sesskeys and key.sid and key.sid <= k):
+            raise ScenarioError(f"compromised entry {text!r} is not a declared "
+                                f"session key of sessions 1..{k}")
+        # the agents a key names: two for a symmetric key, one for a public or
+        # private key, and none (INTRUDER, always declared) for other terms
+        named = (key.a, key.b) if isinstance(key, SymKey) else (getattr(key, "agent", INTRUDER),)
+        for agent in named:
+            if agent not in spec.roles + (INTRUDER,):
+                raise ScenarioError(
+                    f"compromised entry {text!r}: {agent!r} is not a declared role")
+
+
 def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
     """Replicate steps over k sessions and substitute the overrides in place.
 
     Returns the ExecStep list in (sid, index) order. Each step lists the
     fresh terms it generates (``compute_generation``), and carries a
     lifetime check, naming the generation step, for every lifetime-bounded
-    fresh term it uses outside that step.
+    fresh term it uses outside that step. An honest sender sends only fresh
+    terms its step generates or that it sent or received earlier in the
+    same session.
     """
     if k < 1:
         raise ScenarioError("session count must be >= 1")
+    _check_compromised(spec, scenario.compromised, k)
     decl_map = spec.decl_map()
     nsteps = len(spec.steps)
 
@@ -483,6 +506,7 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
     gen = {t: st.ref for t, st in compute_generation(steps, decl_map).items()}
 
     out = []
+    seen = set()  # (sid, agent, fresh term) of the messages an agent sent or received
     for st in steps:
         fresh = dict.fromkeys(t for t, _ in _fresh_atoms(st.message))
         adjust = lifetime_adjust.get(st.ref, {})
@@ -493,6 +517,12 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
             if gen[t] != st.ref and bound is not None:
                 checks.append(LifetimeCheck(t, bound, gen[t]))
         generates = tuple(t for t in fresh if gen[t] == st.ref)
+        for t in fresh:
+            if not (st.gated or t in generates or (st.sid, st.sender, t) in seen):
+                raise ScenarioError(
+                    f"step ({st.sid},{st.index}): {st.sender} sends {render_term(t)} "
+                    "before it generates or receives it")
+            seen |= {(st.sid, st.sender, t), (st.sid, st.receiver, t)}
         out.append(dc_replace(st, lifetime_checks=tuple(checks), generates=generates))
     return out
 

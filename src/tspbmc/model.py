@@ -140,10 +140,7 @@ def initial_knowledge(agent: str, universe: TermUniverse,
         elif isinstance(t, SymKey) and agent in (t.a, t.b):
             known.add(t)
     if agent == INTRUDER:
-        for text in compromised:
-            key = parse_term(text)
-            if key in universe:
-                known.add(key)
+        known.update(parse_term(text) for text in compromised)
     return frozenset(universe.id_of(t) for t in known)
 
 
@@ -216,12 +213,11 @@ def step_constraints(model: TiisModel, sequence) -> list:
     node = st.ref
     pred = (st.sid, st.index - 1) if st.index > 1 else ZERO
     prev = sequence[-2].ref if len(sequence) > 1 else ZERO
-    out = [(node, pred, -st.min_delay, False, "delay"),
-           (node, prev, Fraction(0), False, "delay")]
+    out = [(node, pred, -st.min_delay, "delay"), (node, prev, Fraction(0), "delay")]
     fired = {s.ref for s in sequence}
     for check in st.lifetime_checks:
         if check.gen in fired:
-            out.append((check.gen, node, check.bound, False, "lifetime"))
+            out.append((check.gen, node, check.bound, "lifetime"))
     return out
 
 

@@ -15,16 +15,17 @@ its first disjunct of several clauses, with a fresh literal that implies
 each later such disjunct. The accepted fragment is what the encoder
 emits: ``and``, ``or``, ``not``, ``=>``, a binary ``=`` whose first
 argument is a Bool symbol, ``true``, ``false``, Bool symbols, and the
-relations ``<= < >= > =`` between sums of Real symbols and constants
-that normalize to at most two variables with opposite coefficients
-(x - y <= c, x <= c, x = c, ...), a real ``=`` only positively.
-Anything else is answered with an ``(error "unsupported: ...")`` reply.
+relations ``<= >= =`` between sums of Real symbols and constants that
+normalize to at most two variables with opposite coefficients
+(x - y <= c, x <= c, x = c, ...), in positive polarity only: a theory
+atom under ``not``, as the antecedent of ``=>`` or inside a Boolean
+``=`` is outside it, and so are ``<`` and ``>``. Anything else is
+answered with an ``(error "unsupported: ...")`` reply.
 
 The search is a lazy DPLL(T): a small watched-literal SAT core over those
-clauses. Each theory atom becomes difference edges once, when it is
-interned with the polarity in which it occurs; at a full assignment the
-edges of the assigned atom literals go to ``dbm.solve``, and a negative
-cycle becomes a blocking clause.
+clauses. Each theory atom becomes non-strict difference edges once, when
+it is interned; at a full assignment the edges of the atoms assigned true
+go to ``dbm.solve``, and a negative cycle becomes a blocking clause.
 """
 
 from __future__ import annotations
@@ -35,19 +36,19 @@ from fractions import Fraction
 from .dbm import ZERO, solve
 from .sexpr import Reader, parse_value, render_value, string_literal, string_value
 
-_REL_OPS = {"<=", "<", ">=", ">", "="}
+_REL_OPS = {"<=", ">=", "="}
 
 
 class Unsupported(Exception):
     pass
 
 
-def _edge(coeffs, const, strict, block):
-    """The dbm constraint of sum(a*x) <= const (< when strict), tagged
-    with the literal ``block``."""
+def _edge(coeffs, const, block):
+    """The dbm constraint of sum(a*x) <= const, tagged with the literal
+    ``block``."""
     items = list(coeffs.items())
     if not items:
-        return (ZERO, ZERO, const, strict, block)
+        return (ZERO, ZERO, const, block)
     x, a = items[0]
     if len(items) == 1:
         u, v = (ZERO, x) if a > 0 else (x, ZERO)
@@ -57,7 +58,7 @@ def _edge(coeffs, const, strict, block):
     else:
         raise Unsupported("non-difference linear constraint")
     scale = abs(a)
-    return (u, v, const if scale == 1 else const / scale, strict, block)
+    return (u, v, const if scale == 1 else const / scale, block)
 
 
 class Solver:
@@ -74,7 +75,7 @@ class Solver:
         self.in_order = set()
         self.default_pol = [True]
         self.atoms = {}  # canonical key -> var
-        self.edges = {}  # atom literal -> its dbm constraints
+        self.edges = {}  # atom var -> its dbm constraints
         self.status = None
         self.real_values = {}
         self.unsat_at_root = False
@@ -247,14 +248,12 @@ class Solver:
 
         Returns (True, values) or (False, blocking clause literals).
         """
-        constraints = []
-        for var in self.atoms.values():
-            if self.val[var]:
-                constraints += self.edges.get(var * self.val[var], ())
+        constraints = [e for var, edges in self.edges.items() if self.val[var] == 1
+                       for e in edges]
         ok, payload = solve(constraints)
         if ok:
             return True, payload
-        return False, sorted({constraints[i][4] for i in payload}, key=abs)
+        return False, sorted({constraints[i][3] for i in payload}, key=abs)
 
     # ---- compilation ---------------------------------------------------
 
@@ -278,12 +277,11 @@ class Solver:
             raise Unsupported(f"arithmetic term {ast!r}")
         return {}, value
 
-    def _theory_lit(self, ast, positive: bool) -> int:
-        """Intern a theory atom; returns its literal in the given polarity.
+    def _theory_lit(self, ast) -> int:
+        """Intern a theory atom; returns its variable.
 
-        The difference edges of its true literal are made when the atom is
-        interned, and those of its false literal once the atom occurs
-        negatively, each tagged with the literal that blocks it.
+        The difference edges of the atom are made when it is interned,
+        each tagged with the literal that blocks it.
         """
         if len(ast) != 3:
             raise Unsupported(f"{ast[0]!r} takes two arguments")
@@ -295,31 +293,19 @@ class Solver:
             coeffs[x] = coeffs.get(x, Fraction(0)) - a
         coeffs = {x: a for x, a in coeffs.items() if a != 0}
         const = rk - lk  # expr <= const form
-        if op in (">=", ">"):
+        if op == ">=" or (op == "=" and coeffs and coeffs[min(coeffs)] < 0):
+            # y >= c is -y <= -c; an equality is keyed with its first
+            # coefficient positive
             coeffs = {x: -a for x, a in coeffs.items()}
             const = -const
-            op = "<=" if op == ">=" else "<"
-        if op == "=" and coeffs:
-            first = min(coeffs)
-            if coeffs[first] < 0:
-                coeffs = {x: -a for x, a in coeffs.items()}
-                const = -const
-        if op == "=" and not positive:
-            raise Unsupported("negated equality over reals")
-        key = (op, tuple(sorted(coeffs.items())), const)
+        key = (op == "=", tuple(sorted(coeffs.items())), const)
         v = self.atoms.get(key)
         if v is None:
             v = self.atoms[key] = self.new_var(default_pol=False)
-            edge = _edge(coeffs, const, op == "<", -v)
-            self.edges[v] = [edge]
-            if op == "=":
-                self.edges[v].append((edge[1], edge[0], -edge[2], False, -v))
-        if not positive and -v not in self.edges:
-            # the reversed edge: not(x_b - x_a <= w) is x_a - x_b < -w, and
-            # not(x_b - x_a < w) is x_a - x_b <= -w
-            a, b, w, strict, _ = self.edges[v][0]
-            self.edges[-v] = [(b, a, -w, not strict, v)]
-        return v if positive else -v
+            edge = _edge(coeffs, const, -v)
+            reverse = (edge[1], edge[0], -edge[2], -v)  # an equality bounds both ways
+            self.edges[v] = [edge, reverse] if op == "=" else [edge]
+        return v
 
     def _clauses(self, ast, positive: bool = True) -> list:
         """The clauses of ``ast``, or of its negation when not ``positive``.
@@ -345,7 +331,9 @@ class Solver:
             return (self._disjunction([[[-a]], self._clauses(b, positive)])
                     + self._disjunction([[[a]], self._clauses(b, not positive)]))
         if op in _REL_OPS:
-            return [[self._theory_lit(ast, positive)]]
+            if not positive:
+                raise Unsupported("theory atom in negative polarity")
+            return [[self._theory_lit(ast)]]
         if op == "=>" and len(args) == 2:
             # (=> a b) is (or (not a) b)
             parts = [self._clauses(args[0], not positive), self._clauses(args[1], positive)]

@@ -158,13 +158,12 @@ def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
                 f"intruder cannot construct {render_term(st.message)}")
         fired.append(st)
         times[st.ref] = ev.time
-        for u, v, w, strict, kind in step_constraints(model, fired):
+        for u, v, w, kind in step_constraints(model, fired):
             diff = times[v] - times[u]
-            if diff > w or (strict and diff == w):
+            if diff > w:
                 return ReplayViolation(
                     kind, ev.position,
-                    f"{_clock(v)} - {_clock(u)} = {diff}, must be "
-                    f"{'<' if strict else '<='} {w}")
+                    f"{_clock(v)} - {_clock(u)} = {diff}, must be <= {w}")
 
         run, gains = run.then(st)
         for a in model.agents:

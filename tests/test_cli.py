@@ -293,6 +293,29 @@ def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("protocol, scenario_edit, message", [
+    ("nspkt", _replace(edge="A->I", L="Tb#1"),
+     "step (1,1): A sends Tb#1 before it generates or receives it"),
+    # session 2 generates Tb#2, and its steps need not fire in a witness
+    ("nspkt", {"sessions": 2, **_replace(edge="A->I", L="Tb#2")},
+     "step (1,1): A sends Tb#2 before it generates or receives it"),
+    ("dsp", {"compromised": ["KAZ"]}, "compromised entry 'KAZ': 'Z' is not a declared role"),
+    ("dsp", {"compromised": ["KZ"]}, "compromised entry 'KZ': 'Z' is not a declared role"),
+    ("dsp", {"compromised": ["Kab#2"]},
+     "compromised entry 'Kab#2' is not a declared session key of sessions 1..1"),
+    ("dsp", {"compromised": ["Kab"]},
+     "compromised entry 'Kab' is not a declared session key of sessions 1..1"),
+    ("dsp", {"compromised": ["Tb"]},
+     "compromised entry 'Tb' is not a declared session key of sessions 1..1"),
+])
+def test_check_rejects_a_scenario_it_cannot_mean(capsys, tmp_path, protocol, scenario_edit,
+                                                 message):
+    scenario = {"name": "s", "sessions": 1, "overrides": [], **scenario_edit}
+    (tmp_path / "s.json").write_text(json.dumps(scenario), encoding="utf-8")
+    code, out, err = run(capsys, "check", protocol, str(tmp_path / "s.json"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
     (tmp_path / "s.json").write_text("[" * 100_000, encoding="utf-8")
     code, out, err = run(capsys, "oracle", "nspkt", str(tmp_path / "s.json"))

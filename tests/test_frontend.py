@@ -196,6 +196,19 @@ def test_generation_falls_back_when_owner_send_overridden():
     assert steps[1].lifetime_checks == ()
 
 
+def test_honest_sender_sends_only_what_it_generates_or_has_seen():
+    spec = parse_protocol(NSPK)
+    # A received Tb#1 at (1,2); the intruder's sends are gated instead
+    for ov in ({"sid": 1, "step": 3, "kind": "replace", "edge": "A->I", "L": "Tb#1"},
+               {"sid": 1, "step": 1, "kind": "intruder", "edge": "I->B", "L": "Tb#1"}):
+        apply_overrides(spec, scenario(overrides=[ov]), 1)
+    # session 2's A has seen nothing of session 1
+    scen = scenario(sessions=2, overrides=[
+        {"sid": 2, "step": 1, "kind": "replace", "edge": "A->B", "L": "<KB,Ta#1|A>"}])
+    with pytest.raises(ScenarioError, match=r"step \(2,1\): A sends Ta#1 before"):
+        apply_overrides(spec, scen, 2)
+
+
 def test_step_facts_follow_compute_generation(lib):
     fallback = scenario(overrides=[
         {"sid": 1, "step": 1, "kind": "replace", "edge": "A->B", "L": "A"}])

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from tspbmc.dbm import ZERO, solve
+from tspbmc.encoder import BmcProblem, encode
 from tspbmc.sexpr import (
     Reader,
     parse_all,
@@ -19,6 +20,8 @@ from tspbmc.sexpr import (
     string_value,
 )
 from tspbmc.smtlite import Solver
+
+from conftest import library_models
 
 
 def run_script(text: str) -> list:
@@ -62,20 +65,6 @@ def test_difference_logic_sat_with_exact_rationals():
     assert vals["y"] <= 6
 
 
-def test_strict_inequalities():
-    out = run_script(
-        "(declare-const x Real)(declare-const y Real)\n"
-        "(assert (< x y))(assert (< y x))(check-sat)")
-    assert out == ["unsat"]
-    out = run_script(
-        "(declare-const x Real)(declare-const y Real)(declare-const z Real)\n"
-        "(assert (< x y))(assert (< y z))(assert (<= z (+ x 1.0)))\n"
-        "(check-sat)(get-value (x y z))")
-    assert out[0] == "sat"
-    vals = model_values(out[1])
-    assert vals["x"] < vals["y"] < vals["z"] <= vals["x"] + 1
-
-
 def test_equality_over_reals():
     out = run_script(
         "(declare-const t Real)(declare-const tau Real)(declare-const f Bool)\n"
@@ -84,20 +73,6 @@ def test_equality_over_reals():
     assert out[0] == "sat"
     vals = model_values(out[1])
     assert vals["t"] == vals["tau"] == 3
-
-
-def test_negated_theory_atom_is_enforced():
-    # (not (<= x 5)) must force x > 5
-    out = run_script(
-        "(declare-const x Real)\n"
-        "(assert (not (<= x 5.0)))(assert (<= x 10.0))\n"
-        "(check-sat)(get-value (x))")
-    assert out[0] == "sat"
-    assert model_values(out[1])["x"] > 5
-    out = run_script(
-        "(declare-const x Real)\n"
-        "(assert (not (<= x 5.0)))(assert (<= x 5.0))(check-sat)")
-    assert out == ["unsat"]
 
 
 def test_boolean_structure():
@@ -128,20 +103,16 @@ def test_theory_propagation_through_booleans():
     assert vals == {"p": False, "q": True, "x": 7}
 
 
-def test_negated_atom_under_boolean_equality():
-    # d means y >= x - 1, that is x <= y + 1, against x > y + 2
-    out = run_script(
-        "(declare-const d Bool)(declare-const x Real)(declare-const y Real)\n"
-        "(assert (= d (not (< y (+ x (- 1.0))))))(assert (> x (+ y 2.0)))(assert d)"
-        "(check-sat)")
-    assert out == ["unsat"]
-
-
 @pytest.mark.parametrize("command, message", [
     ("(assert (xor p p))", "operator 'xor'"),
     ("(assert (ite p p p))", "operator 'ite'"),
     ("(assert (<= (* 2.0 x) 1.0))", "arithmetic term ['*', '2.0', 'x']"),
     ("(declare-fun f () Bool)", "command 'declare-fun'"),
+    ("(assert (< x 1.0))", "operator '<'"),
+    ("(assert (> x (+ x 1.0)))", "operator '>'"),
+    ("(assert (not (<= x 5.0)))", "theory atom in negative polarity"),
+    ("(assert (=> (>= x 1.0) p))", "theory atom in negative polarity"),
+    ("(assert (= p (not (>= x 1.0))))", "theory atom in negative polarity"),
 ])
 def test_outside_the_fragment_is_an_error(command, message):
     out = run_script(
@@ -150,20 +121,32 @@ def test_outside_the_fragment_is_an_error(command, message):
     assert [string_value(parse_one(out[0])[1]), out[1]] == [f"unsupported: {message}", "sat"]
 
 
+def test_every_library_script_is_in_the_fragment(lib):
+    # a script with a strict or a negated theory atom raises Unsupported
+    scripts = 0
+    for model in library_models(lib, ks=(1, 2, 3)):
+        for bound in range(1, len(model.exec_steps) + 1):
+            solver = Solver()
+            for cmd in parse_all(encode(BmcProblem(model, bound)).text):
+                if cmd[0] == "declare-const":
+                    solver.declare(cmd[1], cmd[2])
+                elif cmd[0] == "assert":
+                    solver.assert_formula(cmd[1])
+            scripts += 1
+    assert scripts == 150
+
+
 # ---- random formulas against brute force ------------------------------------
 
 BOOLS = ("b0", "b1", "b2", "b3")
 REALS = ("x", "y")
-RELATIONS = ("<=", "<", ">=", ">")
-# the dbm constraint (a, b, w, strict), x_b - x_a <= w, of u - v op c
+RELATIONS = ("<=", ">=")
+# the dbm constraint (a, b, w), x_b - x_a <= w, of u - v op c
 CONSTRAINT = {
-    "<=": lambda u, v, c: (v, u, c, False),
-    "<": lambda u, v, c: (v, u, c, True),
-    ">=": lambda u, v, c: (u, v, -c, False),
-    ">": lambda u, v, c: (u, v, -c, True),
+    "<=": lambda u, v, c: (v, u, c),
+    ">=": lambda u, v, c: (u, v, -c),
 }
-NEGATION = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
-COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+COMPARE = {"<=": operator.le, ">=": operator.ge}
 
 
 def _random_atom(rng):
@@ -175,12 +158,14 @@ def _random_atom(rng):
     return [op, u, const if v is ZERO else ["+", v, const]], (op, u, v, c)
 
 
-def _random_formula(rng, depth, atoms):
+def _random_formula(rng, depth, atoms, positive=True):
     """A formula over BOOLS and difference atoms; ``atoms`` maps each
-    atom's ``str`` to its (op, u, v, c)."""
+    atom's ``str`` to its (op, u, v, c). An atom stands only in positive
+    polarity: a leaf under ``not``, in the antecedent of ``=>`` or inside
+    a Boolean ``=`` is a Bool symbol instead."""
     if depth == 0 or rng.random() < 0.3:
         pick = rng.random()
-        if pick < 0.45:
+        if pick < 0.45 or (pick >= 0.5 and not positive):
             return rng.choice(BOOLS)
         if pick < 0.5:
             return rng.choice(("true", "false"))
@@ -189,7 +174,9 @@ def _random_formula(rng, depth, atoms):
         return ast
     op = rng.choice(("and", "or", "not", "=>", "="))
     arity = {"not": 1, "=>": 2, "=": 1}.get(op) or rng.randint(2, 3)
-    args = [_random_formula(rng, depth - 1, atoms) for _ in range(arity)]
+    args = [_random_formula(rng, depth - 1, atoms,
+                            positive and (op in ("and", "or") or (op, i) == ("=>", 1)))
+            for i in range(arity)]
     return [op, rng.choice(BOOLS), *args] if op == "=" else [op, *args]
 
 
@@ -213,14 +200,14 @@ def _holds(ast, bools, truth):
 
 
 def _brute_force(ast, atoms):
-    """sat iff some atom truth assignment that dbm.solve finds feasible
-    and some Bool assignment make the formula true."""
+    """sat iff some set of atoms that dbm.solve finds feasible, taken as
+    true and every other atom as false, and some Bool assignment make the
+    formula true. Atoms stand only in positive polarity, so a false atom
+    needs no constraint: were it true, the formula would still hold."""
     keys = sorted(atoms)
     for signs in itertools.product((True, False), repeat=len(keys)):
-        constraints = []
-        for key, sign in zip(keys, signs):
-            op, u, v, c = atoms[key]
-            constraints.append(CONSTRAINT[op if sign else NEGATION[op]](u, v, c))
+        constraints = [CONSTRAINT[atoms[key][0]](*atoms[key][1:])
+                       for key, sign in zip(keys, signs) if sign]
         if not solve(constraints)[0]:
             continue
         truth = dict(zip(keys, signs))
