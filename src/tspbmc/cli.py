@@ -28,7 +28,13 @@ from .errors import TspbmcError
 from .frontend import parse_protocol, parse_scenario
 from .model import adequacy_warnings, build_model, model_to_json
 from .oracle import explicit_reach
-from .solver import SolverConfig, default_max_bound, iterate_bounds, resolve_solver_command
+from .solver import (
+    DEFAULT_TIMEOUT,
+    SolverConfig,
+    default_max_bound,
+    iterate_bounds,
+    resolve_solver_command,
+)
 from .terms import render_term
 from .witness import decode, render_html, render_json, render_text, replay
 
@@ -202,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default=None, metavar="CMD",
                    help="solver command (default: $TSPBMC_SOLVER, z3 -in, "
                         "or the bundled fallback)")
-    p.add_argument("--timeout", type=float, default=60.0, metavar="S",
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT, metavar="S",
                    help="timeout in seconds for each solver query")
     p.add_argument("--format", choices=sorted(_RENDERERS), default="text")
     p.add_argument("--out", default=None, metavar="PATH",

@@ -48,7 +48,6 @@ from .terms import (
     Cipher,
     Fresh,
     Pair,
-    SymKey,
     Term,
     instantiate,
     parse_term,
@@ -76,7 +75,6 @@ class FreshDecl:
 
 @dataclass(frozen=True)
 class Goal:
-    kind: str  # only "secrecy"
     secret: str  # fresh-atom name, instantiated per target session
     target_sid: Union[int, str]  # session index or "any"
     require_complete: Optional[frozenset] = None  # None = default rule
@@ -245,7 +243,7 @@ def parse_protocol(text: str) -> ProtocolSpec:
     decl_names = {d.name for d in decls}
     if secret not in decl_names:
         raise ProtocolError(f"goal secret {secret!r} is not a declared fresh atom", lineno)
-    goal = Goal("secrecy", secret, target_sid, complete)
+    goal = Goal(secret, target_sid, complete)
 
     spec = ProtocolSpec(name, tuple(roles), tuple(decls), tuple(steps), goal)
     _validate_spec(spec)
@@ -426,24 +424,6 @@ def compute_generation(steps, decl_map) -> dict:
     return {t: gen.get(t, st) for t, st in first.items()}
 
 
-def _check_compromised(spec: ProtocolSpec, compromised, k: int):
-    """Each compromised entry names only declared roles or the intruder, and
-    a fresh atom in it is a declared session key of one of the k sessions."""
-    sesskeys = {d.name for d in spec.fresh_decls if d.klass == "sesskey"}
-    for text in compromised:
-        key = parse_term(text)
-        if isinstance(key, Fresh) and not (key.name in sesskeys and key.sid and key.sid <= k):
-            raise ScenarioError(f"compromised entry {text!r} is not a declared "
-                                f"session key of sessions 1..{k}")
-        # the agents a key names: two for a symmetric key, one for a public or
-        # private key, and none (INTRUDER, always declared) for other terms
-        named = (key.a, key.b) if isinstance(key, SymKey) else (getattr(key, "agent", INTRUDER),)
-        for agent in named:
-            if agent not in spec.roles + (INTRUDER,):
-                raise ScenarioError(
-                    f"compromised entry {text!r}: {agent!r} is not a declared role")
-
-
 def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
     """Replicate steps over k sessions and substitute the overrides in place.
 
@@ -456,7 +436,6 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
     """
     if k < 1:
         raise ScenarioError("session count must be >= 1")
-    _check_compromised(spec, scenario.compromised, k)
     decl_map = spec.decl_map()
     nsteps = len(spec.steps)
 

@@ -95,7 +95,7 @@ def build_universe(steps, roles, compromised=()) -> TermUniverse:
 
     Contains all step messages with their subterms, every agent identity,
     the intruder's key pair, the long-term keys implied by the messages,
-    and the inverse of every key member.
+    the compromised keys, and the inverse of every key member.
     """
     members = set()
     for st in steps:
@@ -109,12 +109,7 @@ def build_universe(steps, roles, compromised=()) -> TermUniverse:
     if any(isinstance(t, (PubKey, PrivKey)) for t in members):
         for a in agents:
             members.add(PubKey(a))
-
-    for text in compromised:
-        key = parse_term(text)
-        if not is_key_form(key):
-            raise ScenarioError(f"compromised entry {text!r} is not a key")
-        members.add(key)
+    members.update(compromised)
 
     for t in list(members):
         if is_key_form(t):
@@ -123,15 +118,45 @@ def build_universe(steps, roles, compromised=()) -> TermUniverse:
     return TermUniverse(members)
 
 
+def _check_compromised(spec: ProtocolSpec, compromised, k: int) -> list:
+    """The key term of each compromised entry.
+
+    Each entry names only declared roles or the intruder, a fresh atom in
+    it is a declared session key of one of the k sessions, and it is a key
+    the intruder does not know initially.
+    """
+    sesskeys = {d.name for d in spec.fresh_decls if d.klass == "sesskey"}
+    keys = []
+    for text in compromised:
+        key = parse_term(text)
+        if isinstance(key, Fresh) and not (key.name in sesskeys and key.sid and key.sid <= k):
+            raise ScenarioError(f"compromised entry {text!r} is not a declared "
+                                f"session key of sessions 1..{k}")
+        # the agents a key names: two for a symmetric key, one for a public or
+        # private key, and none (INTRUDER, always declared) for other terms
+        named = (key.a, key.b) if isinstance(key, SymKey) else (getattr(key, "agent", INTRUDER),)
+        for agent in named:
+            if agent not in spec.roles + (INTRUDER,):
+                raise ScenarioError(
+                    f"compromised entry {text!r}: {agent!r} is not a declared role")
+        if not is_key_form(key):
+            raise ScenarioError(f"compromised entry {text!r} is not a key")
+        if initial_knowledge(INTRUDER, TermUniverse([key])):
+            raise ScenarioError(
+                f"compromised entry {text!r} is a key the intruder knows initially")
+        keys.append(key)
+    return keys
+
+
 def initial_knowledge(agent: str, universe: TermUniverse,
                       compromised=()) -> FrozenSet[int]:
     """Initial Dolev-Yao knowledge: identities, public keys, own secrets.
 
     Fresh protocol atoms are never initially known; they enter the model at
-    their generation step. The intruder additionally holds any compromised
-    long-term keys.
+    their generation step. The intruder additionally holds the compromised
+    keys.
     """
-    known = set()
+    known = set(compromised)
     for t in universe:
         if isinstance(t, Ident) or isinstance(t, PubKey):
             known.add(t)
@@ -139,8 +164,6 @@ def initial_knowledge(agent: str, universe: TermUniverse,
             known.add(t)
         elif isinstance(t, SymKey) and agent in (t.a, t.b):
             known.add(t)
-    if agent == INTRUDER:
-        known.update(parse_term(text) for text in compromised)
     return frozenset(universe.id_of(t) for t in known)
 
 
@@ -227,10 +250,11 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
     k = scenario.sessions if k is None else k
 
     steps = apply_overrides(spec, scenario, k)
-    universe = build_universe(steps, spec.roles, scenario.compromised)
+    compromised = _check_compromised(spec, scenario.compromised, k)
+    universe = build_universe(steps, spec.roles, compromised)
     agents = tuple(spec.roles) + (INTRUDER,)
     init = {
-        a: initial_knowledge(a, universe, scenario.compromised if a == INTRUDER else ())
+        a: initial_knowledge(a, universe, compromised if a == INTRUDER else ())
         for a in agents
     }
     rules = compile_rules(universe)

@@ -22,10 +22,12 @@ atom under ``not``, as the antecedent of ``=>`` or inside a Boolean
 ``=`` is outside it, and so are ``<`` and ``>``. Anything else is
 answered with an ``(error "unsupported: ...")`` reply.
 
-The search is a lazy DPLL(T): a small watched-literal SAT core over those
-clauses. Each theory atom becomes non-strict difference edges once, when
-it is interned; at a full assignment the edges of the atoms assigned true
-go to ``dbm.solve``, and a negative cycle becomes a blocking clause.
+The search is a lazy DPLL(T): a watched-literal SAT core that decides
+variables in order of first occurrence in the clauses and backtracks
+chronologically. Each theory atom becomes non-strict difference edges
+once, when it is interned; at a full assignment the edges of the atoms
+assigned true go to ``dbm.solve``, and a negative cycle becomes a
+blocking clause, added by the same ``add_clause`` as every other clause.
 """
 
 from __future__ import annotations
@@ -70,9 +72,8 @@ class Solver:
         self.watches = {}  # literal -> clause indices watching it
         self.val = [0]  # 1-indexed: 0 unassigned, 1 true, -1 false
         self.trail = []
-        self.decisions = []  # (trail_len, var, tried_both)
+        self.decisions = []  # trail position of each decision literal
         self.order = []  # decision order: first occurrence in a clause
-        self.in_order = set()
         self.default_pol = [True]
         self.atoms = {}  # canonical key -> var
         self.edges = {}  # atom var -> its dbm constraints
@@ -95,48 +96,25 @@ class Solver:
         if sort == "Bool":
             self.var_of_name[name] = self.new_var()
 
-    def _note_order(self, lits):
-        for lit in lits:
-            v = abs(lit)
-            if v not in self.in_order:
-                self.in_order.add(v)
-                self.order.append(v)
-
     def add_clause(self, lits) -> bool:
-        """Add a clause valid at decision level 0. Returns False on conflict."""
+        """Add a clause under the current assignment.
+
+        Non-false literals go first and the first two are watched; a
+        clause with one non-false literal left enqueues it. Returns False
+        when every literal is false.
+        """
         lits = sorted(set(lits), key=abs)
         if any(-l in lits for l in lits):
             return True
-        self._note_order(lits)
-        if not lits:
-            self.unsat_at_root = True
+        lits.sort(key=lambda l: self._litval(l) == -1)
+        if len(lits) > 1:
+            idx = len(self.clauses)
+            self.clauses.append(lits)
+            for l in lits[:2]:
+                self.watches.setdefault(l, []).append(idx)
+        if not lits or self._litval(lits[0]) == -1:
             return False
-        if len(lits) == 1:
-            if not self._enqueue(lits[0]):
-                self.unsat_at_root = True
-                return False
-            return True
-        idx = len(self.clauses)
-        self.clauses.append(lits)
-        for l in lits[:2]:
-            self.watches.setdefault(l, []).append(idx)
-        return True
-
-    def attach_learned(self, lits) -> bool:
-        """Add a clause under the current partial assignment."""
-        lits = list(dict.fromkeys(lits))
-        self._note_order(lits)
-        if len(lits) == 1:
-            return self._enqueue(lits[0])
-        # move two non-false literals (or the deepest false ones) up front
-        lits.sort(key=lambda l: (self._litval(l) == -1, 0))
-        idx = len(self.clauses)
-        self.clauses.append(lits)
-        for l in lits[:2]:
-            self.watches.setdefault(l, []).append(idx)
-        if self._litval(lits[0]) == -1:
-            return False  # conflicting right now
-        if self._litval(lits[1]) == -1 and self._litval(lits[0]) == 0:
+        if len(lits) == 1 or self._litval(lits[1]) == -1:
             return self._enqueue(lits[0])
         return True
 
@@ -177,50 +155,45 @@ class Solver:
                 if self._litval(other) == 1:
                     keep.append(ci)
                     continue
-                moved = False
                 for j in range(2, len(clause)):
                     if self._litval(clause[j]) != -1:
                         clause[1], clause[j] = clause[j], clause[1]
                         self.watches.setdefault(clause[1], []).append(ci)
-                        moved = True
                         break
-                if moved:
-                    continue
-                keep.append(ci)
-                if not self._enqueue(other):
-                    keep.extend(watchlist[i:])
-                    self.watches[falsified] = keep
-                    return False
+                else:
+                    keep.append(ci)
+                    if not self._enqueue(other):
+                        keep.extend(watchlist[i:])
+                        self.watches[falsified] = keep
+                        return False
             self.watches[falsified] = keep
         return True
 
     def _backtrack(self) -> bool:
-        """Undo to the last unflipped decision and flip it."""
-        while self.decisions:
-            trail_len, var, tried_both = self.decisions.pop()
-            old = self.val[var]
-            for lit in self.trail[trail_len:]:
-                self.val[abs(lit)] = 0
-            del self.trail[trail_len:]
-            if not tried_both:
-                self.decisions.append((trail_len, var, True))
-                self.val[var] = -old
-                self.trail.append(var if old < 0 else -var)
-                return True
-        return False
+        """Undo the last decision and enqueue its negation, which belongs
+        to the decision before it; False when there is no decision left."""
+        if not self.decisions:
+            return False
+        pos = self.decisions.pop()
+        lit = self.trail[pos]
+        for l in self.trail[pos:]:
+            self.val[abs(l)] = 0
+        del self.trail[pos:]
+        return self._enqueue(-lit)
 
     def _decide(self) -> bool:
         for v in self.order:
             if self.val[v] == 0:
-                self.decisions.append((len(self.trail), v, False))
-                lit = v if self.default_pol[v] else -v
-                self._enqueue(lit)
+                self.decisions.append(len(self.trail))
+                self._enqueue(v if self.default_pol[v] else -v)
                 return True
         return False
 
     def check(self) -> str:
         if self.unsat_at_root:
             return "unsat"
+        # unit clauses are not stored, but their variables are set at the root
+        self.order = list(dict.fromkeys(abs(l) for c in self.clauses for l in c))
         head = 0
         while True:
             if not self._propagate(head):
@@ -238,7 +211,7 @@ class Solver:
                 while all(self._litval(l) == -1 for l in payload):
                     if not self._backtrack():
                         return "unsat"
-                self.attach_learned(payload)
+                self.add_clause(payload)
                 head = 0
 
     # ---- theory ------------------------------------------------------
@@ -371,7 +344,8 @@ class Solver:
 
     def assert_formula(self, ast):
         for clause in self._clauses(ast):
-            self.add_clause(clause)
+            if not self.add_clause(clause):
+                self.unsat_at_root = True
 
     # ---- values ----------------------------------------------------------
 

@@ -46,9 +46,6 @@ class TraceEvent:
     # agent -> tuple of terms newly derivable at this position
     deltas: dict = field(default_factory=dict)
 
-    def __hash__(self):
-        return hash((self.position, self.sid, self.index, self.time))
-
 
 @dataclass(frozen=True)
 class Trace:

@@ -307,6 +307,14 @@ def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit,
      "compromised entry 'Kab' is not a declared session key of sessions 1..1"),
     ("dsp", {"compromised": ["Tb"]},
      "compromised entry 'Tb' is not a declared session key of sessions 1..1"),
+    # keys the intruder holds already: a public key, its own private key and
+    # a key it shares with A
+    ("dsp", {"compromised": ["KA"]},
+     "compromised entry 'KA' is a key the intruder knows initially"),
+    ("dsp", {"compromised": ["KI'"]},
+     "compromised entry \"KI'\" is a key the intruder knows initially"),
+    ("dsp", {"compromised": ["KAI"]},
+     "compromised entry 'KAI' is a key the intruder knows initially"),
 ])
 def test_check_rejects_a_scenario_it_cannot_mean(capsys, tmp_path, protocol, scenario_edit,
                                                  message):

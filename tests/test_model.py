@@ -9,7 +9,6 @@ from tspbmc.model import (
     Run,
     adequacy_warnings,
     build_model,
-    build_universe,
     closure,
     compile_rules,
     constructible,
@@ -56,9 +55,10 @@ def test_compromised_keys_added_to_intruder(lib):
     assert kbs not in model.initial_knowledge["A"]
 
 
-def test_compromised_must_be_key():
-    with pytest.raises(ScenarioError):
-        build_universe([], ("A", "B"), compromised=("A",))
+def test_compromised_must_be_key(lib):
+    spec, scen = load(lib, "dsp", "fair")
+    with pytest.raises(ScenarioError, match="compromised entry 'A' is not a key"):
+        build_model(spec, replace(scen, compromised=("A",)))
 
 
 def test_rule_count_formula(lib):

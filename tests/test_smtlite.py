@@ -217,30 +217,63 @@ def _brute_force(ast, atoms):
     return "unsat"
 
 
+def _guarded_formula(rng, atoms):
+    """A conjunction of 3-6 atoms, each guarded by a Bool symbol as
+    ``(or b atom)`` or ``(=> b atom)``, and one random formula: the
+    guards pick which atoms hold, so many assignments are infeasible."""
+    parts = []
+    for _ in range(rng.randint(3, 6)):
+        ast, atom = _random_atom(rng)
+        atoms[str(ast)] = atom
+        parts.append([rng.choice(("or", "=>")), rng.choice(BOOLS), ast])
+    return ["and", *parts, _random_formula(rng, 2, atoms)]
+
+
+def _solve_as_brute_force(ast, atoms):
+    """smtlite's status of ``ast``, asserted equal to the brute force's,
+    and whether the search learned a blocking clause."""
+    solver = Solver()
+    for name in BOOLS:
+        solver.declare(name, "Bool")
+    for name in REALS:
+        solver.declare(name, "Real")
+    solver.assert_formula(ast)
+    asserted = len(solver.clauses)
+    status = solver.check()
+    assert status == _brute_force(ast, atoms), ast
+    if status == "sat":
+        # the model itself satisfies the formula
+        reals = {r: solver.value_of(r) for r in REALS}
+        reals[ZERO] = 0
+        truth = {key: COMPARE[op](reals[u] - reals[v], c)
+                 for key, (op, u, v, c) in atoms.items()}
+        bools = {b: solver.value_of(b) for b in BOOLS}
+        assert _holds(ast, bools, truth), ast
+    # a blocking clause joins two or more atoms, since no one atom is
+    # infeasible, so it is stored
+    return status, len(solver.clauses) > asserted
+
+
 def test_random_formulas_match_brute_force():
     rng = random.Random(7)
     statuses = set()
     for _ in range(1000):
         atoms = {}
         ast = _random_formula(rng, 3, atoms)
-        solver = Solver()
-        for name in BOOLS:
-            solver.declare(name, "Bool")
-        for name in REALS:
-            solver.declare(name, "Real")
-        solver.assert_formula(ast)
-        status = solver.check()
-        assert status == _brute_force(ast, atoms), ast
-        statuses.add(status)
-        if status == "sat":
-            # the model itself satisfies the formula
-            reals = {r: solver.value_of(r) for r in REALS}
-            reals[ZERO] = 0
-            truth = {key: COMPARE[op](reals[u] - reals[v], c)
-                     for key, (op, u, v, c) in atoms.items()}
-            bools = {b: solver.value_of(b) for b in BOOLS}
-            assert _holds(ast, bools, truth), ast
+        statuses.add(_solve_as_brute_force(ast, atoms)[0])
     assert statuses == {"sat", "unsat"}
+
+
+def test_guarded_atoms_match_brute_force():
+    # the theory path: many of these searches learn a blocking clause
+    rng = random.Random(7)
+    results = []
+    for _ in range(300):
+        atoms = {}
+        ast = _guarded_formula(rng, atoms)
+        results.append(_solve_as_brute_force(ast, atoms))
+    assert {status for status, _ in results} == {"sat", "unsat"}
+    assert sum(learned for _, learned in results) >= 50
 
 
 def test_error_reply_keeps_pipe_alive():
