@@ -18,32 +18,68 @@ inconclusive.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import library
-from .encoder import BmcProblem, encode
 from .errors import TspbmcError
-from .frontend import parse_protocol, parse_scenario
-from .model import adequacy_warnings, build_model, model_to_json
-from .oracle import explicit_reach
-from .solver import (
-    DEFAULT_TIMEOUT,
-    SolverConfig,
-    default_max_bound,
-    iterate_bounds,
-    resolve_solver_command,
-)
-from .terms import render_term
-from .witness import decode, render_html, render_json, render_text, replay
 
 EXIT_NO_ATTACK = 0
 EXIT_ATTACK = 10
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-_RENDERERS = {"text": render_text, "json": render_json, "html": render_html}
+FORMATS = ("html", "json", "text")  # the keys of _RENDERERS
+
+_bound = False  # whether _pipeline has bound the pipeline's names
+
+
+def _pipeline():
+    """Bind the pipeline's names as module globals, once.
+
+    ``list``, ``--help`` and usage errors need none of them, so a process
+    that runs only those imports no pipeline layer. The commands look each
+    name up in the module's globals when they call it, so a wrapper set on
+    the module attribute (the benchmark's tracer) is the one that runs.
+    Binding overwrites a name set before it, so such a wrapper reads the
+    name first, which binds it.
+    """
+    global _bound, _RENDERERS, BmcProblem, encode, parse_protocol, parse_scenario
+    global adequacy_warnings, build_model, model_to_json, explicit_reach
+    global DEFAULT_TIMEOUT, SolverConfig, default_max_bound, iterate_bounds
+    global resolve_solver_command, render_term, decode, replay
+    if _bound:
+        return
+    from .encoder import BmcProblem, encode
+    from .frontend import parse_protocol, parse_scenario
+    from .model import adequacy_warnings, build_model, model_to_json
+    from .oracle import explicit_reach
+    from .solver import (
+        DEFAULT_TIMEOUT,
+        SolverConfig,
+        default_max_bound,
+        iterate_bounds,
+        resolve_solver_command,
+    )
+    from .terms import render_term
+    from .witness import decode, render_html, render_json, render_text, replay
+
+    _RENDERERS = {"text": render_text, "json": render_json, "html": render_html}
+    _bound = True
+
+
+def __getattr__(name):
+    """Bind the pipeline on the first outside lookup of one of its names.
+
+    Once it is bound, a missing name (one deleted since) stays missing.
+    Dunder names never bind it: they are probes, such as the import
+    system's ``__path__`` lookup for ``from tspbmc.cli import main``.
+    """
+    if not _bound and not name.startswith("__"):
+        _pipeline()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -113,7 +149,7 @@ def _report_attack(trace, model, fmt: str, out_path, origin: str) -> int:
 def cmd_check(args) -> int:
     config = SolverConfig(
         command=resolve_solver_command(args.solver),
-        timeout=args.timeout,
+        timeout=DEFAULT_TIMEOUT if args.timeout is None else args.timeout,
         max_bound=args.max_bound,
     )
     spec, scenario = _load_inputs(args.protocol, args.scenario)
@@ -180,6 +216,8 @@ def cmd_list(args) -> int:
 
 
 def cmd_dump_model(args) -> int:
+    import json
+
     spec, scenario = _load_inputs(args.protocol, args.scenario)
     model = build_model(spec, scenario, k=args.sessions)
     json.dump(model_to_json(model), sys.stdout, indent=2, sort_keys=True)
@@ -208,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default=None, metavar="CMD",
                    help="solver command (default: $TSPBMC_SOLVER, z3 -in, "
                         "or the bundled fallback)")
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT, metavar="S",
+    p.add_argument("--timeout", type=float, default=None, metavar="S",
                    help="timeout in seconds for each solver query")
-    p.add_argument("--format", choices=sorted(_RENDERERS), default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the witness report to PATH")
     p.set_defaults(func=cmd_check)
@@ -226,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
     p.add_argument("--depth", type=int, default=None, metavar="N",
                    help="search depth cap (default: the exec-step count)")
-    p.add_argument("--format", choices=sorted(_RENDERERS), default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(func=cmd_oracle)
 
@@ -248,6 +286,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    if args.func is not cmd_list:
+        _pipeline()
     try:
         return args.func(args)
     except (UsageError, TspbmcError, OSError) as e:

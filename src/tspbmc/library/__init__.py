@@ -8,21 +8,17 @@ extractable to plain files with ``tspbmc list --export DIR``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 from pathlib import Path
-from typing import Optional
+
+# protocol: the protocol.ab source text; scenarios: scenario name -> JSON
+# text; notes: the protocol file's comment lines
+LibraryEntry = namedtuple("LibraryEntry", "name protocol scenarios notes")
+
+_DIR = Path(__file__).parent
 
 
-@dataclass(frozen=True)
-class LibraryEntry:
-    name: str
-    protocol: str  # protocol.ab source text
-    scenarios: dict  # scenario name -> JSON text
-    notes: str = ""
-
-
-def _read_entry(item) -> Optional[LibraryEntry]:
+def _read_entry(item) -> LibraryEntry | None:
     """The entry in package directory ``item``; None if it is not one."""
     if not item.is_dir() or not (item / "protocol.ab").is_file():
         return None
@@ -42,14 +38,14 @@ def _read_entry(item) -> Optional[LibraryEntry]:
 def entries() -> dict:
     """All library entries, keyed by name, deterministically ordered."""
     found = (_read_entry(item) for item in
-             sorted(resources.files(__name__).iterdir(), key=lambda p: p.name))
+             sorted(_DIR.iterdir(), key=lambda p: p.name))
     return {entry.name: entry for entry in found if entry is not None}
 
 
 def get(name: str) -> LibraryEntry:
     """The named entry, reading only its own files. The name is matched
     against the package directory's entries, never joined into a path."""
-    for item in resources.files(__name__).iterdir():
+    for item in _DIR.iterdir():
         if item.name == name:
             entry = _read_entry(item)
             if entry is not None:

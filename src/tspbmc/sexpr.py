@@ -17,9 +17,8 @@ from __future__ import annotations
 import io
 import re
 from fractions import Fraction
-from typing import IO, List, Optional, Tuple, Union
 
-Sexpr = Union[str, List["Sexpr"]]
+# Sexpr, in annotations: an atom's raw text (str) or a list of Sexpr.
 
 # leading whitespace, then one of: 1 comment, 2 "(", 3 ")", 4 atom
 _TOKEN = re.compile(r'\s*(?:(;[^\n]*)|(\()|(\))'
@@ -36,17 +35,17 @@ class Reader:
     never waits for the line after it.
     """
 
-    def __init__(self, stream: IO[str]):
+    def __init__(self, stream: io.TextIOBase):
         self.stream = stream
         self.buf = ""
         self.pos = 0
 
-    def scan(self) -> Optional[Tuple[str, Sexpr]]:
+    def scan(self) -> tuple[str, Sexpr] | None:
         """``(raw text, parsed)`` of the next toplevel expression, or None at
         the end of the input. Raises ValueError on a stray ``)``, on an
         unterminated literal and at the end of input inside an expression;
         the offending text is consumed, so the next call reads on."""
-        stack: List[List[Sexpr]] = [[]]
+        stack: list[list[Sexpr]] = [[]]
         pieces = []  # raw text of the expression read before a refill
         start = None  # where the expression starts in buf
         while True:
@@ -88,13 +87,13 @@ class Reader:
                 pieces.append(self.buf[start:self.pos])
                 return "".join(pieces), stack[0][0]
 
-    def next_expr(self) -> Optional[str]:
+    def next_expr(self) -> str | None:
         """Raw text of the next toplevel expression, or None at the end."""
         item = self.scan()
         return None if item is None else item[0]
 
 
-def parse_all(text: str) -> List[Sexpr]:
+def parse_all(text: str) -> list[Sexpr]:
     """Parse every toplevel S-expression in ``text``."""
     reader = Reader(io.StringIO(text))
     return [expr for _, expr in iter(reader.scan, None)]
@@ -107,7 +106,7 @@ def parse_one(text: str) -> Sexpr:
     return exprs[0]
 
 
-def read_sexpr(stream: IO[str]) -> str:
+def read_sexpr(stream: io.TextIOBase) -> str:
     """Raw text of one S-expression (or a bare token such as ``sat``).
 
     Reads through a fresh ``Reader``, which drops the rest of the last line

@@ -1,4 +1,9 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,7 +347,7 @@ def test_unbalanced_solver_quote_exits_2(capsys, monkeypatch, option, env):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("timeout", ["nan", "inf", "1e12"])
+@pytest.mark.parametrize("timeout", ["nan", "inf", "1e12", "0", "-1"])
 def test_unusable_timeout_exits_2(capsys, timeout):
     code, out, err = run(capsys, "check", "nspkt", "fair", "--timeout", timeout)
     assert code == 2
@@ -365,7 +370,6 @@ FALSE_MODEL = (
 
 def test_model_that_is_not_a_run_exits_3(capsys):
     import shlex
-    import sys
     solver = shlex.join([sys.executable, "-c", FALSE_MODEL])
     code, out, err = run(capsys, "check", "nspkt", "fair", "--solver", solver)
     assert code == 3
@@ -387,3 +391,83 @@ def test_non_utf8_input_exits_2(capsys, tmp_path, bad):
     assert out == ""
     assert err.startswith(f"error: {bad} '{files[bad]}': not UTF-8 text")
     assert "Traceback" not in err
+
+
+# ---- start-up: what a command imports ------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code: str, *args) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports the package."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120, check=True)
+    return proc.stdout
+
+
+# runs main(argv) and prints, on its last line, the package's loaded modules
+# and whether dataclasses is loaded
+LOADED = ("import sys; from tspbmc.cli import main; main(sys.argv[1:]); "
+          "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tspbmc'), "
+          "'dataclasses' in sys.modules)")
+FRONT = ["tspbmc", "tspbmc.cli", "tspbmc.errors", "tspbmc.library"]
+
+
+@pytest.mark.parametrize("argv", [["list"], ["--help"], ["check"]],
+                         ids=["list", "help", "usage-error"])
+def test_list_help_and_usage_errors_load_no_pipeline_layer(argv):
+    *modules, dataclasses = run_fresh(LOADED, *argv).splitlines()[-1].split()
+    assert modules == FRONT
+    assert dataclasses == "False"
+
+
+def test_check_loads_the_pipeline():
+    *modules, _ = run_fresh(LOADED, "check", "nspkt", "fair", "--sessions", "1"
+                            ).splitlines()[-1].split()
+    layers = ["dbm", "encoder", "frontend", "model", "oracle", "sexpr", "solver",
+              "terms", "witness"]
+    assert modules == sorted(FRONT + [f"tspbmc.{m}" for m in layers])
+
+
+# the names the benchmark's tracer wraps in tspbmc.cli, and their modules
+TRACED = {"parse_protocol": "frontend", "parse_scenario": "frontend",
+          "build_model": "model", "iterate_bounds": "solver", "encode": "encoder",
+          "decode": "witness", "replay": "witness", "explicit_reach": "oracle"}
+
+CONTRACT = """
+import importlib, sys
+import tspbmc.cli as cli
+from tspbmc.errors import ModelError
+facts = {"model loaded before lookup": "tspbmc.model" in sys.modules}
+for name, module in (arg.split(":") for arg in sys.argv[1:]):
+    defining = importlib.import_module("tspbmc." + module)
+    facts[name] = getattr(cli, name) is getattr(defining, name)
+witness = importlib.import_module("tspbmc.witness")
+facts["_RENDERERS"] = cli._RENDERERS == {
+    "text": witness.render_text, "json": witness.render_json,
+    "html": witness.render_html}
+del cli.decode
+facts["decode after del"] = hasattr(cli, "decode")
+calls = []
+def build_model(*args, **kwargs):
+    calls.append(args)
+    raise ModelError("patched")
+cli.build_model = build_model
+facts["check exit"] = cli.main(["check", "nspkt", "fair"])
+facts["patched calls"] = len(calls)
+print(facts)
+"""
+
+
+def test_traced_names_are_module_attributes_bound_on_first_lookup():
+    facts = ast.literal_eval(run_fresh(
+        CONTRACT, *(f"{name}:{module}" for name, module in TRACED.items())))
+    assert facts == {
+        "model loaded before lookup": False,
+        **{name: True for name in TRACED},
+        "_RENDERERS": True,
+        "decode after del": False,
+        "check exit": 2,
+        "patched calls": 1,
+    }

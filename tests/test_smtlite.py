@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,8 @@ from tspbmc.sexpr import (
 from tspbmc.smtlite import Solver
 
 from conftest import library_models
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_script(text: str) -> list:
@@ -305,13 +308,17 @@ def test_error_reply_is_one_expression():
 
 
 def test_solver_child_loads_only_sexpr_and_smtlite():
-    # the child loads the reader and the timing core, none of the pipeline
-    code = ("import sys, tspbmc.smtlite; "
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tspbmc'))")
-    proc = subprocess.run([sys.executable, "-c", code],
+    # the child, without site, loads the reader and the timing core, none of
+    # the pipeline, and not typing unless the stdlib's fractions loads it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fractions; "
+            "by_stdlib = 'typing' in sys.modules; import tspbmc.smtlite; "
+            "print(by_stdlib, 'typing' in sys.modules, "
+            "*sorted(m for m in sys.modules if m.split('.')[0] == 'tspbmc'))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.split() == [
-        "tspbmc", "tspbmc.dbm", "tspbmc.sexpr", "tspbmc.smtlite"]
+    by_stdlib, typing_loaded, *modules = proc.stdout.split()
+    assert modules == ["tspbmc", "tspbmc.dbm", "tspbmc.sexpr", "tspbmc.smtlite"]
+    assert typing_loaded == by_stdlib
 
 
 def test_get_value_before_check_is_error():
