@@ -196,7 +196,7 @@ def cmd_oracle(args) -> int:
         raise UsageError("--depth must be >= 1")
     model = build_model(spec, scenario, k=args.sessions)
     depth = args.depth or default_max_bound(model)
-    result = explicit_reach(model, spec.goal, depth)
+    result = explicit_reach(model, depth=depth)
     if result.outcome == "no-attack-up-to":
         print(f"no attack up to depth {result.depth}")
         return EXIT_NO_ATTACK

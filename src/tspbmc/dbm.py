@@ -5,8 +5,8 @@ variables named by any hashable nodes; ``ZERO`` is the reference node,
 fixed at 0. A system is infeasible exactly when its constraint graph (an
 edge u -> v of weight w per constraint) has a negative cycle (Bengtsson &
 Yi, "Timed Automata: Semantics, Algorithms and Tools", LNCS 3098, 2004).
-``smtlite``'s theory check, the oracle's timing and ``replay``'s timing
-rules all use these constraints. Imports only the standard library, as
+``smtlite``'s theory check, the oracle's timing and the timing rules
+``witness.trace_of`` checks all use these constraints. Imports only the standard library, as
 the solver child loads it.
 """
 

@@ -160,12 +160,17 @@ def parse_protocol(text: str) -> ProtocolSpec:
     steps: list = []
     goal_line = None
     complete: Optional[frozenset] = None
+    keys: set = set()  # the line keys read so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
 
+        key = line.split(":", 1)[0]
+        if key in ("name", "goal", "complete") and key in keys:
+            raise ProtocolError(f"repeated {key}: line", lineno)
+        keys.add(key)
         if line.startswith("name:"):
             name = line[len("name:"):].strip()
         elif line.startswith("roles:"):
@@ -205,6 +210,8 @@ def parse_protocol(text: str) -> ProtocolSpec:
                 complete = frozenset(int(s) for s in body)
             except ValueError:
                 raise ProtocolError("bad session index in complete:", lineno)
+            if any(s < 1 for s in complete):
+                raise ProtocolError("complete: session indices must be >= 1", lineno)
         elif line.startswith("step"):
             m = _STEP_RE.match(line)
             if not m:
@@ -411,17 +418,18 @@ def compute_generation(steps, decl_map) -> dict:
 
     The generation step is the first step, in (sid, index) order, whose
     message contains the term and whose sender is the declared owner; if
-    the owner's send was overridden away, the first step containing the
-    term at all.
+    the owner's send was overridden away, the first intruder step
+    containing it. A term only honest non-owners send has none.
     """
     gen: dict = {}
-    first: dict = {}
+    injected: dict = {}
     for st in sorted(steps, key=lambda s: (s.sid, s.index)):
         for t, _ in _fresh_atoms(st.message):
-            first.setdefault(t, st)
-            if t not in gen and st.sender == decl_map[t.name].owner:
+            if st.sender == INTRUDER:
+                injected.setdefault(t, st)
+            elif t not in gen and st.sender == decl_map[t.name].owner:
                 gen[t] = st
-    return {t: gen.get(t, st) for t, st in first.items()}
+    return {**injected, **gen}
 
 
 def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
@@ -465,6 +473,9 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
                 if decl is None:
                     raise ScenarioError(
                         f"override message uses undeclared fresh atom {atom.name!r}")
+                if atom.sid > k:  # the term parser rejects an index below 1
+                    raise ScenarioError(f"override ({ov.sid},{ov.step}): fresh value "
+                                        f"{render_term(atom)} is not of sessions 1..{k}")
                 if is_key and decl.klass != "sesskey":
                     raise ScenarioError(
                         f"override cipher key {atom.name!r} is not a declared session key")
@@ -488,6 +499,14 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
     seen = set()  # (sid, agent, fresh term) of the messages an agent sent or received
     for st in steps:
         fresh = dict.fromkeys(t for t, _ in _fresh_atoms(st.message))
+        generates = tuple(t for t in fresh if gen.get(t) == st.ref)
+        for t in fresh:
+            if not (st.gated or t in generates or (st.sid, st.sender, t) in seen):
+                raise ScenarioError(
+                    f"step ({st.sid},{st.index}): {st.sender} sends {render_term(t)} "
+                    "before it generates or receives it")
+            seen |= {(st.sid, st.sender, t), (st.sid, st.receiver, t)}
+        # the loop above leaves only terms that have a generation step
         adjust = lifetime_adjust.get(st.ref, {})
         checks = []
         for t in sorted(fresh, key=lambda f: (f.name, f.sid)):
@@ -495,13 +514,6 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
             # generation itself is unconstrained
             if gen[t] != st.ref and bound is not None:
                 checks.append(LifetimeCheck(t, bound, gen[t]))
-        generates = tuple(t for t in fresh if gen[t] == st.ref)
-        for t in fresh:
-            if not (st.gated or t in generates or (st.sid, st.sender, t) in seen):
-                raise ScenarioError(
-                    f"step ({st.sid},{st.index}): {st.sender} sends {render_term(t)} "
-                    "before it generates or receives it")
-            seen |= {(st.sid, st.sender, t), (st.sid, st.receiver, t)}
         out.append(dc_replace(st, lifetime_checks=tuple(checks), generates=generates))
     return out
 

@@ -16,8 +16,8 @@ holds, before them).
 ``Run`` is the one concrete semantics of a model: session order,
 delivery to ``receivers`` with knowledge closure, a sender's knowledge
 of the fresh terms its step generates, and the goal test.
-Decoding, replay, the oracle and ``adequacy_warnings`` step through it;
-the timing rules are ``step_constraints``.
+``witness.trace_of`` (decode, replay), the oracle and ``adequacy_warnings``
+step through it; the timing rules are ``step_constraints``.
 """
 
 from __future__ import annotations
@@ -435,8 +435,8 @@ def goal_analysis(steps, universe: TermUniverse, labels, deliveries: dict,
 class Run:
     """The concrete state of an interleaving of ``model``'s exec steps: for
     each session the index of its next step, for each agent its knowledge,
-    closed under the rules. Decode, replay, the oracle and the adequacy
-    check all step through it, so the concrete semantics is written once.
+    closed under the rules. ``witness.trace_of``, the oracle and the
+    adequacy check step through it: the concrete semantics is written once.
     """
     model: TiisModel
     pc: tuple  # sid - 1 -> index of the session's next step

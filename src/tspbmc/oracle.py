@@ -12,7 +12,7 @@ Timing is decided per explored prefix by ``dbm.solve`` over the fired
 steps' times: each frontier node carries its prefix's constraints and
 extends them by ``model.step_constraints`` (minimum delays, time
 non-decreasing along the interleaving, lifetime bounds). These are the
-concrete rules ``replay`` checks, written apart from the encoder's
+concrete rules ``trace_of`` checks, written apart from the encoder's
 symbolic ones. An infeasible prefix can never become feasible by
 extension (extensions only add constraints), so pruning is sound and BFS
 depth minimality is preserved. When no goal secret is in the closure of
@@ -41,8 +41,8 @@ class OracleResult:
 def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
     """BFS over interleavings up to ``depth`` transitions.
 
-    ``goal`` is accepted for interface symmetry; the model carries the
-    goal already. Returns the minimal-depth attack trace or exhaustion.
+    ``goal`` is ignored (the model carries the goal); ``perfbench/verify.py``
+    still passes it. Returns the minimal-depth attack trace or exhaustion.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -1,18 +1,15 @@
-"""Witness decoding, replay validation and reporting.
+"""Witness decoding, the one checked execution, replay and reporting.
 
-``trace_of`` turns fired (step, time) pairs into a Trace by stepping a
-``model.Run``: one event per position with its fire time and per-agent
-knowledge deltas, up to the first position where ``Run.goal`` holds.
-Every witness is made by it: ``decode`` feeds it each position's one
-``fire`` and its ``tau`` from a sat model, read lazily, and the oracle
-feeds it its BFS path. Idle positions change no state, so they can only
-follow the goal position and are never read, and the trace's last event
-is the model's first goal position: the least bound the model witnesses.
-``replay`` then re-executes a trace on a ``Run`` — positions 1, 2, …
-within the bound, each event's sender, receiver and message, session
-order, gating, knowledge deltas and the goal, with the timing rules of
-``model.step_constraints`` checked on the trace's own times and no
-solving — as an independent soundness check of the encoding.
+``trace_of`` decides whether fired (step, time) pairs are a run. It steps
+a ``model.Run`` and raises ``ReplayViolation`` at the first firing past
+the bound, out of session order, failing its intruder gate or breaking a
+``model.step_constraints`` delay or lifetime, or when no position reaches
+the goal; else it returns the Trace (each position's time and per-agent
+knowledge deltas) up to the first goal position, the least bound the
+firings witness. ``decode`` feeds it a sat model's fires and times, the
+oracle its BFS path, and ``replay`` a trace's own steps and times, after
+checking its positions and step labels; ``replay`` then compares the
+deltas, secret, completed sessions and length. No solving is involved.
 """
 
 from __future__ import annotations
@@ -58,13 +55,14 @@ class Trace:
     completed_sessions: tuple  # sorted sids required and completed
 
 
-@dataclass(frozen=True)
-class ReplayViolation:
-    # position | step label | session order | gating | delay | lifetime |
-    # knowledge delta | goal
-    kind: str
-    position: int
-    detail: str
+class ReplayViolation(ModelError):
+    """Where a firing sequence or a trace first fails to be a run. ``kind``
+    is position | step label | session order | gating | delay | lifetime |
+    knowledge delta | goal."""
+
+    def __init__(self, kind: str, position: int, detail: str):
+        super().__init__(f"position {position}: {kind}: {detail}")
+        self.kind, self.position, self.detail = kind, position, detail
 
 
 def _bool(values: dict, name: str) -> bool:
@@ -74,14 +72,34 @@ def _bool(values: dict, name: str) -> bool:
     return v
 
 
+def _clock(node) -> str:
+    return "0" if node is ZERO else f"t{node[0]}.{node[1]}"
+
+
 def trace_of(model: TiisModel, fired, bound: int) -> Trace:
     """The Trace of ``fired``, (ExecStep, time) pairs in firing order, up
     to the first position where the goal holds; ``fired`` is read no
-    further. Knowledge deltas come from stepping a ``Run``."""
+    further. Raises ReplayViolation at the first pair that is not a step
+    of the run so far, or if no position reaches the goal."""
     universe = model.universe
     run = Run.start(model)
-    events = []
+    steps, events = [], []
+    times = {ZERO: Fraction(0)}  # (sid, index) node -> fire time
     for j, (st, time) in enumerate(fired, start=1):
+        if j > bound:
+            raise ReplayViolation("position", j, f"past bound {bound}")
+        if run.pc[st.sid - 1] != st.index:
+            raise ReplayViolation("session order", j, f"session {st.sid} expects step "
+                                  f"{run.pc[st.sid - 1]}, got {st.index}")
+        if st.gated and not constructible(run.known[INTRUDER], st.message, universe):
+            raise ReplayViolation("gating", j, "intruder cannot construct "
+                                  f"{render_term(st.message)}")
+        steps.append(st)
+        times[st.ref] = time
+        for u, v, w, kind in step_constraints(model, steps):
+            if times[v] - times[u] > w:
+                raise ReplayViolation(kind, j, f"{_clock(v)} - {_clock(u)} = "
+                                      f"{times[v] - times[u]}, must be <= {w}")
         run, gained = run.then(st)
         deltas = {a: tuple(universe.term_of(t) for t in ids) for a, ids in gained.items()}
         events.append(TraceEvent(j, st.sid, st.index, st.sender, st.receiver,
@@ -91,12 +109,13 @@ def trace_of(model: TiisModel, fired, bound: int) -> Trace:
             return Trace(model.protocol, model.scenario, model.sessions, bound,
                          tuple(events), universe.term_of(secret),
                          tuple(sorted(model.require_complete)))
-    raise ModelError("the run satisfies the goal at no position")
+    raise ReplayViolation("goal", len(events), "the run satisfies the goal at no position")
 
 
 def decode(result: RawResult, script: SmtScript, model: TiisModel) -> Trace:
-    """Decode a sat model into a goal-truncated Trace; a fire symbol the
-    script does not declare is false."""
+    """Decode a sat model into a goal-truncated Trace, reading positions
+    lazily: idle ones only follow the goal. A fire symbol the script does
+    not declare is false. Raises ModelError if the firings are not a run."""
     if result.status != "sat":
         raise ModelError(f"cannot decode a {result.status} result")
     values = result.values
@@ -118,73 +137,39 @@ def decode(result: RawResult, script: SmtScript, model: TiisModel) -> Trace:
     return trace_of(model, fired(), script.bound)
 
 
-def _clock(node) -> str:
-    return "0" if node is ZERO else f"t{node[0]}.{node[1]}"
-
-
 def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:
-    """Concrete re-execution; returns None if valid, else the first violation."""
-    universe = model.universe
-    run = Run.start(model)
+    """Check ``trace`` against ``model``; returns None if it is the trace
+    ``trace_of`` builds from its events' steps and times, else the first
+    violation."""
     fired = []
-    times = {ZERO: Fraction(0)}  # (sid, index) node -> fire time
-
     for j, ev in enumerate(trace.events, start=1):
-        if ev.position != j or j > trace.bound:
-            return ReplayViolation(
-                "position", ev.position,
-                f"event {j} of a bound-{trace.bound} trace has position {ev.position}")
+        if ev.position != j:
+            return ReplayViolation("position", ev.position,
+                                   f"event {j} has position {ev.position}")
         try:
             st = model.step_at(ev.sid, ev.index)
         except KeyError:
-            return ReplayViolation("session order", ev.position,
-                                   f"unknown step ({ev.sid},{ev.index})")
+            return ReplayViolation("session order", j, f"unknown step ({ev.sid},{ev.index})")
         if (ev.sender, ev.receiver, ev.message) != (st.sender, st.receiver, st.message):
             return ReplayViolation(
-                "step label", ev.position,
-                f"step ({ev.sid},{ev.index}) is {st.sender} -> {st.receiver} : "
-                f"{render_term(st.message)}")
-        expected = run.pc[ev.sid - 1]
-        if expected != ev.index:
-            return ReplayViolation(
-                "session order", ev.position,
-                f"session {ev.sid} expects step {expected}, got {ev.index}")
-        if st.gated and not constructible(run.known[INTRUDER], st.message, universe):
-            return ReplayViolation(
-                "gating", ev.position,
-                f"intruder cannot construct {render_term(st.message)}")
-        fired.append(st)
-        times[st.ref] = ev.time
-        for u, v, w, kind in step_constraints(model, fired):
-            diff = times[v] - times[u]
-            if diff > w:
+                "step label", j, f"step ({ev.sid},{ev.index}) is {st.sender} -> "
+                f"{st.receiver} : {render_term(st.message)}")
+        fired.append((st, ev.time))
+    try:
+        rebuilt = trace_of(model, fired, trace.bound)
+    except ReplayViolation as violation:
+        return violation
+    for ev, new in zip(trace.events, rebuilt.events):
+        for a in sorted(ev.deltas.keys() | new.deltas.keys()):
+            declared, actual = set(ev.deltas.get(a, ())), set(new.deltas.get(a, ()))
+            if declared != actual:
                 return ReplayViolation(
-                    kind, ev.position,
-                    f"{_clock(v)} - {_clock(u)} = {diff}, must be <= {w}")
-
-        run, gains = run.then(st)
-        for a in model.agents:
-            actual = {universe.term_of(t) for t in gains.get(a, ())}
-            declared = set(ev.deltas.get(a, ()))
-            if actual != declared:
-                missing = sorted(render_term(t) for t in actual ^ declared)
-                return ReplayViolation(
-                    "knowledge delta", ev.position,
-                    f"agent {a} delta mismatch on {missing}")
-
-    final = trace.events[-1] if trace.events else None
-    secret_id = universe.id_of(trace.secret) if trace.secret in universe else None
-    goal_ok = (
-        final is not None
-        and run.goal() is not None
-        and secret_id in model.goal_secret_ids
-        and secret_id in run.known[INTRUDER]
-        and set(trace.completed_sessions) == set(model.require_complete)
-    )
-    if not goal_ok:
-        return ReplayViolation(
-            "goal", final.position if final else 0,
-            "final state does not satisfy the goal predicate")
+                    "knowledge delta", ev.position, f"agent {a} delta mismatch on "
+                    f"{sorted(render_term(t) for t in declared ^ actual)}")
+    goal = (len(rebuilt.events), rebuilt.secret, set(rebuilt.completed_sessions))
+    if (len(trace.events), trace.secret, set(trace.completed_sessions)) != goal:
+        return ReplayViolation("goal", goal[0], f"the goal first holds here: I learns "
+                               f"{render_term(goal[1])}, sessions {sorted(goal[2])} complete")
     return None
 
 

@@ -379,6 +379,29 @@ def test_model_that_is_not_a_run_exits_3(capsys):
     assert "error:" not in err and "Traceback" not in err
 
 
+def test_sat_model_that_breaks_session_order_exits_3(capsys, monkeypatch):
+    import tspbmc.solver as solver
+    from dataclasses import replace
+
+    real = solver.run_solver
+
+    def tampered(script, config, session=None):
+        # position 2 fires (1,1) again in place of (2,1)
+        result = real(script, config, session)
+        return replace(result, values={**result.values, "fire_2_1_1": True,
+                                       "fire_2_2_1": False})
+
+    monkeypatch.setattr(solver, "run_solver", tampered)
+    code, out, err = run(capsys, "check", "nspkt", "mitm1_lowe")
+    assert code == 3
+    assert out == ""
+    # the bound loop stops at the first model, before asking at g - 1
+    assert [line.split(" (")[0] for line in err.splitlines()] == [
+        "bound 5: sat",
+        "inconclusive: solver model at bound 5 is not a run: position 2: session "
+        "order: session 1 expects step 2, got 1"]
+
+
 @pytest.mark.parametrize("bad", ["protocol", "scenario"])
 def test_non_utf8_input_exits_2(capsys, tmp_path, bad):
     entry = library.get("nspkt")

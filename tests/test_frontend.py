@@ -62,6 +62,12 @@ def test_parse_protocol_basics():
     (lambda t: t.replace("delay 1", "delay -1", 1), "delay"),
     (lambda t: t.replace("A -> B : <KB, Ta | A>", "A -> A : <KB, Ta | A>"),
      "differ"),
+    # the last of two header lines used to win silently
+    (lambda t: t + "name: OTHER\n", "line 11: repeated name: line"),
+    (lambda t: t + "goal: secrecy Tb sid 2\n", "line 11: repeated goal: line"),
+    (lambda t: t + "complete: 1\n", "line 11: repeated complete: line"),
+    (lambda t: t.replace("complete: 1", "complete: 0 7"),
+     "line 7: complete: session indices must be >= 1"),
 ])
 def test_parse_protocol_rejects(mutation, needle):
     with pytest.raises(ProtocolError) as e:
@@ -153,6 +159,12 @@ def test_apply_overrides_out_of_range():
         {"sid": 2, "step": 1, "kind": "retime", "delay": 1}])
     with pytest.raises(ScenarioError):
         apply_overrides(spec, scen, 1)
+    # a fresh value of no session 1..k: A used to "generate" Ta#7 at (1,1)
+    for sid, k in ((7, 1), (3, 2)):
+        scen = scenario(sessions=k, overrides=[
+            {"sid": 1, "step": 1, "kind": "replace", "edge": "A->B", "L": f"<KB,Ta#{sid}|A>"}])
+        with pytest.raises(ScenarioError, match=rf"fresh value Ta#{sid} is not of sessions 1\.\.{k}"):
+            apply_overrides(spec, scen, k)
 
 
 def test_generation_and_lifetime_checks():
@@ -185,22 +197,22 @@ def test_generation_falls_back_when_owner_send_overridden():
          "L": "<KB,Ta#1|A>"}])
     steps = apply_overrides(spec, scen, 1)
     gen = compute_generation(steps, spec.decl_map())
-    assert gen[parse_term("Ta#1")].ref == (1, 1)  # first-containing fallback
+    assert gen[parse_term("Ta#1")].ref == (1, 1)  # the intruder step's fallback
     assert steps[0].generates == (parse_term("Ta#1"),)
-    # B's step 2 is the first to carry Ta#1 once A's step 1 no longer does
+    # once A's step 1 no longer carries Ta#1, B's step 2 is the first to:
+    # an honest non-owner never generates, so B sends what it never got
     scen = scenario(overrides=[
         {"sid": 1, "step": 1, "kind": "replace", "edge": "A->B", "L": "A"}])
-    steps = apply_overrides(spec, scen, 1)
-    assert compute_generation(steps, spec.decl_map())[parse_term("Ta#1")].ref == (1, 2)
-    assert steps[1].generates == (parse_term("Ta#1"), parse_term("Tb#1"))
-    assert steps[1].lifetime_checks == ()
+    with pytest.raises(ScenarioError, match=r"step \(1,2\): B sends Ta#1 before"):
+        apply_overrides(spec, scen, 1)
 
 
 def test_honest_sender_sends_only_what_it_generates_or_has_seen():
     spec = parse_protocol(NSPK)
-    # A received Tb#1 at (1,2); the intruder's sends are gated instead
+    # A received Tb#1 at (1,2); the intruder's sends are gated instead (its
+    # step 1 still carries Ta#1, which B sends at (1,2))
     for ov in ({"sid": 1, "step": 3, "kind": "replace", "edge": "A->I", "L": "Tb#1"},
-               {"sid": 1, "step": 1, "kind": "intruder", "edge": "I->B", "L": "Tb#1"}):
+               {"sid": 1, "step": 1, "kind": "intruder", "edge": "I->B", "L": "Ta#1|Tb#1"}):
         apply_overrides(spec, scenario(overrides=[ov]), 1)
     # session 2's A has seen nothing of session 1
     scen = scenario(sessions=2, overrides=[
@@ -277,6 +289,9 @@ def test_effective_require_complete_default_and_explicit():
     assert effective_require_complete(spec, steps, 2) == frozenset({1})
     no_complete = parse_protocol(NSPK.replace("complete: 1\n", ""))
     assert effective_require_complete(no_complete, steps, 2) == frozenset({1, 2})
+    # indices above k are clipped, not rejected
+    beyond = parse_protocol(NSPK.replace("complete: 1", "complete: 1 7"))
+    assert effective_require_complete(beyond, steps, 2) == frozenset({1})
 
 
 def test_readme_protocol_example_parses():

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,8 @@ from tspbmc.oracle import explicit_reach
 from tspbmc.solver import run_solver
 from tspbmc.terms import parse_term
 from tspbmc.witness import (
+    ReplayViolation,
+    TraceEvent,
     decode,
     parse_json,
     render_html,
@@ -21,11 +24,17 @@ from conftest import model_of, solver_config
 
 
 @pytest.fixture(scope="module")
-def mitm(lib):
+def mitm_sat(lib):
     model = model_of(lib, "nspkt", "mitm1_lowe")
     script = encode(BmcProblem(model, 5))
     result = run_solver(script, solver_config())
     assert result.status == "sat"
+    return model, script, result
+
+
+@pytest.fixture(scope="module")
+def mitm(mitm_sat):
+    model, script, result = mitm_sat
     return model, decode(result, script, model)
 
 
@@ -49,6 +58,20 @@ def test_decode_rejects_non_sat(mitm):
     script = encode(BmcProblem(model, 5))
     with pytest.raises(ModelError):
         decode(RawResult("unsat"), script, model)
+
+
+# the model fires (1,1), (2,1), (2,2), (1,2), (1,3) at times 1, 1, 2, 2, 3
+@pytest.mark.parametrize("tamper, where", [
+    ({"fire_2_1_1": True, "fire_2_2_1": False}, ("session order", 2)),  # (1,1) again
+    ({"tau_3": Fraction(0)}, ("delay", 3)),  # (2,2) before (2,1)'s time + delay
+])
+def test_decode_rejects_a_model_that_is_not_a_run(mitm_sat, tamper, where):
+    model, script, result = mitm_sat
+    assert all(name in script.var_index for name in tamper)
+    with pytest.raises(ReplayViolation) as e:
+        decode(replace(result, values={**result.values, **tamper}), script, model)
+    assert (e.value.kind, e.value.position) == where
+    assert isinstance(e.value, ModelError)
 
 
 def test_replay_accepts_decoded(mitm):
@@ -112,6 +135,17 @@ def test_replay_rejects_goalless_truncation(mitm):
     violation = replay(bad, model)
     assert violation is not None
     assert violation.kind == "goal"
+
+
+def test_replay_rejects_events_past_the_goal(mitm):
+    model, trace = mitm
+    assert [(ev.sid, ev.index) for ev in trace.events][-1] == (1, 3)
+    st = model.step_at(2, 3)  # the intruder forwards Tb#2 to B after the goal
+    extra = TraceEvent(6, 2, 3, st.sender, st.receiver, st.message,
+                       trace.events[-1].time + 1, {})
+    violation = replay(replace(trace, bound=6, events=trace.events + (extra,)), model)
+    assert violation is not None
+    assert (violation.kind, violation.position) == ("goal", 5)
 
 
 def test_knowledge_deltas_partition_knowledge(mitm):
