@@ -1,42 +1,49 @@
 """Bounded-reachability encoding to SMT-LIB2 (QF_LRA).
 
-The bound-n script asks whether the goal holds within at most n global
-transitions. At most one transition fires per position j in 1..n: one
-fires at position 1, and a position after an idle one is idle too, so a
-run of m < n transitions leaves positions m+1..n idle. Idle positions
-change no state, so the first position where the goal holds always
-fires a step, and a bound-n model is a witness for every bound >= its
-first goal position: the bounds are monotone. Boolean state tracks
-which session steps have fired (``done``). Real variables carry per-step
-fire times bound to a non-decreasing position clock, with minimum-delay
-and lifetime difference constraints.
+The bound-n script asks whether some run of at most n transitions reaches
+the goal. A run is encoded by the steps it fires and their causal order,
+not by the position of each step (partial-order BMC, Heljanko, CONCUR
+2001): every encoded step s has a fire flag ``f_s``, a fire time ``t_s``
+and an order value ``o_s``, and sorting the fired steps by (t, o, sid,
+index) gives the run (``witness.decode``).
 
 Only the goal's cone of influence is encoded (``model.cone``: every goal
-run has a run of cone steps that reaches the goal as early), and only
-from each step's earliest position e (``model.earliest``) on: a cone
-step with e > n, and every symbol of a step before its e, is left out,
-as is a lifetime check whose generation step is left out. The goal is a
-disjunction over the positions from the goal floor L
-(``model.goal_floor``) to n only, and is ``false`` when n < L.
+run has a run of cone steps that reaches the goal as early). The
+assertions are:
 
-Intruder knowledge is not state: the model's minimal root supports
-(labels) decide it from the roots received. ``recv(m, j)`` is the
-disjunction of the ``done`` literals at j of the steps delivering root m
-to the intruder (``false`` where none can have fired). An intruder-sent
-step fires at j only if a support of its message's label (which decides
-``model.constructible``) is received by j-1; the goal EF(psi) is a
-disjunction over positions of "required sessions complete and a support
-of a goal secret's label received by j".
+- session order, unconditional: ``f_(sid,i) => f_(sid,i-1)``,
+  ``t_(sid,i) >= t_(sid,i-1) + delay`` (the first step of a session
+  ``t >= delay``) and ``o_(sid,i) >= o_(sid,i-1) + 1``. Unfired steps
+  form session suffixes, and every constraint they take part in
+  unconditionally is a lower bound on them, so late values meet it;
+- lifetimes: ``f_s => t_s <= t_gen + b`` for each lifetime check of s
+  whose generation step is encoded;
+- gating: an intruder-sent step fires only if, for some support of its
+  message's label, every root m has a deliverer d that precedes it:
+  ``f_d``, ``o_d + 1 <= o_s`` and ``t_d <= t_s``. Neither s nor a later
+  step of its session can, and neither is named;
+- the goal: the required sessions' last steps fire, and every root of
+  some support of a goal secret's label has a fired deliverer;
+- the bound: for n below the encoded step count, at most n of the
+  ``f_s`` hold, as a sequential counter (Sinz, CP 2005); at or above it
+  the count is no limit and the section is empty.
+
+Every precedence edge has ``o_a < o_b`` and ``t_a <= t_b``, so the sort
+puts causes first and times never decrease; a lifetime whose generation
+step sorts after the use holds there, as lifetimes are positive.
+Conversely a run gives o = position. The fired count is at least the
+goal position, so the bounds are monotone and the least sat bound is the
+least attack bound. Every theory atom is a non-strict difference in
+positive polarity.
 
 Symbol scheme (a stable contract consumed by the decoder), for each
-encoded step (sid,i) with earliest position e and each e <= j <= n::
+encoded step (sid,i), and for each counter cell 1 <= i < m, 1 <= j <=
+min(i, n) over the m encoded steps in (sid, index) order::
 
-    fire_<j>_<sid>_<i>   Bool   step (sid,i) fires at position j
-    done_<j>_<sid>_<i>   Bool   step (sid,i) has fired at or before j
-    t_<sid>_<i>          Real   fire time of step (sid,i)
-    tau_<j>              Real   time at position j, for 0 <= j <= n
-
-A ``fire``/``done`` symbol that is not declared stands for ``false``.
+    f_<sid>_<i>   Bool   step (sid,i) fires
+    t_<sid>_<i>   Real   fire time of step (sid,i)
+    o_<sid>_<i>   Real   order of step (sid,i) among the fired steps
+    c_<i>_<j>     Bool   at least j of the first i encoded steps fire
 """
 
 from __future__ import annotations
@@ -62,26 +69,22 @@ class BmcProblem:
 class SmtScript:
     text: str
     var_index: dict  # symbol name -> sort ("Bool" | "Real")
-    goal_positions: tuple
+    steps: tuple  # refs of the encoded steps, in (sid, index) order
     bound: int
     # symbols a sat model is asked for; None asks for every declared one
     model_symbols: Optional[tuple] = None
 
 
-def fire_name(j: int, sid: int, i: int) -> str:
-    return f"fire_{j}_{sid}_{i}"
-
-
-def done_name(j: int, sid: int, i: int) -> str:
-    return f"done_{j}_{sid}_{i}"
+def f_name(sid: int, i: int) -> str:
+    return f"f_{sid}_{i}"
 
 
 def t_name(sid: int, i: int) -> str:
     return f"t_{sid}_{i}"
 
 
-def tau_name(j: int) -> str:
-    return f"tau_{j}"
+def o_name(sid: int, i: int) -> str:
+    return f"o_{sid}_{i}"
 
 
 def _and(parts):
@@ -115,27 +118,26 @@ def support_formula(label, recv) -> str:
 def encode(problem: BmcProblem) -> SmtScript:
     model = problem.model
     n = problem.bound
-    universe = model.universe
-    first = {ref: j for ref, j in model.earliest.items() if j <= n}
-    steps = [st for st in model.exec_steps if st.ref in first]  # (sid, index) order
+    steps = [st for st in model.exec_steps if st.ref in model.cone]  # (sid, index) order
+    m = len(steps)
 
-    def done(j, st):
-        """done_<j>, or false where the step cannot have fired by j."""
-        return done_name(j, *st.ref) if first.get(st.ref, n + 1) <= j else "false"
+    def count(i, j):
+        """c_<i>_<j>: at least j of the first i steps fire."""
+        return "true" if j == 0 else "false" if j > i else f"c_{i}_{j}"
 
-    def received(j):
-        """recv(m, j): some deliverer of root m has fired by j."""
-        return lambda m: _or([done(j, d) for d in model.deliveries[m]])
+    def precedes(d, st):
+        """d fires before st: it fires, comes first in order and no later."""
+        return _and([f_name(*d.ref), f"(>= {o_name(*st.ref)} (+ {o_name(*d.ref)} 1.0))",
+                     f"(>= {t_name(*st.ref)} {t_name(*d.ref)})"])
 
-    def firing(j):
-        return [st for st in steps if first[st.ref] <= j]
-
-    var_index: dict = {tau_name(j): "Real" for j in range(n + 1)}
+    var_index: dict = {}
     for st in steps:
-        var_index[t_name(*st.ref)] = "Real"
-        for j in range(first[st.ref], n + 1):
-            var_index[fire_name(j, *st.ref)] = "Bool"
-            var_index[done_name(j, *st.ref)] = "Bool"
+        var_index.update({f_name(*st.ref): "Bool", t_name(*st.ref): "Real",
+                          o_name(*st.ref): "Real"})
+    model_symbols = tuple(sorted(var_index))
+    if n < m:
+        var_index.update({count(i, j): "Bool" for i in range(1, m)
+                          for j in range(1, min(i, n) + 1)})
 
     lines = ["(set-logic QF_LRA)"]
     lines.append("; declarations")
@@ -145,81 +147,53 @@ def encode(problem: BmcProblem) -> SmtScript:
     def assert_(f: str):
         lines.append(f"(assert {f})")
 
-    # interleaving: at most one step fires per position, exactly one at
-    # position 1, and a position idles only after an idle one, so a run
-    # of m < n transitions ends in an idle suffix; session-local order
-    lines.append("; interleaving")
-    for j in range(1, n + 1):
-        fires = [fire_name(j, *st.ref) for st in firing(j)]
-        if j == 1:
-            assert_(_or(fires))
-        elif fires:
-            prev = [fire_name(j - 1, *st.ref) for st in firing(j - 1)]
-            assert_(f"(=> {_or(fires)} {_or(prev)})")
-        for x in range(len(fires)):
-            for y in range(x + 1, len(fires)):
-                assert_(f"(or (not {fires[x]}) (not {fires[y]}))")
-        for st in firing(j):
-            f = fire_name(j, *st.ref)
-            dprev = done(j - 1, st)
-            assert_(f"(= {done_name(j, *st.ref)} {_or([dprev, f])})")
-            guards = [] if dprev == "false" else [f"(not {dprev})"]
-            if st.index > 1:
-                guards.insert(0, done_name(j - 1, st.sid, st.index - 1))
-            if guards:
-                assert_(f"(=> {f} {_and(guards)})")
-
-    # time: non-decreasing position clock, fire-time binding, minimum delays
-    lines.append("; time")
-    assert_(f"(= {tau_name(0)} 0.0)")
-    for j in range(1, n + 1):
-        assert_(f"(>= {tau_name(j)} {tau_name(j - 1)})")
-        for st in firing(j):
-            assert_(f"(=> {fire_name(j, *st.ref)} (= {t_name(*st.ref)} {tau_name(j)}))")
+    lines.append("; session order")
     for st in steps:
+        t, delay = t_name(*st.ref), render_value(st.min_delay)
         if st.index > 1:
-            assert_(
-                f"(>= {t_name(*st.ref)} "
-                f"(+ {t_name(st.sid, st.index - 1)} {render_value(st.min_delay)}))"
-            )
+            prev = (st.sid, st.index - 1)
+            assert_(f"(=> {f_name(*st.ref)} {f_name(*prev)})")
+            assert_(f"(>= {t} (+ {t_name(*prev)} {delay}))")
+            assert_(f"(>= {o_name(*st.ref)} (+ {o_name(*prev)} 1.0))")
         else:
-            assert_(f"(>= {t_name(*st.ref)} {render_value(st.min_delay)})")
+            assert_(f"(>= {t} {delay})")
 
-    # lifetimes: a fired step that uses a bounded fresh term must fall
-    # within the bound after the term's generation step; a generation step
-    # that cannot fire within the bound binds nothing
     lines.append("; lifetimes")
     for st in steps:
         for check in st.lifetime_checks:
-            if check.gen in first:
-                assert_(
-                    f"(=> {done(n, st)} "
-                    f"(<= {t_name(*st.ref)} "
-                    f"(+ {t_name(*check.gen)} {render_value(check.bound)})))"
-                )
+            if check.gen in model.cone:
+                assert_(f"(=> {f_name(*st.ref)} (<= {t_name(*st.ref)} "
+                        f"(+ {t_name(*check.gen)} {render_value(check.bound)})))")
 
-    # gating: intruder-sent steps require constructibility at the prior position
     lines.append("; gating")
     for st in steps:
         if st.gated:
-            label = model.labels[universe.id_of(st.message)]
-            for j in range(first[st.ref], n + 1):
-                cond = support_formula(label, received(j - 1))
-                if cond != "true":
-                    assert_(f"(=> {fire_name(j, *st.ref)} {cond})")
+            label = model.labels[model.universe.id_of(st.message)]
+            cond = support_formula(label, lambda r: _or(
+                [precedes(d, st) for d in model.deliveries[r]
+                 if d.sid != st.sid or d.index < st.index]))
+            if cond != "true":
+                assert_(f"(=> {f_name(*st.ref)} {cond})")
 
-    # goal: EF(psi) as a disjunction over the positions from the floor L,
-    # psi_j = required sessions complete at j and a goal secret known at j
     lines.append("; goal")
     last = model.steps_per_session()
     goal_label = [sup for tid in model.goal_secret_ids for sup in model.labels[tid]]
-    goal_positions = tuple(range(model.goal_floor, n + 1))
-    assert_(_or([
-        _and([done(j, model.step_at(sid, last)) for sid in sorted(model.require_complete)]
-             + [support_formula(goal_label, received(j))])
-        for j in goal_positions]))
+    assert_(_and([f_name(sid, last) for sid in sorted(model.require_complete)]
+                 + [support_formula(goal_label, lambda r: _or(
+                     [f_name(*d.ref) for d in model.deliveries[r]]))]))
+
+    lines.append("; bound")
+    if n < m:
+        for i, st in enumerate(steps, start=1):
+            f = f_name(*st.ref)
+            if i < m:
+                for j in range(1, min(i, n) + 1):
+                    if count(i - 1, j) != "false":
+                        assert_(f"(=> {count(i - 1, j)} {count(i, j)})")
+                    assert_(f"(=> {_and([f, count(i - 1, j - 1)])} {count(i, j)})")
+            if count(i - 1, n) != "false":
+                assert_(f"(=> {f} (not {count(i - 1, n)}))")
 
     lines.append("(check-sat)")
-    # witness.decode reads only the fires and the position times
-    wanted = tuple(name for name in sorted(var_index) if name.startswith(("fire_", "tau_")))
-    return SmtScript("\n".join(lines) + "\n", var_index, goal_positions, n, wanted)
+    return SmtScript("\n".join(lines) + "\n", var_index,
+                     tuple(st.ref for st in steps), n, model_symbols)

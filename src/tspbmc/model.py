@@ -10,8 +10,7 @@ replayer and the explicit-state oracle.
 ``goal_analysis`` adds two static facts that the encoder and the bound
 loop use and the oracle does not: the goal's cone of influence (the
 steps a goal run can need, as in Clarke, Grumberg & Peled, *Model
-Checking*, 1999) and earliest positions (no step fires, and no goal
-holds, before them).
+Checking*, 1999) and the goal floor L (no goal holds before position L).
 
 ``Run`` is the one concrete semantics of a model: session order,
 delivery to ``receivers`` with knowledge closure, a sender's knowledge
@@ -77,7 +76,6 @@ class TiisModel:
     deliveries: dict  # intruder root id -> the exec steps delivering it
     labels: tuple  # term id -> minimal root supports (sorted id tuples)
     cone: frozenset  # refs of the steps a goal run can need
-    earliest: dict  # cone step ref -> first position it can fire at
     goal_floor: int  # L: no goal holds at a position before it
 
     def steps_per_session(self) -> int:
@@ -275,7 +273,7 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
     deliveries = intruder_deliveries(steps, universe, scenario.eavesdrop)
     labels = tuple(_sorted_label(lab) for lab in
                    support_labels(universe, rules, init[INTRUDER], deliveries))
-    cone, earliest, goal_floor = goal_analysis(
+    cone, goal_floor = goal_analysis(
         steps, universe, labels, deliveries, require, secret_ids)
 
     return TiisModel(
@@ -294,7 +292,6 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
         deliveries=deliveries,
         labels=labels,
         cone=cone,
-        earliest=earliest,
         goal_floor=goal_floor,
     )
 
@@ -364,71 +361,76 @@ def intruder_deliveries(steps, universe: TermUniverse, eavesdrop: bool) -> dict:
 
 def goal_analysis(steps, universe: TermUniverse, labels, deliveries: dict,
                   require, secret_ids):
-    """The goal's cone of influence and the earliest positions.
+    """The goal's cone of influence and the goal floor L.
 
-    The cone holds every step of each required session and every
-    deliverer of a root of a goal-secret support, closed under session
-    prefix and, for each gated step, under every deliverer of every root
-    of every support of its label. Dropping the steps outside it from a
-    goal run leaves a run: session order, every gate and the goal see the
-    same deliveries, times are kept, and a lifetime binds only after its
-    generation step has fired. So a run reaching the goal within n
-    transitions has a cone run that does too.
+    Both close a set of steps under session prefix and, for each gated
+    step, under deliverers of roots of its label. The cone starts from
+    every step of each required session and every deliverer of a root of
+    a goal-secret support, and adds every deliverer of every root of every
+    support. Dropping the steps outside it from a goal run leaves a run:
+    session order, every gate and the goal see the same deliveries, times
+    are kept, and a lifetime binds only after its generation step has
+    fired. So a run reaching the goal within n transitions has a cone run
+    that does too.
 
-    A cone step fires no earlier than one position after its session
-    predecessor and, if gated, than one after the earliest position some
-    support of its label can be delivered by. The goal floor L is the
-    required sessions' step count plus, for the cheapest goal support,
-    the longest session prefix outside them that a root needs, and no
-    less than the earliest delivery of a goal support. A position past
-    every run (the step count plus one) stands for never.
+    L is the size of a set of steps that every goal run fires by its goal
+    position. The set starts and closes the same way, but a label adds
+    only a step d that every usable support needs: some root of the
+    support has d as its one deliverer that can precede the gated step
+    (one that is neither the step nor a later step of its session). L is
+    also no less than the required sessions' step count plus, for the
+    cheapest goal support, the longest session prefix outside them that
+    a root needs. So no goal holds before position L. If the goal, or a
+    gated step of the set, has no usable support, no goal run exists and
+    L is past every run: the step count plus one.
 
-    Returns (cone refs, cone ref -> earliest position, L).
+    Returns (cone refs, L).
     """
     by_ref = {st.ref: st for st in steps}
-    never = len(steps) + 1
     goal_label = [sup for tid in secret_ids for sup in labels[tid]]
 
-    def deliverers(label):
+    def may(label, st):
         return [d for sup in label for m in sup for d in deliveries[m]]
 
-    cone = set()
-    todo = [st for st in steps if st.sid in require] + deliverers(goal_label)
-    while todo:
-        st = todo.pop()
-        if st.ref in cone:
-            continue
-        cone.add(st.ref)
-        todo += [by_ref[(st.sid, i)] for i in range(1, st.index)]
-        if st.gated:
-            todo += deliverers(labels[universe.id_of(st.message)])
+    def must(label, st):
+        """The steps that every usable support of ``label`` needs before
+        ``st`` (before the goal when None); None if no support is usable."""
+        sole = []
+        for sup in label:
+            early = [[d.ref for d in deliveries[m] if st is None or d.sid != st.sid
+                      or d.index < st.index] for m in sup]
+            if all(early):
+                sole.append({refs[0] for refs in early if len(refs) == 1})
+        return [by_ref[ref] for ref in sorted(set.intersection(*sole))] if sole else None
 
-    def delivered(label, first):
-        """Earliest position by which some support of ``label`` is delivered."""
-        return min((max((min(first[d.ref] for d in deliveries[m]) for m in sup),
-                        default=0) for sup in label), default=never)
+    def closed(needed):
+        """The required sessions' steps and ``needed(goal_label, None)``,
+        closed under session prefix and ``needed`` of each gated step's
+        label; None where ``needed`` is."""
+        out = set()
+        todo = needed(goal_label, None)
+        if todo is None:
+            return None
+        todo += [st for st in steps if st.sid in require]
+        while todo:
+            st = todo.pop()
+            if st.ref not in out:
+                out.add(st.ref)
+                todo += [by_ref[(st.sid, i)] for i in range(1, st.index)]
+                if st.gated:
+                    more = needed(labels[universe.id_of(st.message)], st)
+                    if more is None:
+                        return None
+                    todo += more
+        return out
 
-    # a monotone fixpoint from the session-order bound up: every value
-    # stays at or below the true earliest position
-    first = {ref: ref[1] for ref in cone}
-    changed = True
-    while changed:
-        changed = False
-        for ref in sorted(cone):
-            st = by_ref[ref]
-            at = first[(st.sid, st.index - 1)] + 1 if st.index > 1 else 1
-            if st.gated:
-                at = max(at, delivered(labels[universe.id_of(st.message)], first) + 1)
-            at = min(at, never)
-            if at > first[ref]:
-                first[ref] = at
-                changed = True
-
-    last = max(st.index for st in steps)
     outside = min((max((min(0 if d.sid in require else d.index for d in deliveries[m])
-                        for m in sup), default=0) for sup in goal_label), default=never)
-    floor = max(1, len(require) * last + outside, delivered(goal_label, first))
-    return frozenset(cone), first, min(floor, never)
+                        for m in sup), default=0) for sup in goal_label), default=0)
+    last = max(st.index for st in steps)
+    core = closed(must)
+    floor = (len(steps) + 1 if core is None
+             else max(1, len(core), len(require) * last + outside))
+    return frozenset(closed(may)), floor
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -530,8 +532,7 @@ def model_to_json(model: TiisModel) -> dict:
         },
         "require_complete": sorted(model.require_complete),
         "goal_secrets": [render_term(model.universe.term_of(i)) for i in model.goal_secret_ids],
-        "cone": [{"sid": sid, "step": i, "earliest": model.earliest[(sid, i)]}
-                 for sid, i in sorted(model.cone)],
+        "cone": [{"sid": sid, "step": i} for sid, i in sorted(model.cone)],
         "goal_floor": model.goal_floor,
         "warnings": adequacy_warnings(model),
     }

@@ -6,9 +6,9 @@ script after the first is preceded by the standard SMT-LIB ``(reset)``,
 so any SMT-LIB2-compliant binary that accepts ``(reset)`` works. The
 protocol per script is: write the script, read the ``(check-sat)`` reply,
 and on ``sat`` send one ``(get-value ...)`` for the script's
-``model_symbols`` (for an encoded script, the fires and position times the
-decoder reads), or for every declared symbol when it names none. One
-``sexpr.Reader`` per child reads every reply, so a reply such as
+``model_symbols`` (for an encoded script, the fire flags, times and
+orders the decoder reads), or for every declared symbol when it names
+none. One ``sexpr.Reader`` per child reads every reply, so a reply such as
 ``(error "... '(' expected")`` is read as one expression and ends the
 exchange with status ``error`` at once.
 The child runs in a process group of its own, and its stderr goes to an
@@ -24,8 +24,8 @@ The bound-n script asks for the goal within at most n transitions, so
 the bounds are monotone and every exec step fires at most once. Every
 goal run reduces to a run of the goal's cone steps, so the bound at the
 cone's size covers every run. The loop queries min(cap, cone size)
-first and then works down from each sat model's first goal position,
-never below the goal floor L, where no goal holds.
+first and then works down from the length of each sat model's decoded
+trace, never below the goal floor L, where no goal holds.
 
 Solver resolution order: explicit ``--solver`` command, the
 ``TSPBMC_SOLVER`` environment variable, ``z3 -in`` if z3 is on PATH, and
@@ -246,11 +246,12 @@ def iterate_bounds(model: TiisModel, config: Optional[SolverConfig] = None) -> V
     The cap is ``min(max_bound, exec-step count)``. The first query is at
     ``min(cap, |cone|)``: every goal run reduces to a cone run of at most
     |cone| transitions, so if it is unsat there is no attack within the
-    cap, and the verdict reports the cap. A sat model's first goal
-    position g (the last event of its decoded trace) bounds the least
-    attack from above, so the next query is at g-1, until one is unsat or
-    g-1 is below the goal floor L (``model.goal_floor``), where no goal
-    holds. The attack is reported at g with the sat result found there.
+    cap, and the verdict reports the cap. The length g of a sat model's
+    decoded trace (its fired steps in order, up to the first goal
+    position) bounds the least attack from above, so the next query is
+    at g-1, until one is unsat or g-1 is below the goal floor L
+    (``model.goal_floor``), where no goal holds. The attack is reported
+    at g with the sat result found there.
     """
     config = config or SolverConfig()
     steps = default_max_bound(model)
@@ -273,7 +274,7 @@ def iterate_bounds(model: TiisModel, config: Optional[SolverConfig] = None) -> V
                     reason += f": {result.solver_stderr.splitlines()[0]}"
                 return Verdict("inconclusive", n, result, reason, tuple(log))
             try:
-                attack = (decode(result, script, model).events[-1].position, result)
+                attack = (len(decode(result, script, model).events), result)
             except ModelError as e:
                 return Verdict("inconclusive", n, result,
                                f"solver model at bound {n} is not a run: {e}",

@@ -6,10 +6,11 @@ the bound, out of session order, failing its intruder gate or breaking a
 ``model.step_constraints`` delay or lifetime, or when no position reaches
 the goal; else it returns the Trace (each position's time and per-agent
 knowledge deltas) up to the first goal position, the least bound the
-firings witness. ``decode`` feeds it a sat model's fires and times, the
-oracle its BFS path, and ``replay`` a trace's own steps and times, after
-checking its positions and step labels; ``replay`` then compares the
-deltas, secret, completed sessions and length. No solving is involved.
+firings witness. ``decode`` feeds it a sat model's fired steps sorted by
+time and order, the oracle its BFS path, and ``replay`` a trace's own
+steps and times, after checking its positions and step labels;
+``replay`` then compares the deltas, secret, completed sessions and
+length. No solving is involved.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .dbm import ZERO
-from .encoder import SmtScript, fire_name, tau_name
+from .encoder import SmtScript, f_name, o_name, t_name
 from .errors import ModelError
 from .frontend import INTRUDER
 from .model import Run, TiisModel, constructible, step_constraints
@@ -72,6 +73,13 @@ def _bool(values: dict, name: str) -> bool:
     return v
 
 
+def _real(values: dict, name: str) -> Fraction:
+    v = values.get(name)
+    if not isinstance(v, Fraction):
+        raise ModelError(f"missing or non-Real model value for {name}")
+    return v
+
+
 def _clock(node) -> str:
     return "0" if node is ZERO else f"t{node[0]}.{node[1]}"
 
@@ -113,28 +121,15 @@ def trace_of(model: TiisModel, fired, bound: int) -> Trace:
 
 
 def decode(result: RawResult, script: SmtScript, model: TiisModel) -> Trace:
-    """Decode a sat model into a goal-truncated Trace, reading positions
-    lazily: idle ones only follow the goal. A fire symbol the script does
-    not declare is false. Raises ModelError if the firings are not a run."""
+    """Decode a sat model into a goal-truncated Trace: the fired steps
+    sorted by (time, order, sid, index). Raises ModelError if they are not
+    a run."""
     if result.status != "sat":
         raise ModelError(f"cannot decode a {result.status} result")
     values = result.values
-
-    def fired():
-        for j in range(1, script.bound + 1):
-            names = [(st, fire_name(j, *st.ref)) for st in model.exec_steps]
-            steps = [st for st, name in names
-                     if name in script.var_index and _bool(values, name)]
-            if len(steps) != 1:
-                raise ModelError(
-                    f"position {j}: expected exactly one firing step, got "
-                    f"{[(s.sid, s.index) for s in steps]}")
-            time = values.get(tau_name(j))
-            if not isinstance(time, Fraction):
-                raise ModelError(f"missing time value {tau_name(j)}")
-            yield steps[0], time
-
-    return trace_of(model, fired(), script.bound)
+    fired = sorted((_real(values, t_name(*ref)), _real(values, o_name(*ref)), ref)
+                   for ref in script.steps if _bool(values, f_name(*ref)))
+    return trace_of(model, [(model.step_at(*ref), t) for t, _, ref in fired], script.bound)
 
 
 def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:

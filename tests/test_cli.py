@@ -154,9 +154,8 @@ def test_dump_model_prints_cone_and_goal_floor(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["cone"] == [
-        {"sid": 1, "step": 1, "earliest": 1}, {"sid": 1, "step": 2, "earliest": 4},
-        {"sid": 1, "step": 3, "earliest": 5}, {"sid": 2, "step": 1, "earliest": 2},
-        {"sid": 2, "step": 2, "earliest": 3}]
+        {"sid": 1, "step": 1}, {"sid": 1, "step": 2}, {"sid": 1, "step": 3},
+        {"sid": 2, "step": 1}, {"sid": 2, "step": 2}]
     assert data["goal_floor"] == 5
 
 
@@ -356,15 +355,15 @@ def test_unusable_timeout_exits_2(capsys, timeout):
     assert out == ""
 
 
-# answers sat to every script, and false (or 0.0 for a position time) to
-# every get-value symbol: no step fires at position 1
+# answers sat to every script, and false (or 0.0 for a time or an order) to
+# every get-value symbol: no step fires
 FALSE_MODEL = (
     "import sys\n"
     "for line in sys.stdin:\n"
     "    if 'check-sat' in line: print('sat', flush=True)\n"
     "    if line.startswith('(get-value'):\n"
     "        names = line.strip()[len('(get-value ('):-2].split()\n"
-    "        print('(' + ' '.join('(%s %s)' % (n, '0.0' if n.startswith('tau_') "
+    "        print('(' + ' '.join('(%s %s)' % (n, '0.0' if n.startswith(('t_', 'o_')) "
     "else 'false') for n in names) + ')', flush=True)\n")
 
 
@@ -375,7 +374,8 @@ def test_model_that_is_not_a_run_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "bound 3: sat" in err
-    assert "inconclusive: solver model at bound 3 is not a run: position 1:" in err
+    assert ("inconclusive: solver model at bound 3 is not a run: position 0: goal: "
+            "the run satisfies the goal at no position") in err
     assert "error:" not in err and "Traceback" not in err
 
 
@@ -386,10 +386,9 @@ def test_sat_model_that_breaks_session_order_exits_3(capsys, monkeypatch):
     real = solver.run_solver
 
     def tampered(script, config, session=None):
-        # position 2 fires (1,1) again in place of (2,1)
+        # (2,2) fires without (2,1), at position 2
         result = real(script, config, session)
-        return replace(result, values={**result.values, "fire_2_1_1": True,
-                                       "fire_2_2_1": False})
+        return replace(result, values={**result.values, "f_2_1": False})
 
     monkeypatch.setattr(solver, "run_solver", tampered)
     code, out, err = run(capsys, "check", "nspkt", "mitm1_lowe")
@@ -399,7 +398,7 @@ def test_sat_model_that_breaks_session_order_exits_3(capsys, monkeypatch):
     assert [line.split(" (")[0] for line in err.splitlines()] == [
         "bound 5: sat",
         "inconclusive: solver model at bound 5 is not a run: position 2: session "
-        "order: session 1 expects step 2, got 1"]
+        "order: session 2 expects step 1, got 2"]
 
 
 @pytest.mark.parametrize("bad", ["protocol", "scenario"])

@@ -26,22 +26,21 @@ def test_determinism(lib):
 
 
 def test_symbol_scheme_and_counts(lib):
-    model = model_of(lib, "nspkt", "fair")
+    model = model_of(lib, "nspkt", "fair")  # cone: session 1's 3 steps
     script = encode(BmcProblem(model, 3))
-    fires = [n for n in script.var_index if n.startswith("fire_")]
-    assert len(fires) == 6  # step i at positions i..3: 3 + 2 + 1
-    assert script.var_index["fire_1_1_1"] == "Bool"
-    assert "fire_1_1_2" not in script.var_index  # step 2 cannot fire at 1
+    assert script.steps == ((1, 1), (1, 2), (1, 3))
+    # f, t and o per encoded step, and no counter at the step count
+    assert script.var_index["f_1_1"] == "Bool"
     assert script.var_index["t_1_2"] == "Real"
-    assert script.var_index["tau_0"] == "Real"
-    # only step and time state: 6 fire, 6 done, 3 t, 4 tau
-    kinds = [n.split("_")[0] for n in script.var_index]
-    assert sorted(set(kinds)) == ["done", "fire", "t", "tau"]
-    assert len(script.var_index) == 6 + 6 + 3 + 4
-    # no goal secret is derivable, so the goal floor is past every run
-    assert script.goal_positions == ()
-    attack = model_of(lib, "dsp", "key_compromise")  # goal floor 3
-    assert encode(BmcProblem(attack, 4)).goal_positions == (3, 4)
+    assert script.var_index["o_1_3"] == "Real"
+    assert sorted({n.split("_")[0] for n in script.var_index}) == ["f", "o", "t"]
+    assert len(script.var_index) == 3 * 3
+    assert script.model_symbols == tuple(sorted(script.var_index))
+    # below the step count, the counter's cells c_i_j for j <= min(i, n)
+    below = encode(BmcProblem(model, 2))
+    assert sorted(n for n in below.var_index if n.startswith("c_")) == [
+        "c_1_1", "c_2_1", "c_2_2"]
+    assert below.model_symbols == script.model_symbols
     assert script.text.startswith("(set-logic QF_LRA)")
     assert script.text.rstrip().endswith("(check-sat)")
 
@@ -49,8 +48,8 @@ def test_symbol_scheme_and_counts(lib):
 def test_fixed_section_order(lib):
     text = encode(BmcProblem(model_of(lib, "nspkt", "fair"), 2)).text
     sections = [m for m in re.findall(r"^; (.+)$", text, re.M)]
-    assert sections == ["declarations", "interleaving", "time", "lifetimes",
-                        "gating", "goal"]
+    assert sections == ["declarations", "session order", "lifetimes", "gating",
+                        "goal", "bound"]
 
 
 def test_declarations_sorted(lib):
@@ -67,12 +66,9 @@ def test_gating_only_for_intruder_steps(lib):
     assert gated_refs == {(1, 2), (2, 1), (2, 3)}
     # (2,3) is outside the goal's cone: it has no symbols at all
     assert (2, 3) not in model.cone and "_2_3" not in text
-    for sid, i in gated_refs & model.cone:
-        assert f"(=> fire_{model.earliest[(sid, i)]}_{sid}_{i} " in gating
     for st in model.exec_steps:
-        for j in range(1, 7):
-            if not st.gated:
-                assert f"(=> fire_{j}_{st.sid}_{st.index} " not in gating
+        assert (f"(=> f_{st.sid}_{st.index} " in gating) == (st.ref in gated_refs
+                                                           & model.cone)
 
 
 def test_goal_formula_disjunction_over_instances(lib):
@@ -86,8 +82,7 @@ def test_goal_formula_disjunction_over_instances(lib):
         kab = model.universe.id_of(parse_term(f"Kab#{sid}"))
         delivery = model.step_at(sid, 2)
         assert model.labels[kab] == ((model.universe.id_of(delivery.message),),)
-        for j in (6, 7):
-            assert f"done_{j}_{sid}_2" in goal
+        assert f"f_{sid}_2" in goal and f"f_{sid}_3" in goal
 
 
 def test_lifetime_section(lib):
@@ -95,7 +90,7 @@ def test_lifetime_section(lib):
     text = encode(BmcProblem(model, 3)).text
     lifetimes = text.split("; lifetimes")[1].split("; knowledge")[0]
     # Ta#1 used at (1,2), generated at (1,1), bound 10
-    assert "(=> done_3_1_2 (<= t_1_2 (+ t_1_1 10.0)))" in lifetimes
+    assert "(=> f_1_2 (<= t_1_2 (+ t_1_1 10.0)))" in lifetimes
 
 
 def test_render_value_forms():
@@ -126,15 +121,15 @@ def test_eavesdrop_off_removes_intruder_taps(lib):
     def taps(model):
         text = encode(BmcProblem(model, 4)).text
         formulas = text.split("; gating")[1]
-        return {(st.sid, st.index) for st in honest for j in range(1, 5)
-                if re.search(rf"\bdone_{j}_{st.sid}_{st.index}\b", formulas)}
+        return {(st.sid, st.index) for st in honest
+                if re.search(rf"\bf_{st.sid}_{st.index}\b", formulas)}
 
     assert taps(models[True]) and not taps(models[False])
 
 
 def test_bound_monotonicity_on_attack_instance(lib):
-    # once sat, larger bounds stay sat: a run may stop early and leave the
-    # positions after it idle, also past the exec-step count (6 here)
+    # once sat, larger bounds stay sat: the bound only limits how many
+    # steps fire, also past the exec-step count (6 here)
     model = model_of(lib, "nspkt", "mitm1_lowe")
     for n in (5, 6, 7):
         result = run_solver(encode(BmcProblem(model, n)), solver_config())
@@ -144,22 +139,27 @@ def test_bound_monotonicity_on_attack_instance(lib):
     assert result.status == "sat"
 
 
-def test_idle_positions_only_as_a_suffix(lib):
-    # an idle position is never followed by a firing one, and position 1
-    # always fires, so decode reads one step per position up to the goal
-    model = model_of(lib, "nspkt", "mitm1_lowe")  # attack at 5 of 6 steps
-    script = encode(BmcProblem(model, 6))
-
-    def fires(j):  # the fire symbols the script declares at j
-        return "(or " + " ".join(f"fire_{j}_{st.sid}_{st.index}"
-                                 for st in model.exec_steps
-                                 if f"fire_{j}_{st.sid}_{st.index}"
-                                 in script.var_index) + ")"
+def test_fired_steps_are_session_prefixes_and_counted(lib):
+    # a step fires only after its session predecessor, and below the cone's
+    # 5 steps at most n of them fire
+    model = model_of(lib, "nspkt", "mitm1_lowe")  # attack at 5
+    script = encode(BmcProblem(model, 4))
+    goal = script.text.split("; goal\n")[1].split("\n")[0]
 
     def status_with(extra):
-        text = script.text.replace("(check-sat)", f"(assert {extra})\n(check-sat)")
+        text = script.text.replace(goal, f"(assert {extra})")
         return run_solver(replace(script, text=text), solver_config()).status
 
-    assert status_with(f"(not {fires(1)})") == "unsat"
-    assert status_with(f"(and (not {fires(2)}) {fires(3)})") == "unsat"
-    assert status_with(f"(not {fires(6)})") == "sat"
+    assert status_with("(and f_1_1 f_1_2 f_2_1 f_2_2)") == "sat"
+    assert status_with("(and f_1_1 f_1_2 f_1_3 f_2_1 f_2_2)") == "unsat"
+    assert status_with("(and f_1_2 (not f_1_1))") == "unsat"
+    assert run_solver(script, solver_config()).status == "unsat"
+
+
+def test_cap_script_grows_linearly_in_the_cone(lib):
+    def cap_bytes(k):
+        model = model_of(lib, "wmf", "replay_tight", k=k)
+        assert len(model.cone) == len(model.exec_steps) == 3 * k
+        return len(encode(BmcProblem(model, 3 * k)).text.encode())
+
+    assert cap_bytes(8) <= 2.5 * cap_bytes(4)

@@ -122,7 +122,8 @@ def test_iterate_bounds_attack_is_minimal(lib):
     assert model.goal_floor == 5 and log == [(5, "sat")]
     sat_bound = log[-1][0]
     names = list(encode(BmcProblem(model, sat_bound)).model_symbols)
-    assert names and all(n.startswith(("fire_", "tau_")) for n in names)
+    assert names == sorted(f"{kind}_{sid}_{i}" for kind in "fto"
+                           for sid, i in model.cone)
     assert sorted(verdict.result.values) == names  # sat carries what decode reads
 
 
@@ -239,8 +240,8 @@ def test_iterate_bounds_timeout_below_a_found_attack(lib):
 
 @pytest.mark.parametrize("scenario", ["fair", "mitm1_lowe"])
 def test_bound_above_step_count_adds_nothing(lib, scenario):
-    # each exec step fires at most once, so the positions past the step
-    # count are idle in every run: the bound above it decides the same
+    # each exec step fires at most once, so a bound past the step count
+    # limits nothing: it decides the same as the step count
     model = model_of(lib, "nspkt", scenario)
     steps = len(model.exec_steps)
     with SolverSession(BUNDLED) as session:
@@ -275,17 +276,17 @@ def test_get_value_requests_only_decoded_symbols(lib, tmp_path):
     for request, bound in zip(requests, sat_bounds):
         names = request[len("(get-value ("):-len("))")].split()
         assert names == list(encode(BmcProblem(model, bound)).model_symbols)
-        assert not [n for n in names if n.startswith(("done_", "t_"))]
-        assert {n.split("_")[0] for n in names} == {"fire", "tau"}
+        # the f, t and o symbols of the encoded steps, and no counter cell
+        assert names == sorted(f"{kind}_{sid}_{i}" for kind in "fto"
+                               for sid, i in model.cone)
     trace = decode(verdict.result, encode(BmcProblem(model, 5)), model)
     assert replay(trace, model) is None
 
 
-def queried_bounds(logfile) -> list:
-    """The bound of every script in a stdin log: its largest tau position."""
-    scripts = logfile.read_text().split("(reset)")
-    return [max(int(j) for j in re.findall(r"\(declare-const tau_(\d+) ", text))
-            for text in scripts]
+def sent_scripts(logfile) -> list:
+    """The scripts in a stdin log, without the get-value requests."""
+    return [re.sub(r"\(get-value .*\n", "", text).lstrip("\n")
+            for text in logfile.read_text().split("(reset)")]
 
 
 @pytest.mark.parametrize("protocol, scenario, k", [
@@ -304,10 +305,12 @@ def test_queried_bounds_descend_to_below_oracle_depth(lib, tmp_path, protocol,
     for floor in (model.goal_floor, 1):
         logfile.unlink(missing_ok=True)
         cfg = solver_config(command=(sys.executable, "-c", stdin_logging(logfile)))
-        verdict = iterate_bounds(replace(model, goal_floor=floor), config=cfg)
+        floored = replace(model, goal_floor=floor)
+        verdict = iterate_bounds(floored, config=cfg)
         assert (verdict.outcome, verdict.bound) == ("attack-found", oracle.depth)
-        queried = queried_bounds(logfile)
-        assert queried == [b for b, _, _ in verdict.per_bound_log]
+        queried = [b for b, _, _ in verdict.per_bound_log]
+        assert sent_scripts(logfile) == [encode(BmcProblem(floored, b)).text
+                                         for b in queried]
         assert queried[0] == min(default_max_bound(model), len(model.cone))
         assert all(a > b for a, b in zip(queried, queried[1:]))
         last = verdict.per_bound_log[-1][:2]
@@ -435,3 +438,12 @@ def test_failed_query_reports_only_its_own_stderr():
     assert second.status == "error"
     assert "second" in second.solver_stderr
     assert "first" not in second.solver_stderr
+
+
+def test_replay_tight_at_five_sessions_is_one_quick_unsat_query(lib):
+    # a run is its fired steps and their order, not one position per step,
+    # so the solver does not search over the interleavings of 5 sessions
+    model = model_of(lib, "wmf", "replay_tight", k=5)
+    verdict = iterate_bounds(model, config=solver_config(timeout=20.0))
+    assert (verdict.outcome, verdict.bound) == ("no-attack-up-to", 15)
+    assert [(b, s) for b, s, _ in verdict.per_bound_log] == [(15, "unsat")]

@@ -62,8 +62,9 @@ def test_decode_rejects_non_sat(mitm):
 
 # the model fires (1,1), (2,1), (2,2), (1,2), (1,3) at times 1, 1, 2, 2, 3
 @pytest.mark.parametrize("tamper, where", [
-    ({"fire_2_1_1": True, "fire_2_2_1": False}, ("session order", 2)),  # (1,1) again
-    ({"tau_3": Fraction(0)}, ("delay", 3)),  # (2,2) before (2,1)'s time + delay
+    ({"f_2_1": False}, ("session order", 2)),  # (2,2) without (2,1)
+    ({"t_2_2": Fraction(1)}, ("delay", 3)),  # (2,2) before (2,1)'s time + delay
+    ({"o_2_2": Fraction(5)}, ("gating", 3)),  # (1,2) before the (2,2) it relays
 ])
 def test_decode_rejects_a_model_that_is_not_a_run(mitm_sat, tamper, where):
     model, script, result = mitm_sat
