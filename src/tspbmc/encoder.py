@@ -49,7 +49,6 @@ min(i, n) over the m encoded steps in (sid, index) order::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .model import TiisModel
 from .sexpr import render_value
@@ -71,8 +70,11 @@ class SmtScript:
     var_index: dict  # symbol name -> sort ("Bool" | "Real")
     steps: tuple  # refs of the encoded steps, in (sid, index) order
     bound: int
-    # symbols a sat model is asked for; None asks for every declared one
-    model_symbols: Optional[tuple] = None
+
+    @property
+    def model_symbols(self) -> tuple:
+        """The f, t and o names of ``steps``: what a sat model is asked for."""
+        return tuple(sorted(n(*ref) for ref in self.steps for n in (f_name, t_name, o_name)))
 
 
 def f_name(sid: int, i: int) -> str:
@@ -134,7 +136,6 @@ def encode(problem: BmcProblem) -> SmtScript:
     for st in steps:
         var_index.update({f_name(*st.ref): "Bool", t_name(*st.ref): "Real",
                           o_name(*st.ref): "Real"})
-    model_symbols = tuple(sorted(var_index))
     if n < m:
         var_index.update({count(i, j): "Bool" for i in range(1, m)
                           for j in range(1, min(i, n) + 1)})
@@ -196,4 +197,4 @@ def encode(problem: BmcProblem) -> SmtScript:
 
     lines.append("(check-sat)")
     return SmtScript("\n".join(lines) + "\n", var_index,
-                     tuple(st.ref for st in steps), n, model_symbols)
+                     tuple(st.ref for st in steps), n)

@@ -173,6 +173,8 @@ def parse_protocol(text: str) -> ProtocolSpec:
         keys.add(key)
         if line.startswith("name:"):
             name = line[len("name:"):].strip()
+            if not name:
+                raise ProtocolError("empty name: line", lineno)
         elif line.startswith("roles:"):
             for r in line[len("roles:"):].split():
                 if not _ROLE_RE.match(r):
@@ -321,10 +323,9 @@ def parse_scenario(json_text: str) -> Scenario:
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-    if "name" not in data or "overrides" not in data:
-        raise ScenarioError("scenario needs 'name' and 'overrides'")
-
-    if not isinstance(data["overrides"], list):
+    if not isinstance(data.get("name"), str) or not data["name"].strip():
+        raise ScenarioError("'name' must be a non-empty string")
+    if not isinstance(data.get("overrides"), list):
         raise ScenarioError("'overrides' must be a list")
     overrides = []
     seen: set = set()

@@ -8,11 +8,7 @@ with ``sexpr.Reader``, the reader the driver uses for the replies, and the
 child imports no ``tspbmc`` module but ``sexpr`` and ``dbm``.
 
 Assertions become clauses along one path, ``Solver._clauses``, a
-polarity-aware clause builder: ``not`` flips the polarity, ``=>`` is an
-``or``, a Boolean ``=`` is two implications, a conjunction is the union
-of its parts' clauses, and a disjunction is one clause, distributed over
-its first disjunct of several clauses, with a fresh literal that implies
-each later such disjunct. The accepted fragment is what the encoder
+polarity-aware clause builder. The accepted fragment is what the encoder
 emits: ``and``, ``or``, ``not``, ``=>``, a binary ``=`` whose first
 argument is a Bool symbol, ``true``, ``false``, Bool symbols, and the
 relations ``<= >= =`` between sums of Real symbols and constants that
@@ -23,11 +19,13 @@ atom under ``not``, as the antecedent of ``=>`` or inside a Boolean
 answered with an ``(error "unsupported: ...")`` reply.
 
 The search is a lazy DPLL(T): a watched-literal SAT core that decides
-variables in order of first occurrence in the clauses and backtracks
-chronologically. Each theory atom becomes non-strict difference edges
-once, when it is interned; at a full assignment the edges of the atoms
-assigned true go to ``dbm.solve``, and a negative cycle becomes a
-blocking clause, added by the same ``add_clause`` as every other clause.
+variables false first (MiniSat's default phase), in order of first
+occurrence in the clauses, and backtracks chronologically. A sat model
+thus fires the encoded steps the goal and the gates need, not the cone.
+Each theory atom becomes non-strict difference edges once, when it is
+interned; at a full assignment the edges of the atoms assigned true go
+to ``dbm.solve``, and a negative cycle becomes a blocking clause, added
+by the same ``add_clause`` as every other clause.
 """
 
 from __future__ import annotations
@@ -74,7 +72,6 @@ class Solver:
         self.trail = []
         self.decisions = []  # trail position of each decision literal
         self.order = []  # decision order: first occurrence in a clause
-        self.default_pol = [True]
         self.atoms = {}  # canonical key -> var
         self.edges = {}  # atom var -> its dbm constraints
         self.status = None
@@ -83,10 +80,9 @@ class Solver:
 
     # ---- variables and clauses -------------------------------------
 
-    def new_var(self, default_pol=True) -> int:
+    def new_var(self) -> int:
         self.nvars += 1
         self.val.append(0)
-        self.default_pol.append(default_pol)
         return self.nvars
 
     def declare(self, name: str, sort: str):
@@ -185,7 +181,7 @@ class Solver:
         for v in self.order:
             if self.val[v] == 0:
                 self.decisions.append(len(self.trail))
-                self._enqueue(v if self.default_pol[v] else -v)
+                self._enqueue(-v)
                 return True
         return False
 
@@ -274,7 +270,7 @@ class Solver:
         key = (op == "=", tuple(sorted(coeffs.items())), const)
         v = self.atoms.get(key)
         if v is None:
-            v = self.atoms[key] = self.new_var(default_pol=False)
+            v = self.atoms[key] = self.new_var()
             edge = _edge(coeffs, const, -v)
             reverse = (edge[1], edge[0], -edge[2], -v)  # an equality bounds both ways
             self.edges[v] = [edge, reverse] if op == "=" else [edge]

@@ -282,6 +282,9 @@ def _replace(**fields):
      "override message uses undeclared fresh atom 'Zz'"),
     (None, _replace(edge="A->B", L="<Ta,A>"),
      "override cipher key 'Ta' is not a declared session key"),
+    (("name: NSPK_T", "name:"), {}, "line 3: empty name: line"),
+    (None, {"name": 5}, "error: 'name' must be a non-empty string"),
+    (None, {"name": ""}, "error: 'name' must be a non-empty string"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit, needle):
     protocol = library.get("nspkt").protocol

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tspbmc.encoder import BmcProblem, encode
+from tspbmc.encoder import BmcProblem, SmtScript, encode
 from tspbmc.frontend import INTRUDER
 from tspbmc.sexpr import render_value
 
@@ -41,6 +41,8 @@ def test_symbol_scheme_and_counts(lib):
     assert sorted(n for n in below.var_index if n.startswith("c_")) == [
         "c_1_1", "c_2_1", "c_2_2"]
     assert below.model_symbols == script.model_symbols
+    # derived from the steps: a script with none names no symbol
+    assert SmtScript("(check-sat)\n", {"x": "Bool"}, (), 1).model_symbols == ()
     assert script.text.startswith("(set-logic QF_LRA)")
     assert script.text.rstrip().endswith("(check-sat)")
 

@@ -68,6 +68,8 @@ def test_parse_protocol_basics():
     (lambda t: t + "complete: 1\n", "line 11: repeated complete: line"),
     (lambda t: t.replace("complete: 1", "complete: 0 7"),
      "line 7: complete: session indices must be >= 1"),
+    (lambda t: t.replace("name: NSPK_T", "name:"), "line 2: empty name: line"),
+    (lambda t: t.replace("name: NSPK_T", "name:   # none"), "line 2: empty name: line"),
 ])
 def test_parse_protocol_rejects(mutation, needle):
     with pytest.raises(ProtocolError) as e:
@@ -126,6 +128,10 @@ def test_parse_scenario_listing_shape():
     {"name": "x", "overrides": [
         {"sid": 0, "step": 1, "kind": "retime", "delay": 1}]},
     {"name": "x", "overrides": [], "sessions": 0},
+    {"name": 5, "overrides": []},
+    {"name": ["a"], "overrides": []},
+    {"name": "", "overrides": []},
+    {"name": "  ", "overrides": []},
 ])
 def test_parse_scenario_rejects(bad):
     with pytest.raises(ScenarioError):

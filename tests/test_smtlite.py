@@ -271,7 +271,7 @@ def test_guarded_atoms_match_brute_force():
     # the theory path: many of these searches learn a blocking clause
     rng = random.Random(7)
     results = []
-    for _ in range(300):
+    for _ in range(400):
         atoms = {}
         ast = _guarded_formula(rng, atoms)
         results.append(_solve_as_brute_force(ast, atoms))

@@ -447,3 +447,22 @@ def test_replay_tight_at_five_sessions_is_one_quick_unsat_query(lib):
     verdict = iterate_bounds(model, config=solver_config(timeout=20.0))
     assert (verdict.outcome, verdict.bound) == ("no-attack-up-to", 15)
     assert [(b, s) for b, s, _ in verdict.per_bound_log] == [(15, "unsat")]
+
+
+@pytest.mark.parametrize("protocol, scenario, goal, complete, bound, queried", [
+    ("dsp", "key_compromise", "secrecy Kab sid any", "complete: 2", 3, [5]),
+    ("wmf", "replay_tight", "secrecy Ta sid 1", "complete:", 2, [4]),
+])
+def test_first_sat_model_fires_only_what_the_goal_needs(lib, protocol, scenario, goal,
+                                                       complete, bound, queried):
+    # the solver decides every variable false first, so the first sat
+    # model fires what the goal and the gates need, not the whole cone: it
+    # decodes to the least attack, with no step-down query
+    text = "\n".join([line for line in lib[protocol].protocol.splitlines()
+                      if not line.startswith(("goal:", "complete:"))]
+                     + [f"goal: {goal}", complete]) + "\n"
+    scen = parse_scenario(lib[protocol].scenarios[scenario])
+    model = build_model(parse_protocol(text), scen, k=2)
+    verdict = iterate_bounds(model, config=solver_config())
+    assert (verdict.outcome, verdict.bound) == ("attack-found", bound)
+    assert [b for b, _, _ in verdict.per_bound_log] == queried
