@@ -20,8 +20,8 @@ ZERO = object()  # reference node: its value is 0
 def solve(constraints):
     """Decide a conjunction of difference constraints.
 
-    Items may carry fields after the three of the constraint (a tag, a
-    literal); they are ignored here. Returns ``(True, values)`` with exact
+    Items may carry fields after the three of the constraint (a timing
+    rule's kind); they are ignored here. Returns ``(True, values)`` with exact
     rational values (node -> Fraction, ``ZERO`` -> 0) that meet every
     constraint, or ``(False, cycle)`` with the indices, in path order, of
     constraints that form a cycle whose weights sum to < 0.

@@ -136,13 +136,17 @@ class ExecStep:
     receiver: str
     message: Term  # fully instantiated
     min_delay: Fraction
-    gated: bool  # true iff sender is the intruder
     lifetime_checks: tuple = ()
     generates: tuple = ()  # fresh terms whose generation step this is
 
     @property
     def ref(self):
         return (self.sid, self.index)
+
+    @property
+    def gated(self) -> bool:
+        """An intruder send, fired only when the intruder can construct it."""
+        return self.sender == INTRUDER
 
 
 _ROLE_RE = re.compile(r"^[A-Z]$")
@@ -453,8 +457,7 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
         for st in spec.steps:
             by_ref[(sid, st.index)] = ExecStep(
                 sid, st.index, st.sender, st.receiver,
-                instantiate(st.message, sid), st.min_delay, gated=False,
-            )
+                instantiate(st.message, sid), st.min_delay)
 
     lifetime_adjust: dict = {}  # (sid, step) -> {fresh name: bound}
     for ov in scenario.overrides:
@@ -480,10 +483,7 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
                 if is_key and decl.klass != "sesskey":
                     raise ScenarioError(
                         f"override cipher key {atom.name!r} is not a declared session key")
-            cur = dc_replace(
-                cur, sender=sender, receiver=receiver, message=msg,
-                gated=(ov.kind == "intruder"),
-            )
+            cur = dc_replace(cur, sender=sender, receiver=receiver, message=msg)
         if ov.delay is not None:
             cur = dc_replace(cur, min_delay=ov.delay)
         if ov.lifetime_overrides:
@@ -515,6 +515,11 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
             # generation itself is unconstrained
             if gen[t] != st.ref and bound is not None:
                 checks.append(LifetimeCheck(t, bound, gen[t]))
+        unused = sorted(set(adjust) - {c.term.name for c in checks})
+        if unused:
+            raise ScenarioError(
+                f"override ({st.sid},{st.index}): lifetime for {unused[0]!r} is never "
+                f"checked: the step sends no {unused[0]} it does not generate")
         out.append(dc_replace(st, lifetime_checks=tuple(checks), generates=generates))
     return out
 

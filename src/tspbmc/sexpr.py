@@ -20,6 +20,8 @@ from fractions import Fraction
 
 # Sexpr, in annotations: an atom's raw text (str) or a list of Sexpr.
 
+_NUMERAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # a numeral or a decimal
+
 # leading whitespace, then one of: 1 comment, 2 "(", 3 ")", 4 atom
 _TOKEN = re.compile(r'\s*(?:(;[^\n]*)|(\()|(\))'
                     r'|("[^"]*(?:""[^"]*)*"(?!")|\|[^|]*\||[^\s()|";]+))')
@@ -130,20 +132,22 @@ def string_value(literal: str) -> str:
 
 
 def parse_value(expr: Sexpr):
-    """Decode a model value: Bool or exact rational.
+    """Decode a model value: ``true``, ``false`` or a ``parse_real`` rational."""
+    if expr in ("true", "false"):
+        return expr == "true"
+    return parse_real(expr)
 
-    Accepts integer, decimal, ``(/ p q)`` and ``(- x)`` forms.
-    """
+
+def parse_real(expr: Sexpr) -> Fraction:
+    """Decode an exact rational: a numeral, a decimal, or ``(- x)`` or
+    ``(/ x y)`` of rationals."""
     if isinstance(expr, str):
-        if expr == "true":
-            return True
-        if expr == "false":
-            return False
-        return Fraction(expr)
-    if len(expr) == 2 and expr[0] == "-":
-        return -parse_value(expr[1])
-    if len(expr) == 3 and expr[0] == "/":
-        return parse_value(expr[1]) / parse_value(expr[2])
+        if _NUMERAL.fullmatch(expr):
+            return Fraction(expr)
+    elif len(expr) == 2 and expr[0] == "-":
+        return -parse_real(expr[1])
+    elif len(expr) == 3 and expr[0] == "/":
+        return parse_real(expr[1]) / parse_real(expr[2])
     raise ValueError(f"cannot decode value {expr!r}")
 
 

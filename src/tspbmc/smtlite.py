@@ -9,23 +9,25 @@ child imports no ``tspbmc`` module but ``sexpr`` and ``dbm``.
 
 Assertions become clauses along one path, ``Solver._clauses``, a
 polarity-aware clause builder. The accepted fragment is what the encoder
-emits: ``and``, ``or``, ``not``, ``=>``, a binary ``=`` whose first
-argument is a Bool symbol, ``true``, ``false``, Bool symbols, and the
-relations ``<= >= =`` between sums of Real symbols and constants that
-normalize to at most two variables with opposite coefficients
-(x - y <= c, x <= c, x = c, ...), in positive polarity only: a theory
-atom under ``not``, as the antecedent of ``=>`` or inside a Boolean
-``=`` is outside it, and so are ``<`` and ``>``. Anything else is
-answered with an ``(error "unsupported: ...")`` reply.
+emits: ``and``, ``or``, ``not``, ``=>``, ``true``, ``false``, Bool
+symbols, and the theory atoms ``(<= a b)`` and ``(>= a b)``, where each
+operand is a Real symbol, a constant or ``(+ x c)``, in positive polarity
+only. A theory atom under ``not`` or as the antecedent of ``=>`` is
+outside it, and so are ``=``, ``<``, ``>``, sums of several Reals and
+scaled terms. Anything else is answered with an ``(error "unsupported:
+...")`` reply, written before the script's ``check-sat`` answer; a
+driver takes any first reply to a script that is not ``sat``, ``unsat``
+or ``unknown`` as a solver error, so a script the solver read only in
+part never gets a verdict.
 
 The search is a lazy DPLL(T): a watched-literal SAT core that decides
 variables false first (MiniSat's default phase), in order of first
 occurrence in the clauses, and backtracks chronologically. A sat model
 thus fires the encoded steps the goal and the gates need, not the cone.
-Each theory atom becomes non-strict difference edges once, when it is
+Each theory atom is one non-strict difference edge, its key when it is
 interned; at a full assignment the edges of the atoms assigned true go
-to ``dbm.solve``, and a negative cycle becomes a blocking clause, added
-by the same ``add_clause`` as every other clause.
+to ``dbm.solve``, and the negations of a negative cycle's atoms become a
+blocking clause, added by the same ``add_clause`` as every other clause.
 """
 
 from __future__ import annotations
@@ -34,31 +36,11 @@ import sys
 from fractions import Fraction
 
 from .dbm import ZERO, solve
-from .sexpr import Reader, parse_value, render_value, string_literal, string_value
-
-_REL_OPS = {"<=", ">=", "="}
+from .sexpr import Reader, parse_real, render_value, string_literal, string_value
 
 
 class Unsupported(Exception):
     pass
-
-
-def _edge(coeffs, const, block):
-    """The dbm constraint of sum(a*x) <= const, tagged with the literal
-    ``block``."""
-    items = list(coeffs.items())
-    if not items:
-        return (ZERO, ZERO, const, block)
-    x, a = items[0]
-    if len(items) == 1:
-        u, v = (ZERO, x) if a > 0 else (x, ZERO)
-    elif len(items) == 2 and a == -items[1][1]:
-        y = items[1][0]
-        u, v = (y, x) if a > 0 else (x, y)
-    else:
-        raise Unsupported("non-difference linear constraint")
-    scale = abs(a)
-    return (u, v, const if scale == 1 else const / scale, block)
 
 
 class Solver:
@@ -72,8 +54,7 @@ class Solver:
         self.trail = []
         self.decisions = []  # trail position of each decision literal
         self.order = []  # decision order: first occurrence in a clause
-        self.atoms = {}  # canonical key -> var
-        self.edges = {}  # atom var -> its dbm constraints
+        self.atoms = {}  # theory atom's dbm constraint (u, v, w) -> var
         self.status = None
         self.real_values = {}
         self.unsat_at_root = False
@@ -217,63 +198,39 @@ class Solver:
 
         Returns (True, values) or (False, blocking clause literals).
         """
-        constraints = [e for var, edges in self.edges.items() if self.val[var] == 1
-                       for e in edges]
-        ok, payload = solve(constraints)
+        edges = [e for e, var in self.atoms.items() if self.val[var] == 1]
+        ok, payload = solve(edges)
         if ok:
             return True, payload
-        return False, sorted({constraints[i][3] for i in payload}, key=abs)
+        return False, sorted({-self.atoms[edges[i]] for i in payload}, key=abs)
 
     # ---- compilation ---------------------------------------------------
 
-    def _linear(self, ast):
-        """(coeffs, const) of a sum of Real symbols and constants."""
-        if isinstance(ast, list) and ast and ast[0] == "+":
-            coeffs, const = {}, Fraction(0)
-            for a in ast[1:]:
-                c, k = self._linear(a)
-                for x, a2 in c.items():
-                    coeffs[x] = coeffs.get(x, Fraction(0)) + a2
-                const += k
-            return {x: a for x, a in coeffs.items() if a != 0}, const
+    def _operand(self, ast):
+        """(x, c) of an operand x + c: a Real symbol (c = 0), a constant
+        (x = ``ZERO``) or ``(+ x c)``."""
         if isinstance(ast, str) and self.sorts.get(ast) == "Real":
-            return {ast: Fraction(1)}, Fraction(0)
+            return ast, Fraction(0)
+        x, c = ZERO, ast
+        if isinstance(ast, list) and len(ast) == 3 and ast[0] == "+" \
+                and self.sorts.get(ast[1]) == "Real":
+            x, c = ast[1], ast[2]
         try:
-            value = parse_value(ast)
+            return x, parse_real(c)
         except (ValueError, ZeroDivisionError):
-            value = None
-        if value is None or isinstance(value, bool):
-            raise Unsupported(f"arithmetic term {ast!r}")
-        return {}, value
+            raise Unsupported(f"arithmetic term {ast!r}") from None
 
     def _theory_lit(self, ast) -> int:
-        """Intern a theory atom; returns its variable.
-
-        The difference edges of the atom are made when it is interned,
-        each tagged with the literal that blocks it.
-        """
+        """Intern ``(<= a b)`` or ``(>= a b)``, keyed by its one
+        difference edge; returns its variable."""
         if len(ast) != 3:
             raise Unsupported(f"{ast[0]!r} takes two arguments")
-        op = ast[0]
-        lc, lk = self._linear(ast[1])
-        rc, rk = self._linear(ast[2])
-        coeffs = dict(lc)
-        for x, a in rc.items():
-            coeffs[x] = coeffs.get(x, Fraction(0)) - a
-        coeffs = {x: a for x, a in coeffs.items() if a != 0}
-        const = rk - lk  # expr <= const form
-        if op == ">=" or (op == "=" and coeffs and coeffs[min(coeffs)] < 0):
-            # y >= c is -y <= -c; an equality is keyed with its first
-            # coefficient positive
-            coeffs = {x: -a for x, a in coeffs.items()}
-            const = -const
-        key = (op == "=", tuple(sorted(coeffs.items())), const)
+        (x, c), (y, d) = self._operand(ast[1]), self._operand(ast[2])
+        # x + c <= y + d is x - y <= d - c; x + c >= y + d is y - x <= c - d
+        key = (y, x, d - c) if ast[0] == "<=" else (x, y, c - d)
         v = self.atoms.get(key)
         if v is None:
             v = self.atoms[key] = self.new_var()
-            edge = _edge(coeffs, const, -v)
-            reverse = (edge[1], edge[0], -edge[2], -v)  # an equality bounds both ways
-            self.edges[v] = [edge, reverse] if op == "=" else [edge]
         return v
 
     def _clauses(self, ast, positive: bool = True) -> list:
@@ -292,14 +249,7 @@ class Solver:
         op, args = ast[0], ast[1:]
         if op == "not" and len(args) == 1:
             return self._clauses(args[0], not positive)
-        bool_eq = op == "=" and len(args) == 2 and isinstance(args[0], str)
-        if bool_eq and self.sorts.get(args[0]) == "Bool":
-            # a = b is (not a or b) and (a or not b); its negation swaps b's
-            # polarity: (not a or not b) and (a or b)
-            a, b = self.var_of_name[args[0]], args[1]
-            return (self._disjunction([[[-a]], self._clauses(b, positive)])
-                    + self._disjunction([[[a]], self._clauses(b, not positive)]))
-        if op in _REL_OPS:
+        if op in ("<=", ">="):
             if not positive:
                 raise Unsupported("theory atom in negative polarity")
             return [[self._theory_lit(ast)]]

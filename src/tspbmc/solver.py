@@ -4,13 +4,18 @@ Each ``iterate_bounds`` call keeps one solver child for the whole check.
 Every query gets a fresh full script (no incremental push/pop), and each
 script after the first is preceded by the standard SMT-LIB ``(reset)``,
 so any SMT-LIB2-compliant binary that accepts ``(reset)`` works. The
-protocol per script is: write the script, read the ``(check-sat)`` reply,
-and on ``sat`` send one ``(get-value ...)`` for the script's
-``model_symbols`` (for an encoded script, the fire flags, times and
-orders the decoder reads), or for every declared symbol when it names
-none. One ``sexpr.Reader`` per child reads every reply, so a reply such as
-``(error "... '(' expected")`` is read as one expression and ends the
-exchange with status ``error`` at once.
+protocol per script is: write the script and read its first reply, which
+must be ``sat``, ``unsat`` or ``unknown``. Any other first reply, such as
+an ``(error ...)`` to an assertion, means the solver did not read the
+whole script, so the query ends with status ``error`` and that reply as
+its message, never with a verdict. On ``sat`` the driver sends one
+``(get-value ...)`` for the script's ``model_symbols`` (for an encoded
+script, the fire flags, times and orders the decoder reads), or for
+every declared symbol when it names none. One ``sexpr.Reader`` per child
+reads every reply, so a reply such as ``(error "... '(' expected")`` is
+read as one expression and ends the exchange with status ``error`` at
+once.
+
 The child runs in a process group of its own, and its stderr goes to an
 unnamed temporary file, which never fills, so no thread has to read it.
 Closing the session kills the whole group and reaps the child: every
@@ -113,18 +118,12 @@ def _interact(proc, reader: Reader, script: SmtScript, reset: bool, box: dict):
             proc.stdin.write("(reset)\n")
         proc.stdin.write(script.text)
         proc.stdin.flush()
-        status = None
-        notes = []
-        while status is None:
-            item = reader.scan()
-            if item is None:
-                raise SolverError("solver closed its output before answering")
-            if item[1] in ("sat", "unsat", "unknown"):
-                status = item[1]
-            else:
-                notes.append(item[0])
-                if len(notes) > 200:
-                    raise SolverError("solver never answered check-sat")
+        item = reader.scan()
+        if item is None:
+            raise SolverError("solver closed its output before answering")
+        status = item[1]
+        if status not in ("sat", "unsat", "unknown"):
+            raise SolverError(item[0])
         values = {}
         if status == "sat":
             names = script.model_symbols or sorted(script.var_index)
@@ -145,7 +144,6 @@ def _interact(proc, reader: Reader, script: SmtScript, reset: bool, box: dict):
                 raise SolverError(f"model is missing symbols: {sorted(missing)[:5]}")
         box["status"] = status
         box["values"] = values
-        box["notes"] = notes
     except (OSError, ValueError, SolverError) as e:
         box["exception"] = e
 
@@ -198,8 +196,7 @@ class SolverSession:
         worker.join(timeout)
         timed_out = worker.is_alive()
         if not (timed_out or "exception" in box):
-            return RawResult(box["status"], box["values"], "\n".join(box["notes"]),
-                             time.monotonic() - start)
+            return RawResult(box["status"], box["values"], elapsed=time.monotonic() - start)
         os.killpg(self.proc.pid, signal.SIGKILL)  # the group writes no more
         worker.join(EXIT_GRACE)
         stderr = os.pread(self._stderr.fileno(), STDERR_KEEP, mark)

@@ -18,6 +18,20 @@ def lib():
     return library.entries()
 
 
+# answers the first assertion with an error and then every check-sat with
+# sat, as a solver that read only part of a script might
+ERROR_REPLY = """(error "unsupported: operator '='")"""
+ERROR_THEN_SAT = (
+    "import sys\n"
+    "said = False\n"
+    "for line in sys.stdin:\n"
+    "    if '(assert' in line and not said:\n"
+    f"        print({ERROR_REPLY!r}, flush=True)\n"
+    "        said = True\n"
+    "    if 'check-sat' in line: print('sat', flush=True)\n"
+    "    if 'get-value' in line: print('((x true))', flush=True)\n")
+
+
 # a protocol whose receiver never learns the key of the cipher it receives
 UNREADABLE = """
 name: UNREADABLE

@@ -11,7 +11,7 @@ from tspbmc import library
 from tspbmc.cli import main
 from tspbmc.witness import parse_json
 
-from conftest import UNREADABLE
+from conftest import ERROR_REPLY, ERROR_THEN_SAT, UNREADABLE
 
 
 def run(capsys, *argv):
@@ -285,6 +285,10 @@ def _replace(**fields):
     (("name: NSPK_T", "name:"), {}, "line 3: empty name: line"),
     (None, {"name": 5}, "error: 'name' must be a non-empty string"),
     (None, {"name": ""}, "error: 'name' must be a non-empty string"),
+    # (1,1) generates Ta#1, so a bound on Ta there would check nothing
+    (None, _retime(lifetime={"Ta": 5}),
+     "error: override (1,1): lifetime for 'Ta' is never checked: "
+     "the step sends no Ta it does not generate"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit, needle):
     protocol = library.get("nspkt").protocol
@@ -402,6 +406,15 @@ def test_sat_model_that_breaks_session_order_exits_3(capsys, monkeypatch):
         "bound 5: sat",
         "inconclusive: solver model at bound 5 is not a run: position 2: session "
         "order: session 2 expects step 1, got 2"]
+
+
+def test_error_reply_before_sat_exits_3(capsys):
+    import shlex
+    solver = shlex.join([sys.executable, "-c", ERROR_THEN_SAT])
+    code, out, err = run(capsys, "check", "nspkt", "fair", "--solver", solver)
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == f"inconclusive: solver returned error at bound 3: {ERROR_REPLY}"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad", ["protocol", "scenario"])

@@ -71,7 +71,8 @@ def test_difference_logic_sat_with_exact_rationals():
 def test_equality_over_reals():
     out = run_script(
         "(declare-const t Real)(declare-const tau Real)(declare-const f Bool)\n"
-        "(assert f)(assert (=> f (= t tau)))(assert (= tau 3.0))\n"
+        "(assert f)(assert (=> f (and (<= t tau) (>= t tau))))\n"
+        "(assert (<= tau 3.0))(assert (>= tau 3.0))\n"
         "(check-sat)(get-value (t tau))")
     assert out[0] == "sat"
     vals = model_values(out[1])
@@ -81,7 +82,8 @@ def test_equality_over_reals():
 def test_boolean_structure():
     out = run_script(
         "(declare-const a Bool)(declare-const b Bool)(declare-const c Bool)\n"
-        "(assert (= a (or b c)))(assert (not b))(assert (not c))(assert a)\n"
+        "(assert (=> a (or b c)))(assert (=> (or b c) a))\n"
+        "(assert (not b))(assert (not c))(assert a)\n"
         "(check-sat)")
     assert out == ["unsat"]
     out = run_script(
@@ -98,7 +100,7 @@ def test_theory_propagation_through_booleans():
         "(declare-const x Real)\n"
         "(assert (or p q))\n"
         "(assert (=> p (and (<= x 1.0) (>= x 2.0))))\n"
-        "(assert (=> q (= x 7.0)))\n"
+        "(assert (=> q (and (<= x 7.0) (>= x 7.0))))\n"
         "(assert (or (not p) (not q)))\n"
         "(check-sat)(get-value (p q x))")
     assert out[0] == "sat"
@@ -115,11 +117,15 @@ def test_theory_propagation_through_booleans():
     ("(assert (> x (+ x 1.0)))", "operator '>'"),
     ("(assert (not (<= x 5.0)))", "theory atom in negative polarity"),
     ("(assert (=> (>= x 1.0) p))", "theory atom in negative polarity"),
-    ("(assert (= p (not (>= x 1.0))))", "theory atom in negative polarity"),
+    ("(assert (=> p (not (>= x 1.0))))", "theory atom in negative polarity"),
+    ("(assert (= x 1.0))", "operator '='"),
+    ("(assert (= p p))", "operator '='"),
+    ("(assert (<= (+ x y) 1.0))", "arithmetic term ['+', 'x', 'y']"),
+    ("(assert (<= x (- true)))", "arithmetic term ['-', 'true']"),
 ])
 def test_outside_the_fragment_is_an_error(command, message):
     out = run_script(
-        "(declare-const p Bool)(declare-const x Real)\n"
+        "(declare-const p Bool)(declare-const x Real)(declare-const y Real)\n"
         f"{command}\n(assert p)(check-sat)")
     assert [string_value(parse_one(out[0])[1]), out[1]] == [f"unsupported: {message}", "sat"]
 
@@ -164,8 +170,8 @@ def _random_atom(rng):
 def _random_formula(rng, depth, atoms, positive=True):
     """A formula over BOOLS and difference atoms; ``atoms`` maps each
     atom's ``str`` to its (op, u, v, c). An atom stands only in positive
-    polarity: a leaf under ``not``, in the antecedent of ``=>`` or inside
-    a Boolean ``=`` is a Bool symbol instead."""
+    polarity: a leaf under ``not`` or in the antecedent of ``=>`` is a Bool
+    symbol instead."""
     if depth == 0 or rng.random() < 0.3:
         pick = rng.random()
         if pick < 0.45 or (pick >= 0.5 and not positive):
@@ -175,12 +181,12 @@ def _random_formula(rng, depth, atoms, positive=True):
         ast, atom = _random_atom(rng)
         atoms[str(ast)] = atom
         return ast
-    op = rng.choice(("and", "or", "not", "=>", "="))
-    arity = {"not": 1, "=>": 2, "=": 1}.get(op) or rng.randint(2, 3)
+    op = rng.choice(("and", "or", "not", "=>"))
+    arity = {"not": 1, "=>": 2}.get(op) or rng.randint(2, 3)
     args = [_random_formula(rng, depth - 1, atoms,
                             positive and (op in ("and", "or") or (op, i) == ("=>", 1)))
             for i in range(arity)]
-    return [op, rng.choice(BOOLS), *args] if op == "=" else [op, *args]
+    return [op, *args]
 
 
 def _holds(ast, bools, truth):
@@ -197,9 +203,7 @@ def _holds(ast, bools, truth):
         return any(v)
     if op == "not":
         return not v[0]
-    if op == "=>":
-        return not v[0] or v[1]
-    return v[0] == v[1]
+    return not v[0] or v[1]
 
 
 def _brute_force(ast, atoms):
@@ -336,6 +340,12 @@ def test_parse_value_rational_forms():
         ("(- (/ 1.0 3.0))", Fraction(-1, 3)), ("true", True), ("false", False),
     ]:
         assert parse_value(parse_one(text)) == expected
+
+
+@pytest.mark.parametrize("text", ["(- true)", "(/ false 2.0)", "-5", "1e3", "1/2", "x"])
+def test_parse_value_rejects_what_is_not_a_rational(text):
+    with pytest.raises(ValueError):
+        parse_value(parse_one(text))
 
 
 def test_render_parse_value_round_trip():

@@ -21,7 +21,7 @@ from tspbmc.solver import (
     run_solver,
 )
 
-from conftest import BUNDLED, library_models, model_of, solver_config
+from conftest import BUNDLED, ERROR_REPLY, ERROR_THEN_SAT, library_models, model_of, solver_config
 
 
 def script_of(text: str, names: dict) -> SmtScript:
@@ -82,6 +82,15 @@ def test_run_solver_error_reply_to_get_value():
     assert result.status == "error"
     assert GET_VALUE_ERROR in result.solver_stderr
     assert result.elapsed < 10.0
+
+
+def test_first_reply_that_is_not_an_answer_is_an_error():
+    cfg = solver_config(command=(sys.executable, "-c", ERROR_THEN_SAT), timeout=20.0)
+    script = script_of("(declare-const x Bool)\n(assert (= x x))\n(check-sat)\n",
+                       {"x": "Bool"})
+    result = run_solver(script, cfg)
+    assert (result.status, result.values) == ("error", {})
+    assert result.solver_stderr.splitlines()[0] == ERROR_REPLY
 
 
 def test_config_validation():
