@@ -1,29 +1,37 @@
 """External SMT solver driver and the bound loop.
 
-Each ``iterate_bounds`` call keeps one solver child for the whole check.
+Each ``iterate_bounds`` call asks all its queries on one solver child.
 Every query gets a fresh full script (no incremental push/pop), and each
-script after the first is preceded by the standard SMT-LIB ``(reset)``,
-so any SMT-LIB2-compliant binary that accepts ``(reset)`` works. The
-protocol per script is: write the script and read its first reply, which
-must be ``sat``, ``unsat`` or ``unknown``. Any other first reply, such as
-an ``(error ...)`` to an assertion, means the solver did not read the
-whole script, so the query ends with status ``error`` and that reply as
-its message, never with a verdict. On ``sat`` the driver sends one
-``(get-value ...)`` for the script's ``model_symbols`` (for an encoded
-script, the fire flags, times and orders the decoder reads), or for
-every declared symbol when it names none. One ``sexpr.Reader`` per child
-reads every reply, so a reply such as ``(error "... '(' expected")`` is
-read as one expression and ends the exchange with status ``error`` at
-once.
+script after the first one a child answers is preceded by the standard
+SMT-LIB ``(reset)``, so any SMT-LIB2-compliant binary that accepts
+``(reset)`` works. The protocol per script is: write the script and read
+its first reply, which must be ``sat``, ``unsat`` or ``unknown``. Any
+other first reply, such as an ``(error ...)`` to an assertion, means the
+solver did not read the whole script, so the query ends with status
+``error`` and that reply as its message, never with a verdict. On ``sat``
+the driver sends one ``(get-value ...)`` for the script's
+``model_symbols`` (for an encoded script, the fire flags, times and
+orders the decoder reads), or for every declared symbol when it names
+none. One ``sexpr.Reader`` per child reads every reply, so a reply such
+as ``(error "... '(' expected")`` is read as one expression and ends the
+exchange with status ``error`` at once.
 
-The child runs in a process group of its own, and its stderr goes to an
-unnamed temporary file, which never fills, so no thread has to read it.
-Closing the session kills the whole group and reaps the child: every
-answer the child owes has been read by then, and a wrapper command such
-as ``timeout 60 z3 -in`` ends with everything it started. A timeout or a
-protocol error closes the session at once, and so does every other exit
-path. Only a failed query reads stderr: what the group wrote since the
-query began, read once the kill has stopped every writer.
+A process keeps one warm child: a session that ends cleanly is parked,
+and the next check in the same process, directory and solver command
+takes it over if its child is still alive, so only a process's first
+check pays the child's start-up. Any other parked session is closed
+when a check starts. The child runs in a process group of its own, and
+its stderr goes to an unnamed temporary file, which never fills, so no
+thread has to read it. Closing a session kills the whole group and
+reaps the child: every answer the child owes has been read by then, and
+a wrapper command such as ``timeout 60 z3 -in`` ends with everything it
+started. A timeout, a protocol error or an exception closes the session
+at once, and it is never parked. The parked child is closed by
+``close_idle``, which runs at interpreter exit, and by a check that
+needs another command or directory. A process that did not spawn a child
+(a fork) never writes to it, parks it or signals it. Only a failed query
+reads stderr: what the group wrote since the query began, read once the
+kill has stopped every writer.
 
 The bound-n script asks for the goal within at most n transitions, so
 the bounds are monotone and every exec step fires at most once. Every
@@ -39,6 +47,7 @@ finally the bundled fallback solver (``python -m tspbmc.smtlite``).
 
 from __future__ import annotations
 
+import atexit
 import os
 import shlex
 import shutil
@@ -148,16 +157,32 @@ def _interact(proc, reader: Reader, script: SmtScript, reset: bool, box: dict):
         box["exception"] = e
 
 
+def _key(command) -> tuple:
+    """What a parked child must match to be taken over: its command, the
+    directory that resolves the command's relative paths, and the process
+    that owns it."""
+    return (tuple(command), os.getcwd(), os.getpid())
+
+
+def _kill_group(proc):
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the child was reaped, and nothing it started is left
+
+
 class SolverSession:
     """One solver child that answers a sequence of scripts.
 
-    Use as a context manager; ``close`` kills the child's process group and
-    reaps the child on every path, since every answer it owes has been read
-    by then. After a timeout or an error the session is closed and takes no
-    further script.
+    Use as a context manager. A clean exit parks a live session for the
+    next check (see ``open_session``); every other exit closes it. ``close``
+    kills the child's process group and reaps the child, since every answer
+    it owes has been read by then. After a timeout or an error the session
+    is closed and takes no further script.
     """
 
     def __init__(self, command: tuple):
+        self.key = _key(command)
         self._stderr = tempfile.TemporaryFile()
         try:
             self.proc = subprocess.Popen(
@@ -179,8 +204,21 @@ class SolverSession:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, *exc):
+        if exc_type is None and self.live():
+            _park(self)
+        else:
+            self.close()
+
+    def owned(self) -> bool:
+        """Whether this process spawned the child, rather than inheriting the
+        session through a fork."""
+        return self.key[2] == os.getpid()
+
+    def live(self) -> bool:
+        """Whether the session can take another script: its child is this
+        process's and has not exited (a closed session's child is reaped)."""
+        return self.owned() and self.proc.poll() is None
 
     def run(self, script: SmtScript, timeout: float) -> RawResult:
         if self._dead:
@@ -197,7 +235,7 @@ class SolverSession:
         timed_out = worker.is_alive()
         if not (timed_out or "exception" in box):
             return RawResult(box["status"], box["values"], elapsed=time.monotonic() - start)
-        os.killpg(self.proc.pid, signal.SIGKILL)  # the group writes no more
+        _kill_group(self.proc)  # the group writes no more
         worker.join(EXIT_GRACE)
         stderr = os.pread(self._stderr.fileno(), STDERR_KEEP, mark)
         self.close()
@@ -206,11 +244,13 @@ class SolverSession:
                          time.monotonic() - start)
 
     def close(self):
-        """Kill the child's process group, reap the child, close its streams."""
+        """Kill the child's process group, reap the child, close its streams.
+        In a fork, close only this process's copies of the streams."""
         if not self._dead:
             self._dead = True
-            os.killpg(self.proc.pid, signal.SIGKILL)
-            self.proc.wait()
+            if self.owned():
+                _kill_group(self.proc)
+                self.proc.wait()
         for stream in (self.proc.stdin, self.proc.stdout, self._stderr):
             try:
                 stream.close()
@@ -218,13 +258,51 @@ class SolverSession:
                 pass
 
 
+_idle: Optional[SolverSession] = None  # the parked session, if any
+_idle_lock = threading.Lock()
+
+
+def _take_idle() -> Optional[SolverSession]:
+    global _idle
+    with _idle_lock:
+        idle, _idle = _idle, None
+    return idle
+
+
+def _park(session: SolverSession):
+    global _idle
+    with _idle_lock:
+        old, _idle = _idle, session
+    if old is not None:
+        old.close()
+
+
+def close_idle():
+    """Close the parked session, if any: kill its child's group and reap it."""
+    idle = _take_idle()
+    if idle is not None:
+        idle.close()
+
+
+atexit.register(close_idle)
+
+
 def open_session(config: SolverConfig) -> SolverSession:
-    return SolverSession(config.command or resolve_solver_command())
+    """The parked session if it matches this command, directory and
+    process and its child is alive, else a new one; a parked session that
+    is not taken over is closed."""
+    command = config.command or resolve_solver_command()
+    idle = _take_idle()
+    if idle is not None:
+        if idle.key == _key(command) and idle.live():
+            return idle
+        idle.close()
+    return SolverSession(command)
 
 
 def run_solver(script: SmtScript, config: SolverConfig,
                session: Optional[SolverSession] = None) -> RawResult:
-    """Answer one script on ``session``, or on a one-shot child if None."""
+    """Answer one script on ``session``, or on the warm child if None."""
     if session is not None:
         return session.run(script, config.timeout)
     with open_session(config) as own:

@@ -1,12 +1,22 @@
+import contextlib
+import io
 import json
 import os
+import random
 import re
+import shlex
+import signal
+import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import tspbmc
+from tspbmc import cli
 from tspbmc.encoder import BmcProblem, SmtScript, encode
 from tspbmc.errors import SolverError
 from tspbmc.frontend import parse_protocol, parse_scenario
@@ -15,11 +25,13 @@ from tspbmc.oracle import explicit_reach
 from tspbmc.solver import (
     SolverConfig,
     SolverSession,
+    close_idle,
     default_max_bound,
     iterate_bounds,
     resolve_solver_command,
     run_solver,
 )
+from tspbmc.witness import decode
 
 from conftest import BUNDLED, ERROR_REPLY, ERROR_THEN_SAT, library_models, model_of, solver_config
 
@@ -179,14 +191,15 @@ def assert_reaped(pids):
 
 
 def test_close_kills_a_child_that_stops_reading(tmp_path):
-    # the child answers, then sleeps without reading stdin: closing the
-    # session after the answer kills and reaps it at once
+    # the child answers, then sleeps without reading stdin: the query parks
+    # it, and closing the parked session kills and reaps it at once
     pidfile = tmp_path / "pids"
     body = "print('unsat', flush=True); import time; time.sleep(60)"
     cfg = solver_config(command=pid_logging(pidfile, body), timeout=20.0)
     start = time.monotonic()
     result = run_solver(script_of("(check-sat)\n", {}), cfg)
     assert result.status == "unsat"
+    close_idle()
     assert time.monotonic() - start < 2.0
     pids = spawned(pidfile)
     assert len(pids) == 1
@@ -211,6 +224,7 @@ def test_iterate_bounds_spawns_one_child(lib, tmp_path, scenario, outcome, bound
     assert queried == sorted(set(queried), reverse=True)
     pids = spawned(pidfile)
     assert len(pids) == 1
+    close_idle()
     assert_reaped(pids)
 
 
@@ -260,18 +274,19 @@ def test_bound_above_step_count_adds_nothing(lib, scenario):
     assert statuses[0] == ("sat" if scenario == "mitm1_lowe" else "unsat")
 
 
-def stdin_logging(logfile) -> str:
-    """A solver body that copies every line it reads to ``logfile``, then
-    answers as the bundled solver."""
-    return ("import sys, types; from tspbmc.smtlite import main; "
-            f"log = open({str(logfile)!r}, 'a'); src = sys.stdin; "
+def stdin_logging(logfile, per_pid=False) -> str:
+    """A solver body that copies every line it reads to ``logfile`` (with
+    ``.<pid>`` appended if ``per_pid``), then answers as the bundled solver."""
+    path = repr(str(logfile)) + (" + f'.{os.getpid()}'" if per_pid else "")
+    return ("import os, sys, types; from tspbmc.smtlite import main; "
+            f"log = open({path}, 'a'); src = sys.stdin; "
             "sys.stdin = types.SimpleNamespace(readline=lambda: "
             "(lambda line: (log.write(line), log.flush(), line)[2])(src.readline())); "
             "sys.exit(main())")
 
 
 def test_get_value_requests_only_decoded_symbols(lib, tmp_path):
-    from tspbmc.witness import decode, replay
+    from tspbmc.witness import replay
     pidfile, logfile = tmp_path / "pids", tmp_path / "stdin"
     model = model_of(lib, "nspkt", "mitm1_lowe", k=2)
     cfg = solver_config(command=pid_logging(pidfile, stdin_logging(logfile)))
@@ -316,6 +331,7 @@ def test_queried_bounds_descend_to_below_oracle_depth(lib, tmp_path, protocol,
         cfg = solver_config(command=(sys.executable, "-c", stdin_logging(logfile)))
         floored = replace(model, goal_floor=floor)
         verdict = iterate_bounds(floored, config=cfg)
+        close_idle()  # the next floor's child logs to a new file
         assert (verdict.outcome, verdict.bound) == ("attack-found", oracle.depth)
         queried = [b for b, _, _ in verdict.per_bound_log]
         assert sent_scripts(logfile) == [encode(BmcProblem(floored, b)).text
@@ -420,6 +436,7 @@ def test_close_kills_what_the_solver_command_started(tmp_path):
     start = time.monotonic()
     result = run_solver(script_of("(check-sat)\n", {}), cfg)
     assert result.status == "unsat"
+    close_idle()
     assert time.monotonic() - start < 2.0
     grandchild = int(pidfile.read_text())
     deadline = time.monotonic() + 2.0  # SIGKILL lands when the sleep is next scheduled
@@ -475,3 +492,204 @@ def test_first_sat_model_fires_only_what_the_goal_needs(lib, protocol, scenario,
     verdict = iterate_bounds(model, config=solver_config())
     assert (verdict.outcome, verdict.bound) == ("attack-found", bound)
     assert [b for b, _, _ in verdict.per_bound_log] == queried
+
+
+# ---- the warm child ----------------------------------------------------------
+
+
+def test_two_checks_on_one_command_spawn_one_child(lib, tmp_path):
+    pidfile = tmp_path / "pids"
+    cfg = solver_config(command=pid_logging(pidfile, SMTLITE_BODY))
+    verdicts = [iterate_bounds(model_of(lib, "nspkt", scenario), config=cfg)
+                for scenario in ("mitm1_lowe", "fair")]
+    assert [(v.outcome, v.bound) for v in verdicts] == [
+        ("attack-found", 5), ("no-attack-up-to", 3)]
+    pids = spawned(pidfile)
+    assert len(pids) == 1
+    os.kill(pids[0], 0)  # parked, not killed
+    close_idle()
+    assert_reaped(pids)
+
+
+def check_outputs(argv, solver: str, fresh: bool):
+    """(exit code, stdout, stderr without timings) of one ``check``, in a
+    fresh process or in this one."""
+    argv = ["check", *argv, "--solver", solver]
+    if fresh:
+        proc = subprocess.run([sys.executable, "-m", "tspbmc.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+    return code, out, re.sub(r" \(\d+\.\d+s\)", "", err)
+
+
+def test_one_warm_child_answers_as_fresh_processes_do(lib, tmp_path):
+    # every library pair, sat and unsat mixed, on one child: the same
+    # verdicts, witnesses, bound logs and exit codes as one process per check
+    pidfile = tmp_path / "pids"
+    pairs = [[name, scen, "--format", "json"]
+             for name, entry in sorted(lib.items()) for scen in sorted(entry.scenarios)]
+    assert len(pairs) == 9
+    random.Random(7).shuffle(pairs)
+    warm = [check_outputs(argv, shlex.join(pid_logging(pidfile, SMTLITE_BODY)), False)
+            for argv in pairs]
+    pids = spawned(pidfile)
+    assert len(pids) == 1
+    close_idle()
+    assert_reaped(pids)
+    fresh = [check_outputs(argv, shlex.join(BUNDLED), True) for argv in pairs]
+    assert {code for code, _, _ in warm} == {0, 10}
+    assert warm == fresh
+
+
+@pytest.mark.parametrize("body, status", [
+    ("import time; time.sleep(60)", "timeout"),
+    (ERROR_THEN_SAT, "error"),
+])
+def test_a_failed_session_is_never_parked(lib, tmp_path, body, status):
+    # both children stay alive after the failed query: only the kill ends them
+    pidfile = tmp_path / "pids"
+    model = model_of(lib, "nspkt", "fair")
+    cfg = solver_config(command=pid_logging(pidfile, body), timeout=0.5)
+    for n in (1, 2):
+        verdict = iterate_bounds(model, config=cfg)
+        assert (verdict.outcome, verdict.result.status) == ("inconclusive", status)
+        pids = spawned(pidfile)
+        assert len(pids) == n
+        assert_reaped(pids)
+
+
+def test_an_exception_closes_the_session(lib, tmp_path, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("decoder failed")
+
+    pidfile = tmp_path / "pids"
+    monkeypatch.setattr("tspbmc.solver.decode", broken)
+    cfg = solver_config(command=pid_logging(pidfile, SMTLITE_BODY))
+    with pytest.raises(RuntimeError):
+        iterate_bounds(model_of(lib, "nspkt", "mitm1_lowe"), config=cfg)
+    pids = spawned(pidfile)
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_a_parked_child_killed_from_outside_is_replaced(lib, tmp_path):
+    pidfile = tmp_path / "pids"
+    model = model_of(lib, "nspkt", "mitm1_lowe")
+    cfg = solver_config(command=pid_logging(pidfile, SMTLITE_BODY))
+    first = iterate_bounds(model, config=cfg)
+    [parked] = spawned(pidfile)
+    os.killpg(parked, signal.SIGKILL)
+    deadline = time.monotonic() + 2.0
+    while not gone_or_zombie(parked) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    # the takeover check reaps the dead child; its group is gone by then
+    second = iterate_bounds(model, config=cfg)
+    pids = spawned(pidfile)
+    assert len(pids) == 2 and pids[0] == parked
+    assert_reaped([parked])
+    assert (second.outcome, second.bound) == (first.outcome, first.bound) == (
+        "attack-found", 5)
+    script = encode(BmcProblem(model, 5))
+    assert decode(second.result, script, model) == decode(first.result, script, model)
+    close_idle()
+    assert_reaped(pids)
+
+
+def test_another_directory_spawns_a_new_child(lib, tmp_path, monkeypatch):
+    # the same relative solver path names another program in another directory
+    pidfile = tmp_path / "pids"
+    src = str(Path(tspbmc.__file__).resolve().parent.parent)
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "solver.py").write_text(
+            f"import os, sys; sys.path.insert(0, {src!r}); "
+            f"open({str(pidfile)!r}, 'a').write(f'{name} {{os.getpid()}}\\n'); "
+            "from tspbmc.smtlite import main; sys.exit(main())\n")
+    model = model_of(lib, "nspkt", "fair")
+    cfg = solver_config(command=(sys.executable, "solver.py"))
+    for name in ("a", "b", "b"):
+        monkeypatch.chdir(tmp_path / name)
+        assert iterate_bounds(model, config=cfg).outcome == "no-attack-up-to"
+    logged = [line.split() for line in pidfile.read_text().splitlines()]
+    assert [name for name, _ in logged] == ["a", "b"]
+    pids = [int(pid) for _, pid in logged]
+    assert_reaped(pids[:1])  # closed when the check in b started
+    close_idle()
+    assert_reaped(pids)
+
+
+def test_a_fork_leaves_its_parents_parked_child_alone(lib, tmp_path):
+    pidfile, logfile = tmp_path / "pids", tmp_path / "stdin"
+    model = model_of(lib, "nspkt", "fair")
+    cfg = solver_config(command=pid_logging(pidfile, stdin_logging(logfile, per_pid=True)))
+    assert iterate_bounds(model, config=cfg).outcome == "no-attack-up-to"
+    [parked] = spawned(pidfile)
+    fork = os.fork()
+    if fork == 0:  # the same check in the fork must spawn a child of its own
+        code = 1
+        try:
+            code = iterate_bounds(model, config=cfg).outcome != "no-attack-up-to"
+            close_idle()
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(fork, 0)[1]) == 0
+    pids = spawned(pidfile)
+    assert len(pids) == 2 and pids[0] == parked
+    assert_reaped(pids[1:])
+    os.kill(parked, 0)  # the fork did not kill it
+    assert iterate_bounds(model, config=cfg).outcome == "no-attack-up-to"
+    assert spawned(pidfile) == pids  # taken over
+    # it read this process's two scripts and nothing from the fork
+    read = Path(f"{logfile}.{parked}").read_text()
+    assert (read.count("(check-sat)"), read.count("(reset)")) == (2, 1)
+    close_idle()
+    assert_reaped([parked])
+
+
+def test_a_process_that_exits_leaves_no_solver_child(tmp_path):
+    # the child outlives the end of its input: only the exit hook ends it
+    pidfile = tmp_path / "pids"
+    body = "from tspbmc.smtlite import main; main(); import time; time.sleep(60)"
+    code = ("import sys; from tspbmc.cli import main; "
+            "sys.exit(main(['check', 'nspkt', 'fair', '--solver', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", code, shlex.join(pid_logging(pidfile, body))],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pids = spawned(pidfile)
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_threads_never_share_a_child(lib, tmp_path):
+    # each thread's checks run on a child no other thread holds, and every
+    # child a thread parked is either taken over or closed, never leaked
+    pidfile = tmp_path / "pids"
+    cfg = solver_config(command=pid_logging(pidfile, SMTLITE_BODY), timeout=60.0)
+    models = [model_of(lib, "nspkt", scenario) for scenario in ("fair", "mitm1_lowe")]
+    outcomes = []
+
+    def checks():
+        for model in models * 3:
+            outcomes.append(iterate_bounds(model, config=cfg).outcome)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=checks) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(outcomes) == ["attack-found"] * 12 + ["no-attack-up-to"] * 12
+    pids = spawned(pidfile)
+    assert 1 <= len(pids) < 24  # parked children were taken over
+    close_idle()
+    assert_reaped(pids)
