@@ -19,14 +19,19 @@ exchange with status ``error`` at once.
 A process keeps one warm child: a session that ends cleanly is parked,
 and the next check in the same process, directory and solver command
 takes it over if its child is still alive, so only a process's first
-check pays the child's start-up. Any other parked session is closed
+check pays the child's start-up. That helps only a caller that runs
+several checks in one process, such as ``cli.main`` called in a loop; a
+``tspbmc check`` command is one check and starts one child. Any other parked session is closed
 when a check starts. The child runs in a process group of its own, and
 its stderr goes to an unnamed temporary file, which never fills, so no
 thread has to read it. Closing a session kills the whole group and
 reaps the child: every answer the child owes has been read by then, and
 a wrapper command such as ``timeout 60 z3 -in`` ends with everything it
-started. A timeout, a protocol error or an exception closes the session
-at once, and it is never parked. The parked child is closed by
+started. Such a wrapper's limit covers the child's life, which may span
+several checks; a taken-over child that ends before it answers a script
+is replaced once by a new child, which is asked the same script. A
+timeout, a protocol error or an exception closes the session at once,
+and it is never parked. The parked child is closed by
 ``close_idle``, which runs at interpreter exit, and by a check that
 needs another command or directory. A process that did not spawn a child
 (a fork) never writes to it, parks it or signals it. Only a failed query
@@ -130,6 +135,7 @@ def _interact(proc, reader: Reader, script: SmtScript, reset: bool, box: dict):
         item = reader.scan()
         if item is None:
             raise SolverError("solver closed its output before answering")
+        box["replied"] = True
         status = item[1]
         if status not in ("sat", "unsat", "unknown"):
             raise SolverError(item[0])
@@ -161,7 +167,11 @@ def _key(command) -> tuple:
     """What a parked child must match to be taken over: its command, the
     directory that resolves the command's relative paths, and the process
     that owns it."""
-    return (tuple(command), os.getcwd(), os.getpid())
+    try:
+        cwd = os.getcwd()
+    except OSError:  # the directory was removed: match no later check
+        cwd = object()
+    return (tuple(command), cwd, os.getpid())
 
 
 def _kill_group(proc):
@@ -183,6 +193,12 @@ class SolverSession:
 
     def __init__(self, command: tuple):
         self.key = _key(command)
+        self.taken_over = False  # whether an earlier check started the child
+        self._dead = False
+        self._spawn()
+
+    def _spawn(self):
+        command = self.key[0]
         self._stderr = tempfile.TemporaryFile()
         try:
             self.proc = subprocess.Popen(
@@ -199,7 +215,6 @@ class SolverSession:
             raise SolverError(f"cannot spawn solver {command!r}: {e}") from e
         self.reader = Reader(self.proc.stdout)
         self._used = False
-        self._dead = False
 
     def __enter__(self):
         return self
@@ -237,6 +252,14 @@ class SolverSession:
             return RawResult(box["status"], box["values"], elapsed=time.monotonic() - start)
         _kill_group(self.proc)  # the group writes no more
         worker.join(EXIT_GRACE)
+        if self.taken_over and not (timed_out or "replied" in box):
+            # the child an earlier check left ended before it answered, as a
+            # wrapper does whose time limit ran out while the child was
+            # parked: ask again on a child of this check's own
+            self.taken_over = False
+            self._end()
+            self._spawn()
+            return self.run(script, timeout)
         stderr = os.pread(self._stderr.fileno(), STDERR_KEEP, mark)
         self.close()
         status, note = ("timeout", "") if timed_out else ("error", f"{box['exception']}\n")
@@ -248,9 +271,12 @@ class SolverSession:
         In a fork, close only this process's copies of the streams."""
         if not self._dead:
             self._dead = True
-            if self.owned():
-                _kill_group(self.proc)
-                self.proc.wait()
+            self._end()
+
+    def _end(self):
+        if self.owned():
+            _kill_group(self.proc)
+            self.proc.wait()
         for stream in (self.proc.stdin, self.proc.stdout, self._stderr):
             try:
                 stream.close()
@@ -295,6 +321,7 @@ def open_session(config: SolverConfig) -> SolverSession:
     idle = _take_idle()
     if idle is not None:
         if idle.key == _key(command) and idle.live():
+            idle.taken_over = True
             return idle
         idle.close()
     return SolverSession(command)

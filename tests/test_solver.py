@@ -693,3 +693,73 @@ def test_threads_never_share_a_child(lib, tmp_path):
     assert 1 <= len(pids) < 24  # parked children were taken over
     close_idle()
     assert_reaped(pids)
+
+
+def exits_at_reset(pidfile) -> tuple:
+    """A solver command that answers one script, then exits without an
+    answer when the next one arrives, as a child whose wrapper ran out."""
+    return pid_logging(pidfile, (
+        "import os, sys, types; from tspbmc.smtlite import main; src = sys.stdin; "
+        "sys.stdin = types.SimpleNamespace(readline=lambda: "
+        "(lambda line: os._exit(0) if line.startswith('(reset)') else line)"
+        "(src.readline())); sys.exit(main())"))
+
+
+def test_a_taken_over_child_that_ends_unanswered_is_replaced_once(lib, tmp_path):
+    pidfile = tmp_path / "pids"
+    cfg = solver_config(command=exits_at_reset(pidfile))
+    fair = model_of(lib, "nspkt", "fair")
+    for n in (1, 2):  # one query each: the second check's is asked again
+        verdict = iterate_bounds(fair, config=cfg)
+        assert (verdict.outcome, verdict.bound) == ("no-attack-up-to", 3)
+        assert [b for b, _, _ in verdict.per_bound_log] == [3]
+        assert len(spawned(pidfile)) == n
+    assert_reaped(spawned(pidfile)[:1])
+    # the new child is this check's own: when it ends unanswered at the
+    # check's second query, the check is inconclusive (a goal floor of 1
+    # makes the loop ask below the attack)
+    model = replace(model_of(lib, "nspkt", "mitm1_lowe"), goal_floor=1)
+    verdict = iterate_bounds(model, config=cfg)
+    assert (verdict.outcome, verdict.result.status) == ("inconclusive", "error")
+    assert [(b, s) for b, s, _ in verdict.per_bound_log][0] == (5, "sat")
+    pids = spawned(pidfile)
+    assert len(pids) == 3
+    assert_reaped(pids)
+
+
+def test_checks_outlive_a_timeout_wrapper(lib, tmp_path):
+    # the wrapper ends the parked child after a second; every check before,
+    # across and after that moment gets its verdict
+    pidfile = tmp_path / "pids"
+    cfg = solver_config(command=("timeout", "1", *pid_logging(pidfile, SMTLITE_BODY)))
+    model = model_of(lib, "nspkt", "fair")
+    start = time.monotonic()
+    while len(spawned(pidfile)) < 2 or time.monotonic() - start < 1.5:
+        verdict = iterate_bounds(model, config=cfg)
+        assert (verdict.outcome, verdict.bound) == ("no-attack-up-to", 3)
+    close_idle()
+    # the logged pids are the wrapper's children: PID 1 may reap them late
+    deadline = time.monotonic() + 2.0
+    while (not all(map(gone_or_zombie, spawned(pidfile)))
+           and time.monotonic() < deadline):
+        time.sleep(0.02)
+    assert all(map(gone_or_zombie, spawned(pidfile)))
+
+
+def test_a_check_in_a_removed_directory(lib, tmp_path, monkeypatch):
+    # no directory to match: each check runs on a child of its own
+    pidfile = tmp_path / "pids"
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    # python cannot start with a relative path entry in a removed directory
+    monkeypatch.setenv("PYTHONPATH", str(Path(tspbmc.__file__).resolve().parent.parent))
+    argv = ["check", "nspkt", "fair", "--solver", shlex.join(pid_logging(pidfile, SMTLITE_BODY))]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert [cli.main(argv), cli.main(argv)] == [cli.EXIT_NO_ATTACK] * 2
+    pids = spawned(pidfile)
+    assert len(pids) == 2
+    assert_reaped(pids[:1])
+    close_idle()
+    assert_reaped(pids)
