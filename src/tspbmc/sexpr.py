@@ -140,14 +140,16 @@ def parse_value(expr: Sexpr):
 
 def parse_real(expr: Sexpr) -> Fraction:
     """Decode an exact rational: a numeral, a decimal, or ``(- x)`` or
-    ``(/ x y)`` of rationals."""
+    ``(/ x y)`` of rationals with y nonzero."""
     if isinstance(expr, str):
         if _NUMERAL.fullmatch(expr):
             return Fraction(expr)
     elif len(expr) == 2 and expr[0] == "-":
         return -parse_real(expr[1])
     elif len(expr) == 3 and expr[0] == "/":
-        return parse_real(expr[1]) / parse_real(expr[2])
+        divisor = parse_real(expr[2])
+        if divisor:
+            return parse_real(expr[1]) / divisor
     raise ValueError(f"cannot decode value {expr!r}")
 
 

@@ -217,7 +217,7 @@ class Solver:
             x, c = ast[1], ast[2]
         try:
             return x, parse_real(c)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise Unsupported(f"arithmetic term {ast!r}") from None
 
     def _theory_lit(self, ast) -> int:

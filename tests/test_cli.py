@@ -392,9 +392,9 @@ def test_sat_model_that_breaks_session_order_exits_3(capsys, monkeypatch):
 
     real = solver.run_solver
 
-    def tampered(script, config, session=None):
+    def tampered(script, config):
         # (2,2) fires without (2,1), at position 2
-        result = real(script, config, session)
+        result = real(script, config)
         return replace(result, values={**result.values, "f_2_1": False})
 
     monkeypatch.setattr(solver, "run_solver", tampered)

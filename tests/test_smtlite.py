@@ -122,6 +122,7 @@ def test_theory_propagation_through_booleans():
     ("(assert (= p p))", "operator '='"),
     ("(assert (<= (+ x y) 1.0))", "arithmetic term ['+', 'x', 'y']"),
     ("(assert (<= x (- true)))", "arithmetic term ['-', 'true']"),
+    ("(assert (<= x (/ 1.0 0.0)))", "arithmetic term ['/', '1.0', '0.0']"),
 ])
 def test_outside_the_fragment_is_an_error(command, message):
     out = run_script(
@@ -342,7 +343,8 @@ def test_parse_value_rational_forms():
         assert parse_value(parse_one(text)) == expected
 
 
-@pytest.mark.parametrize("text", ["(- true)", "(/ false 2.0)", "-5", "1e3", "1/2", "x"])
+@pytest.mark.parametrize("text", ["(- true)", "(/ false 2.0)", "-5", "1e3", "1/2", "x",
+                                  "(/ 1.0 0.0)"])
 def test_parse_value_rejects_what_is_not_a_rational(text):
     with pytest.raises(ValueError):
         parse_value(parse_one(text))

@@ -24,7 +24,6 @@ from tspbmc.model import build_model
 from tspbmc.oracle import explicit_reach
 from tspbmc.solver import (
     SolverConfig,
-    SolverSession,
     close_idle,
     default_max_bound,
     iterate_bounds,
@@ -103,6 +102,42 @@ def test_first_reply_that_is_not_an_answer_is_an_error():
     result = run_solver(script, cfg)
     assert (result.status, result.values) == ("error", {})
     assert result.solver_stderr.splitlines()[0] == ERROR_REPLY
+
+
+def sat_then(value: str) -> str:
+    """A solver body that answers every script sat, and get-value with x bound
+    to ``value``."""
+    reply = f"((x {value}))"
+    return ("import sys\n"
+            "for line in sys.stdin:\n"
+            "    if 'check-sat' in line: print('sat', flush=True)\n"
+            f"    if 'get-value' in line: print({reply!r}, flush=True)\n")
+
+
+@pytest.mark.parametrize("value", ["(/ 1.0 0.0)", "(- " * 5000 + "1.0" + ")" * 5000],
+                         ids=["zero-divisor", "nested-5000-deep"])
+def test_an_undecodable_value_is_a_solver_error(capsys, value):
+    cfg = solver_config(command=(sys.executable, "-c", sat_then(value)), timeout=20.0)
+    script = script_of("(declare-const x Real)(check-sat)\n", {"x": "Real"})
+    result = run_solver(script, cfg)
+    assert (result.status, result.values) == ("error", {})
+    code = cli.main(["check", "nspkt", "mitm1_lowe", "--solver", shlex.join(cfg.command)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_INCONCLUSIVE, "")
+    assert err.splitlines()[-1].startswith("inconclusive: solver returned error at bound 5: ")
+    assert "Traceback" not in err
+
+
+def test_the_fallback_solver_runs_from_another_directory(tmp_path, monkeypatch, capsys):
+    # a relative PYTHONPATH entry names nothing after a chdir: the bundled
+    # solver is started with this package's directory on its path
+    src = Path(tspbmc.__file__).resolve().parent.parent
+    monkeypatch.setenv("PYTHONPATH", os.path.relpath(src))
+    monkeypatch.delenv("TSPBMC_SOLVER", raising=False)
+    monkeypatch.setattr("shutil.which", lambda name: None)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["check", "nspkt", "fair"]) == cli.EXIT_NO_ATTACK
+    close_idle()
 
 
 def test_config_validation():
@@ -192,7 +227,7 @@ def assert_reaped(pids):
 
 def test_close_kills_a_child_that_stops_reading(tmp_path):
     # the child answers, then sleeps without reading stdin: the query parks
-    # it, and closing the parked session kills and reaps it at once
+    # it, and closing the parked child kills and reaps it at once
     pidfile = tmp_path / "pids"
     body = "print('unsat', flush=True); import time; time.sleep(60)"
     cfg = solver_config(command=pid_logging(pidfile, body), timeout=20.0)
@@ -267,9 +302,8 @@ def test_bound_above_step_count_adds_nothing(lib, scenario):
     # limits nothing: it decides the same as the step count
     model = model_of(lib, "nspkt", scenario)
     steps = len(model.exec_steps)
-    with SolverSession(BUNDLED) as session:
-        statuses = [session.run(encode(BmcProblem(model, n)), 120.0).status
-                    for n in (steps, steps + 1)]
+    statuses = [run_solver(encode(BmcProblem(model, n)), solver_config()).status
+                for n in (steps, steps + 1)]
     assert statuses[0] == statuses[1]
     assert statuses[0] == ("sat" if scenario == "mitm1_lowe" else "unsat")
 
@@ -364,25 +398,23 @@ def test_bound_n_is_sat_iff_oracle_attack_within_n(lib):
     assert len(models) >= 13
     for model in models:
         steps = default_max_bound(model)
-        with SolverSession(BUNDLED) as session:
-            for n in range(1, steps + 2):
-                status = session.run(encode(BmcProblem(model, n)), 120.0).status
-                oracle = explicit_reach(model, depth=n)
-                assert status == ("sat" if oracle.outcome == "attack-found"
-                                  else "unsat"), (model.protocol, model.scenario,
-                                                  model.sessions, n)
+        for n in range(1, steps + 2):
+            status = run_solver(encode(BmcProblem(model, n)), solver_config()).status
+            oracle = explicit_reach(model, depth=n)
+            assert status == ("sat" if oracle.outcome == "attack-found"
+                              else "unsat"), (model.protocol, model.scenario,
+                                              model.sessions, n)
 
 
 def test_bound_n_is_sat_iff_oracle_attack_within_n_on_a_partial_cone(lib):
     # the same exactness where the goal's cone keeps 5 of the 9 steps
     model = model_of(lib, "nspkt", "mitm1_lowe", k=3)
     assert (len(model.cone), default_max_bound(model)) == (5, 9)
-    with SolverSession(BUNDLED) as session:
-        for n in range(1, 11):
-            status = session.run(encode(BmcProblem(model, n)), 120.0).status
-            oracle = explicit_reach(model, depth=n)
-            assert status == ("sat" if oracle.outcome == "attack-found"
-                              else "unsat"), n
+    for n in range(1, 11):
+        status = run_solver(encode(BmcProblem(model, n)), solver_config()).status
+        oracle = explicit_reach(model, depth=n)
+        assert status == ("sat" if oracle.outcome == "attack-found"
+                          else "unsat"), n
 
 
 def test_attack_at_the_goal_floor_takes_one_query(lib):
@@ -428,7 +460,7 @@ def gone_or_zombie(pid: int) -> bool:
 
 def test_close_kills_what_the_solver_command_started(tmp_path):
     # the child starts a grandchild that keeps its pipes and stderr, then
-    # answers: closing the session ends the grandchild too, at once
+    # answers: closing the child ends the grandchild too, at once
     pidfile = tmp_path / "pids"
     body = ("import subprocess; p = subprocess.Popen(['sleep', '30']); "
             "open(%r, 'w').write(str(p.pid)); print('unsat', flush=True)" % str(pidfile))
@@ -457,9 +489,9 @@ def test_failed_query_reports_only_its_own_stderr():
             "    print('unsat' if n == 1 else 'hello', flush=True)\n"
             "    if n == 2: exit()\n")
     script = script_of("(check-sat)\n", {})
-    with SolverSession((sys.executable, "-c", fake)) as session:
-        first = session.run(script, 20.0)
-        second = session.run(script, 20.0)
+    cfg = solver_config(command=(sys.executable, "-c", fake), timeout=20.0)
+    first = run_solver(script, cfg)
+    second = run_solver(script, cfg)
     assert (first.status, first.solver_stderr) == ("unsat", "")
     assert second.status == "error"
     assert "second" in second.solver_stderr
@@ -563,18 +595,59 @@ def test_a_failed_session_is_never_parked(lib, tmp_path, body, status):
         assert_reaped(pids)
 
 
-def test_an_exception_closes_the_session(lib, tmp_path, monkeypatch):
+def test_a_decode_exception_leaves_the_child_parked(lib, tmp_path, monkeypatch):
+    # the child answered in full before decode failed, so the next check
+    # takes it over
     def broken(*args):
         raise RuntimeError("decoder failed")
 
     pidfile = tmp_path / "pids"
-    monkeypatch.setattr("tspbmc.solver.decode", broken)
+    model = model_of(lib, "nspkt", "mitm1_lowe")
     cfg = solver_config(command=pid_logging(pidfile, SMTLITE_BODY))
-    with pytest.raises(RuntimeError):
-        iterate_bounds(model_of(lib, "nspkt", "mitm1_lowe"), config=cfg)
+    with monkeypatch.context() as m:
+        m.setattr("tspbmc.solver.decode", broken)
+        with pytest.raises(RuntimeError):
+            iterate_bounds(model, config=cfg)
+    [parked] = spawned(pidfile)
+    os.kill(parked, 0)
+    verdict = iterate_bounds(model, config=cfg)
+    assert (verdict.outcome, verdict.bound) == ("attack-found", 5)
+    assert spawned(pidfile) == [parked]
+    close_idle()
+    assert_reaped([parked])
+
+
+class Interrupted(Exception):
+    pass
+
+
+def test_an_exception_during_the_wait_closes_the_child(tmp_path):
+    # a signal handler raises while the query waits for a sleeping solver:
+    # the child is killed and reaped at once, and never parked
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    pidfile = tmp_path / "pids"
+    cfg = solver_config(command=pid_logging(pidfile, "import time; time.sleep(60)"))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        start = time.monotonic()
+        with pytest.raises(Interrupted):
+            run_solver(script_of("(check-sat)\n", {}), cfg)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 10.0
     pids = spawned(pidfile)
     assert len(pids) == 1
     assert_reaped(pids)
+    body = "print('unsat', flush=True); import sys; sys.stdin.read()"
+    unsat = solver_config(command=pid_logging(pidfile, body))
+    assert run_solver(script_of("(check-sat)\n", {}), unsat).status == "unsat"
+    assert len(spawned(pidfile)) == 2  # nothing was parked to take over
+    close_idle()
+    assert_reaped(spawned(pidfile))
 
 
 def test_a_parked_child_killed_from_outside_is_replaced(lib, tmp_path):
@@ -715,15 +788,17 @@ def test_a_taken_over_child_that_ends_unanswered_is_replaced_once(lib, tmp_path)
         assert [b for b, _, _ in verdict.per_bound_log] == [3]
         assert len(spawned(pidfile)) == n
     assert_reaped(spawned(pidfile)[:1])
-    # the new child is this check's own: when it ends unanswered at the
-    # check's second query, the check is inconclusive (a goal floor of 1
-    # makes the loop ask below the attack)
+    # the rule is per query: the child parked after the check's first bound
+    # ends at the (reset) of its second, and a new child answers that bound
+    # (a goal floor of 1 makes the loop ask below the attack)
     model = replace(model_of(lib, "nspkt", "mitm1_lowe"), goal_floor=1)
     verdict = iterate_bounds(model, config=cfg)
-    assert (verdict.outcome, verdict.result.status) == ("inconclusive", "error")
-    assert [(b, s) for b, s, _ in verdict.per_bound_log][0] == (5, "sat")
+    assert (verdict.outcome, verdict.bound) == ("attack-found", 5)
+    assert [(b, s) for b, s, _ in verdict.per_bound_log] == [(5, "sat"), (4, "unsat")]
     pids = spawned(pidfile)
-    assert len(pids) == 3
+    assert len(pids) == 4
+    assert_reaped(pids[:3])
+    close_idle()
     assert_reaped(pids)
 
 
@@ -747,7 +822,7 @@ def test_checks_outlive_a_timeout_wrapper(lib, tmp_path):
 
 
 def test_a_check_in_a_removed_directory(lib, tmp_path, monkeypatch):
-    # no directory to match: each check runs on a child of its own
+    # a removed directory still matches itself: both checks run on one child
     pidfile = tmp_path / "pids"
     gone = tmp_path / "gone"
     gone.mkdir()
@@ -759,7 +834,7 @@ def test_a_check_in_a_removed_directory(lib, tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert [cli.main(argv), cli.main(argv)] == [cli.EXIT_NO_ATTACK] * 2
     pids = spawned(pidfile)
-    assert len(pids) == 2
-    assert_reaped(pids[:1])
+    assert len(pids) == 1
+    os.kill(pids[0], 0)
     close_idle()
     assert_reaped(pids)
