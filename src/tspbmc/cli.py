@@ -13,11 +13,15 @@ embedded library entry (see ``tspbmc list``). Exit codes: 0 no attack up
 to the bound (all runs covered when the bound is the exec-step count), 10
 attack found (witness written), 2 usage/input error, 3 solver
 inconclusive.
+
+The argument parser is built once per process, on the first ``main``
+call, so a program that calls ``main`` several times pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -232,7 +236,13 @@ def _add_io_args(p):
                    help="session count (default: scenario's 'sessions')")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of a process.
+
+    Every later call returns the same parser: ``parse_args`` only reads
+    it and returns a new namespace each time. Callers must not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="tspbmc",
         description="Bounded model checking of timed security protocols via SMT.")

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tspbmc import library
-from tspbmc.cli import main
+from tspbmc.cli import build_parser, main
 from tspbmc.witness import parse_json
 
 from conftest import ERROR_REPLY, ERROR_THEN_SAT, UNREADABLE
@@ -436,11 +437,17 @@ def test_non_utf8_input_exits_2(capsys, tmp_path, bad):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_fresh(code: str, *args) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that imports the package."""
-    proc = subprocess.run(
+def fresh(code: str, *args) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter that imports the package."""
+    return subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120, check=True)
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+
+
+def run_fresh(code: str, *args) -> str:
+    """Stdout of ``code``, which must exit 0, run in a fresh interpreter."""
+    proc = fresh(code, *args)
+    proc.check_returncode()
     return proc.stdout
 
 
@@ -509,3 +516,40 @@ def test_traced_names_are_module_attributes_bound_on_first_lookup():
         "check exit": 2,
         "patched calls": 1,
     }
+
+
+# ---- one parser per process ----------------------------------------------------
+
+MAIN = "import sys; from tspbmc.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def without_timings(err: str) -> str:
+    return re.sub(r"\(\d+\.\d+s\)", "(s)", err)
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch, tmp_path):
+    # each call's answer equals a fresh process's, so no default or option of
+    # an earlier call reaches a later one through the shared parser
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+    witness = tmp_path / "attack.json"
+    sequence = [
+        ["check"],
+        ["--help"],
+        ["check", "nspkt", "mitm1_lowe", "--sessions", "2", "--format", "json",
+         "--out", str(witness)],
+        ["check", "nspkt", "fair"],
+        ["check", "nspkt", "fair", "--sessions", "2"],
+        ["oracle", "nspkt", "mitm1_lowe", "--sessions", "2"],
+    ]
+    in_process = []
+    for argv in sequence:
+        code, out, err = run(capsys, *argv)
+        in_process.append((code, out, without_timings(err)))
+    written = witness.read_text(encoding="utf-8")
+    assert [code for code, _, _ in in_process] == [2, 0, 10, 0, 0, 10]
+    assert in_process[0][2].startswith("usage: tspbmc check")
+    for argv, answer in zip(sequence, in_process):
+        proc = fresh(MAIN, *argv)
+        assert (proc.returncode, proc.stdout, without_timings(proc.stderr)) == answer, argv
+    assert witness.read_text(encoding="utf-8") == written
