@@ -48,13 +48,13 @@ def _pipeline():
     Binding overwrites a name set before it, so such a wrapper reads the
     name first, which binds it.
     """
-    global _bound, _RENDERERS, BmcProblem, encode, parse_protocol, parse_scenario
+    global _bound, _RENDERERS, encode, parse_protocol, parse_scenario
     global adequacy_warnings, build_model, model_to_json, explicit_reach
     global DEFAULT_TIMEOUT, SolverConfig, default_max_bound, iterate_bounds
     global resolve_solver_command, render_term, decode, replay
     if _bound:
         return
-    from .encoder import BmcProblem, encode
+    from .encoder import encode
     from .frontend import parse_protocol, parse_scenario
     from .model import adequacy_warnings, build_model, model_to_json
     from .oracle import explicit_reach
@@ -122,11 +122,13 @@ def _load_inputs(protocol_arg: str, scenario_arg: str):
     return parse_protocol(protocol_text), parse_scenario(scenario_text)
 
 
-def _write_out(text: str, out_path, fmt: str):
+def _write_out(text: str, out_path) -> str:
+    """Write an artifact to ``out_path``, if given, and return what goes to
+    stdout. Called before any output, so a failed write prints only its error."""
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
-    elif fmt == "json":
-        sys.stdout.write(text)
+        return ""
+    return text
 
 
 def _report_attack(trace, model, fmt: str, out_path, origin: str) -> int:
@@ -137,16 +139,14 @@ def _report_attack(trace, model, fmt: str, out_path, origin: str) -> int:
             f"{violation.position}: {violation.kind}: {violation.detail}",
             file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    rendered = _RENDERERS[fmt](trace)
+    shown = _write_out(_RENDERERS[fmt](trace), out_path)
     verdict = (f"attack found: {model.protocol}/{model.scenario} "
                f"k={model.sessions} at {origin} bound {trace.bound}")
     print(verdict, file=sys.stderr if fmt == "json" and not out_path else sys.stdout)
-    _write_out(rendered, out_path, fmt)
     if out_path:
         print(f"witness written to {out_path}",
               file=sys.stderr if fmt == "json" else sys.stdout)
-    elif fmt != "json":
-        sys.stdout.write(rendered)
+    sys.stdout.write(shown)
     return EXIT_ATTACK
 
 
@@ -176,7 +176,7 @@ def cmd_check(args) -> int:
     if verdict.outcome == "inconclusive":
         print(f"inconclusive: {verdict.reason}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    script = encode(BmcProblem(model, verdict.bound))
+    script = encode(model, verdict.bound)
     trace = decode(verdict.result, script, model)
     return _report_attack(trace, model, args.format, args.out, "SMT")
 
@@ -186,11 +186,7 @@ def cmd_encode(args) -> int:
     if args.bound < 1:
         raise UsageError("--bound must be >= 1")
     model = build_model(spec, scenario, k=args.sessions)
-    script = encode(BmcProblem(model, args.bound))
-    if args.out:
-        Path(args.out).write_text(script.text, encoding="utf-8")
-    else:
-        sys.stdout.write(script.text)
+    sys.stdout.write(_write_out(encode(model, args.bound).text, args.out))
     return EXIT_NO_ATTACK
 
 

@@ -1,11 +1,12 @@
 """Bounded-reachability encoding to SMT-LIB2 (QF_LRA).
 
-The bound-n script asks whether some run of at most n transitions reaches
-the goal. A run is encoded by the steps it fires and their causal order,
-not by the position of each step (partial-order BMC, Heljanko, CONCUR
-2001): every encoded step s has a fire flag ``f_s``, a fire time ``t_s``
-and an order value ``o_s``, and sorting the fired steps by (t, o, sid,
-index) gives the run (``witness.decode``).
+``encode(model, n)`` writes the bound-n script (n >= 1), which asks
+whether some run of at most n transitions reaches the goal. A run is
+encoded by the steps it fires and their causal order, not by the position
+of each step (partial-order BMC, Heljanko, CONCUR 2001): every encoded
+step s has a fire flag ``f_s``, a fire time ``t_s`` and an order value
+``o_s``, and sorting the fired steps by (t, o, sid, index) gives the run
+(``witness.decode``).
 
 Only the goal's cone of influence is encoded (``model.cone``: every goal
 run has a run of cone steps that reaches the goal as early). The
@@ -52,16 +53,6 @@ from dataclasses import dataclass
 
 from .model import TiisModel
 from .sexpr import render_value
-
-
-@dataclass(frozen=True)
-class BmcProblem:
-    model: TiisModel
-    bound: int  # number of global transitions, >= 1
-
-    def __post_init__(self):
-        if self.bound < 1:
-            raise ValueError("bound must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -117,9 +108,9 @@ def support_formula(label, recv) -> str:
     return _or([_and([recv(m) for m in support]) for support in label])
 
 
-def encode(problem: BmcProblem) -> SmtScript:
-    model = problem.model
-    n = problem.bound
+def encode(model: TiisModel, n: int) -> SmtScript:
+    if n < 1:
+        raise ValueError("bound must be >= 1")
     steps = [st for st in model.exec_steps if st.ref in model.cone]  # (sid, index) order
     m = len(steps)
 

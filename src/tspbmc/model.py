@@ -146,15 +146,14 @@ def _check_compromised(spec: ProtocolSpec, compromised, k: int) -> list:
     return keys
 
 
-def initial_knowledge(agent: str, universe: TermUniverse,
-                      compromised=()) -> FrozenSet[int]:
+def initial_knowledge(agent: str, universe: TermUniverse) -> FrozenSet[int]:
     """Initial Dolev-Yao knowledge: identities, public keys, own secrets.
 
     Fresh protocol atoms are never initially known; they enter the model at
-    their generation step. The intruder additionally holds the compromised
-    keys.
+    their generation step. ``build_model`` adds the compromised keys to the
+    intruder's.
     """
-    known = set(compromised)
+    known = set()
     for t in universe:
         if isinstance(t, Ident) or isinstance(t, PubKey):
             known.add(t)
@@ -216,7 +215,7 @@ def constructible(known, t: Term, universe: TermUniverse) -> bool:
     return universe.id_of(t) in known
 
 
-def step_constraints(model: TiisModel, sequence) -> list:
+def step_constraints(sequence) -> list:
     """The timing constraints that firing ``sequence[-1]`` adds after the
     steps before it (ExecSteps in firing order), as ``dbm`` constraints over
     (sid, index) nodes, each tagged "delay" or "lifetime".
@@ -251,10 +250,8 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
     compromised = _check_compromised(spec, scenario.compromised, k)
     universe = build_universe(steps, spec.roles, compromised)
     agents = tuple(spec.roles) + (INTRUDER,)
-    init = {
-        a: initial_knowledge(a, universe, compromised if a == INTRUDER else ())
-        for a in agents
-    }
+    init = {a: initial_knowledge(a, universe) for a in agents}
+    init[INTRUDER] |= {universe.id_of(key) for key in compromised}
     rules = compile_rules(universe)
 
     secret_ids = []

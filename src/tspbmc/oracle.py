@@ -66,7 +66,7 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
                                                   model.universe):
                     continue
                 new_seq = seq + (st,)
-                new_cons = cons + tuple(step_constraints(model, new_seq))
+                new_cons = cons + tuple(step_constraints(new_seq))
                 feasible, times = solve(new_cons)
                 if not feasible:
                     continue

@@ -304,7 +304,7 @@ class Solver:
         raise Unsupported(f"unknown symbol {name!r}")
 
 
-def main(argv=None) -> int:
+def main() -> int:
     reader = Reader(sys.stdin)
     solver = Solver()
     out = sys.stdout

@@ -43,10 +43,11 @@ cone's size covers every run. The loop queries min(cap, cone size)
 first and then works down from the length of each sat model's decoded
 trace, never below the goal floor L, where no goal holds.
 
-Solver resolution order: explicit ``--solver`` command, the
-``TSPBMC_SOLVER`` environment variable, ``z3 -in`` if z3 is on PATH, and
-finally the bundled fallback solver (``python -m tspbmc.smtlite``), which
-is started with this ``tspbmc``'s directory first on its ``PYTHONPATH``.
+``SolverConfig.command`` is a resolved command line. ``cli`` resolves it
+once per check with ``resolve_solver_command``, in this order: explicit
+``--solver`` command, ``TSPBMC_SOLVER``, ``z3 -in`` if z3 is on PATH, and
+finally the bundled fallback solver (``python -m tspbmc.smtlite``), started
+with this ``tspbmc``'s directory first on its ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .encoder import BmcProblem, SmtScript, encode
+from .encoder import SmtScript, encode
 from .errors import ModelError, SolverError
 from .model import TiisModel
 from .sexpr import Reader, parse_value
@@ -79,11 +80,13 @@ _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @dataclass(frozen=True)
 class SolverConfig:
-    command: tuple = ()  # empty -> resolve automatically
+    command: tuple  # the solver's command line, as resolve_solver_command gives it
     timeout: float = DEFAULT_TIMEOUT  # seconds per solver query
     max_bound: Optional[int] = None  # capped at, and by default, the exec-step count
 
     def __post_init__(self):
+        if not self.command:
+            raise SolverError("empty solver command")
         # NaN fails both comparisons; join() rejects a wait past TIMEOUT_MAX
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:
             raise SolverError(
@@ -117,9 +120,7 @@ def resolve_solver_command(explicit: Optional[str] = None) -> tuple:
                 parts = tuple(shlex.split(source))
             except ValueError as e:
                 raise SolverError(f"solver command {source!r}: {e}") from e
-            if not parts:
-                raise SolverError("empty solver command")
-            return parts
+            return parts  # SolverConfig rejects an empty one
     z3 = shutil.which("z3")
     if z3:
         return (z3, "-in")
@@ -281,7 +282,7 @@ atexit.register(close_idle)
 def run_solver(script: SmtScript, config: SolverConfig) -> RawResult:
     """Answer one script on the warm child (see the module docstring)."""
     global _idle
-    key = _key(config.command or resolve_solver_command())
+    key = _key(config.command)
     with _idle_lock:
         child, _idle = _idle, None
     if child is not None and not (child.key == key and child.proc.poll() is None):
@@ -302,7 +303,7 @@ def default_max_bound(model: TiisModel) -> int:
     return len(model.exec_steps)
 
 
-def iterate_bounds(model: TiisModel, config: Optional[SolverConfig] = None) -> Verdict:
+def iterate_bounds(model: TiisModel, config: SolverConfig) -> Verdict:
     """Find the least bound with an attack.
 
     The cap is ``min(max_bound, exec-step count)``. The first query is at
@@ -315,14 +316,13 @@ def iterate_bounds(model: TiisModel, config: Optional[SolverConfig] = None) -> V
     (``model.goal_floor``), where no goal holds. The attack is reported
     at g with the sat result found there.
     """
-    config = config or SolverConfig()
     steps = default_max_bound(model)
     cap = min(config.max_bound or steps, steps)
     n = max(1, min(cap, len(model.cone)))
     log = []
     attack = None  # (g, sat result) of the least bound found so far
     while n >= model.goal_floor or attack is None:
-        script = encode(BmcProblem(model, n))
+        script = encode(model, n)
         result = run_solver(script, config)
         log.append((n, result.status, result.elapsed))
         if result.status == "unsat":

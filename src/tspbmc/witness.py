@@ -104,7 +104,7 @@ def trace_of(model: TiisModel, fired, bound: int) -> Trace:
                                   f"{render_term(st.message)}")
         steps.append(st)
         times[st.ref] = time
-        for u, v, w, kind in step_constraints(model, steps):
+        for u, v, w, kind in step_constraints(steps):
             if times[v] - times[u] > w:
                 raise ReplayViolation(kind, j, f"{_clock(v)} - {_clock(u)} = "
                                       f"{times[v] - times[u]}, must be <= {w}")

@@ -32,6 +32,16 @@ ERROR_THEN_SAT = (
     "    if 'get-value' in line: print('((x true))', flush=True)\n")
 
 
+def sat_then(reply) -> str:
+    """A solver body that answers every script sat, and get-value with
+    ``reply``, or ends its output there when ``reply`` is None."""
+    answer = "sys.exit()" if reply is None else f"print({reply!r}, flush=True)"
+    return ("import sys\n"
+            "for line in sys.stdin:\n"
+            "    if 'check-sat' in line: print('sat', flush=True)\n"
+            f"    if 'get-value' in line: {answer}\n")
+
+
 # a protocol whose receiver never learns the key of the cipher it receives
 UNREADABLE = """
 name: UNREADABLE

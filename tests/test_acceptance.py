@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from tspbmc.cli import main
-from tspbmc.encoder import BmcProblem, encode
+from tspbmc.encoder import encode
 from tspbmc.errors import TspbmcError
 from tspbmc.model import build_model, closure, model_to_json
 from tspbmc.oracle import explicit_reach
@@ -89,7 +89,7 @@ def test_criterion_2_mitm_reproduction(capsys, lib):
         assert (oracle.outcome, oracle.depth) == ("attack-found", 5)
         verdict = iterate_bounds(model, config=solver_config(max_bound=8))
         assert (verdict.outcome, verdict.bound) == ("attack-found", 5)
-        trace = decode(verdict.result, encode(BmcProblem(model, 5)), model)
+        trace = decode(verdict.result, encode(model, 5), model)
         assert replay(trace, model) is None
         # the goal: the intruder learns the secret and the required
         # sessions run to completion
@@ -152,7 +152,7 @@ def test_criterion_7_witness_soundness(capsys, sweep):
         for name, scen, k, model, verdict, _ in sweep:
             if verdict.outcome != "attack-found":
                 continue
-            script = encode(BmcProblem(model, verdict.bound))
+            script = encode(model, verdict.bound)
             trace = decode(verdict.result, script, model)
             assert replay(trace, model) is None, (name, scen, k)
             attacks.append((model, trace))
@@ -172,8 +172,7 @@ def test_criterion_8_determinism(capsys, lib, tmp_path):
     with criterion(capsys, 8, "encode and dump-model output is byte-identical "
                               "across runs and processes"):
         model = model_of(lib, "wmf", "replay_generous")
-        assert (encode(BmcProblem(model, 6)).text
-                == encode(BmcProblem(model, 6)).text)
+        assert encode(model, 6).text == encode(model, 6).text
         assert model_to_json(model) == model_to_json(
             model_of(lib, "wmf", "replay_generous"))
         outputs = []
@@ -186,8 +185,7 @@ def test_criterion_8_determinism(capsys, lib, tmp_path):
             assert all(r.returncode == 0 for r in runs)
             assert runs[0].stdout == runs[1].stdout
             outputs.append(runs[0].stdout)
-        assert encode(BmcProblem(model_of(lib, "nspkt", "mitm1_lowe"), 5)
-                      ).text == outputs[0]
+        assert encode(model_of(lib, "nspkt", "mitm1_lowe"), 5).text == outputs[0]
 
 
 def test_criterion_9_round_trips(capsys, sweep):
@@ -201,6 +199,6 @@ def test_criterion_9_round_trips(capsys, sweep):
             if verdict.outcome != "attack-found":
                 continue
             trace = decode(verdict.result,
-                           encode(BmcProblem(model, verdict.bound)), model)
+                           encode(model, verdict.bound), model)
             assert parse_json(render_json(trace)) == trace
             assert parse_json(render_json(oracle.trace)) == oracle.trace

@@ -12,7 +12,7 @@ from tspbmc import library
 from tspbmc.cli import build_parser, main
 from tspbmc.witness import parse_json
 
-from conftest import ERROR_REPLY, ERROR_THEN_SAT, UNREADABLE
+from conftest import ERROR_REPLY, ERROR_THEN_SAT, UNREADABLE, sat_then
 
 
 def run(capsys, *argv):
@@ -205,6 +205,8 @@ def test_sessions_flag_overrides_scenario(capsys):
                          "--sessions", "2")
     assert code == 0
     assert json.loads(first)["sessions"] == 2
+    assert run(capsys, "check", "nspkt", "fair", "--sessions", "0") == (
+        2, "", "error: session count must be >= 1\n")
 
 
 def test_usage_errors(capsys):
@@ -290,6 +292,32 @@ def _replace(**fields):
     (None, _retime(lifetime={"Ta": 5}),
      "error: override (1,1): lifetime for 'Ta' is never checked: "
      "the step sends no Ta it does not generate"),
+    (("roles: A B", "roles: AB"), {}, "line 4: bad role name 'AB' (single uppercase letter)"),
+    (("roles: A B", "roles: A B A"), {}, "line 4: duplicate role 'A'"),
+    (("Ta by A class nonce", "Ta by A"), {}, "line 5: bad fresh declaration"),
+    (("fresh: Ta by", "fresh: ta by"), {}, "line 5: bad fresh-atom name 'ta'"),
+    (("fresh: Ta by", "fresh: Tb by"), {}, "line 6: duplicate fresh declaration 'Tb'"),
+    (("nonce lifetime 10", "nonce lifetime 0"), {},
+     "line 5: lifetime must be positive or 'none'"),
+    (("complete: 1", "complete: x"), {}, "line 8: bad session index in complete:"),
+    (("step 1: A -> B", "step 1 A -> B"), {}, "line 9: bad step line"),
+    (("<KB, Ta | A>", "<KB, Ta | >"), {}, "line 9: bad message term: expected an atom"),
+    (("complete: 1", "frobnicate 1"), {}, "line 8: unrecognized line 'frobnicate 1'"),
+    (("roles: A B\n", ""), {}, "error: missing roles:"),
+    (("goal: secrecy Tb sid any\n", ""), {}, "error: missing goal:"),
+    (("secrecy Tb sid any", "secrecy Tb"), {},
+     "line 7: bad goal (expected: goal: secrecy <fresh> sid <n|any>)"),
+    (("step 3: A -> B", "step 3: A -> C"), {}, "step 3: 'C' is not a declared role"),
+    (("fresh: Ta by A", "fresh: Ta by C"), {}, "fresh 'Ta': owner 'C' is not a role"),
+    (None, {"overrides": [5]}, "override 0: must be an object"),
+    (None, _retime(delay=1, when=1), "override 0: unknown keys ['when']"),
+    (None, _replace(edge="A-B", L="A"), "override 0: bad edge syntax 'A-B'"),
+    (None, _replace(edge="A->A", L="A"), "override 0: edge sender and receiver must differ"),
+    (None, _retime(edge="A->B", delay=1), "override 0: retime takes no 'edge' or 'L'"),
+    (None, _retime(delay=-1), "override 0: negative delay"),
+    (None, _retime(lifetime=5), "override 0: 'lifetime' must map fresh names to bounds"),
+    (None, _replace(edge="A->C", L="A"), "override edge names undeclared agent 'C'"),
+    (None, _retime(lifetime={"Zz": 5}), "lifetime override for undeclared fresh 'Zz'"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit, needle):
     protocol = library.get("nspkt").protocol
@@ -337,20 +365,33 @@ def test_check_rejects_a_scenario_it_cannot_mean(capsys, tmp_path, protocol, sce
 
 
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
-    (tmp_path / "s.json").write_text("[" * 100_000, encoding="utf-8")
-    code, out, err = run(capsys, "oracle", "nspkt", str(tmp_path / "s.json"))
-    assert code == 2
-    assert err == "error: malformed JSON: nested too deeply\n"
-    assert out == ""
+    for text, message in [
+        ("[" * 100_000, "malformed JSON: nested too deeply"),
+        ("[]", "scenario must be a JSON object"),
+        ('{"name": "s", "overrides": [',
+         "malformed JSON: Expecting value: line 1 column 29 (char 28)"),
+    ]:
+        (tmp_path / "s.json").write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "oracle", "nspkt", str(tmp_path / "s.json"))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("option, env", [(["--solver", '"'], None), ([], '"')])
-def test_unbalanced_solver_quote_exits_2(capsys, monkeypatch, option, env):
+UNBALANCED = "solver command '\"': No closing quotation"
+
+
+# explicit ids keep the first two cases' names stable
+@pytest.mark.parametrize("option, env, message", [
+    (["--solver", '"'], None, UNBALANCED),
+    ([], '"', UNBALANCED),
+    (["--solver", " "], None, "empty solver command"),
+    ([], " ", "empty solver command"),
+], ids=["option0-None", 'option1-"', "blank-option", "blank-env"])
+def test_unbalanced_solver_quote_exits_2(capsys, monkeypatch, option, env, message):
     if env is not None:
         monkeypatch.setenv("TSPBMC_SOLVER", env)
     code, out, err = run(capsys, "check", "nspkt", "fair", *option)
-    assert code == 2
-    assert err.startswith("error: solver command '\"': No closing quotation")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
 
 
@@ -416,6 +457,69 @@ def test_error_reply_before_sat_exits_3(capsys):
     assert (code, out) == (3, "")
     assert err.splitlines()[-1] == f"inconclusive: solver returned error at bound 3: {ERROR_REPLY}"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("reply, message", [
+    (None, "solver closed its output before get-value"),
+    ("((f_1_1))", "malformed model binding: ['f_1_1']"),
+    ("()", "model is missing symbols: ['f_1_1', 'f_1_2', 'f_1_3', 'f_2_1', 'f_2_2']"),
+], ids=["closed", "malformed", "missing"])
+def test_a_bad_get_value_reply_exits_3(capsys, reply, message):
+    import shlex
+    solver = shlex.join([sys.executable, "-c", sat_then(reply)])
+    code, out, err = run(capsys, "check", "nspkt", "mitm1_lowe", "--sessions", "2",
+                         "--solver", solver)
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == f"inconclusive: solver returned error at bound 5: {message}"
+    assert "Traceback" not in err
+
+
+def test_a_witness_that_fails_replay_exits_3(capsys, monkeypatch):
+    from tspbmc import cli
+    from tspbmc.witness import ReplayViolation
+    monkeypatch.setattr(cli, "replay", lambda trace, model: ReplayViolation("gating", 2, "x"))
+    code, out, err = run(capsys, "check", "nspkt", "mitm1_lowe", "--sessions", "2")
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == (
+        "internal error: SMT witness failed replay at position 2: gating: x")
+
+
+@pytest.mark.parametrize("command, origin", [("check", "SMT"), ("oracle", "oracle")])
+@pytest.mark.parametrize("fmt", ["text", "json", "html"])
+def test_output_routing(capsys, tmp_path, command, origin, fmt):
+    # the artifact goes to --out when it is given, else to stdout after the
+    # verdict line; json keeps stdout for the document alone
+    argv = [command, "nspkt", "mitm1_lowe", "--sessions", "2", "--format", fmt]
+    verdict = f"attack found: NSPK_T/mitm1_lowe k=2 at {origin} bound 5\n"
+    code, out, err = run(capsys, *argv)
+    assert code == 10
+    if fmt == "json":
+        artifact = out
+        assert err.endswith(verdict)
+        parse_json(artifact)
+    else:
+        assert out.startswith(verdict) and verdict not in err
+        artifact = out[len(verdict):]
+    assert artifact
+    target = tmp_path / f"witness.{fmt}"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 10
+    written = f"witness written to {target}\n"
+    if fmt == "json":
+        assert out == verdict
+        assert err.endswith(written)
+    else:
+        assert out == verdict + written
+    assert target.read_bytes() == artifact.encode("utf-8")
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_an_unwritable_out_prints_no_verdict(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, "nspkt", "mitm1_lowe", "--sessions", "2",
+                         "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "attack found" not in err
+    assert err.splitlines()[-1].startswith("error: ")
 
 
 @pytest.mark.parametrize("bad", ["protocol", "scenario"])

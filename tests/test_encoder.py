@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tspbmc.encoder import BmcProblem, SmtScript, encode
+from tspbmc.encoder import SmtScript, encode
 from tspbmc.frontend import INTRUDER
 from tspbmc.sexpr import render_value
 
@@ -15,19 +15,19 @@ from tspbmc.solver import run_solver
 def test_bound_must_be_positive(lib):
     model = model_of(lib, "nspkt", "fair")
     with pytest.raises(ValueError):
-        BmcProblem(model, 0)
+        encode(model, 0)
 
 
 def test_determinism(lib):
     model = model_of(lib, "nspkt", "mitm1_lowe")
-    a = encode(BmcProblem(model, 4)).text
-    b = encode(BmcProblem(model_of(lib, "nspkt", "mitm1_lowe"), 4)).text
+    a = encode(model, 4).text
+    b = encode(model_of(lib, "nspkt", "mitm1_lowe"), 4).text
     assert a == b
 
 
 def test_symbol_scheme_and_counts(lib):
     model = model_of(lib, "nspkt", "fair")  # cone: session 1's 3 steps
-    script = encode(BmcProblem(model, 3))
+    script = encode(model, 3)
     assert script.steps == ((1, 1), (1, 2), (1, 3))
     # f, t and o per encoded step, and no counter at the step count
     assert script.var_index["f_1_1"] == "Bool"
@@ -37,7 +37,7 @@ def test_symbol_scheme_and_counts(lib):
     assert len(script.var_index) == 3 * 3
     assert script.model_symbols == tuple(sorted(script.var_index))
     # below the step count, the counter's cells c_i_j for j <= min(i, n)
-    below = encode(BmcProblem(model, 2))
+    below = encode(model, 2)
     assert sorted(n for n in below.var_index if n.startswith("c_")) == [
         "c_1_1", "c_2_1", "c_2_2"]
     assert below.model_symbols == script.model_symbols
@@ -48,21 +48,21 @@ def test_symbol_scheme_and_counts(lib):
 
 
 def test_fixed_section_order(lib):
-    text = encode(BmcProblem(model_of(lib, "nspkt", "fair"), 2)).text
+    text = encode(model_of(lib, "nspkt", "fair"), 2).text
     sections = [m for m in re.findall(r"^; (.+)$", text, re.M)]
     assert sections == ["declarations", "session order", "lifetimes", "gating",
                         "goal", "bound"]
 
 
 def test_declarations_sorted(lib):
-    text = encode(BmcProblem(model_of(lib, "nspkt", "fair"), 2)).text
+    text = encode(model_of(lib, "nspkt", "fair"), 2).text
     names = re.findall(r"\(declare-const (\S+) ", text)
     assert names == sorted(names)
 
 
 def test_gating_only_for_intruder_steps(lib):
     model = model_of(lib, "nspkt", "mitm1_lowe")
-    text = encode(BmcProblem(model, 6)).text
+    text = encode(model, 6).text
     gating = text.split("; gating")[1].split("; goal")[0]
     gated_refs = {(st.sid, st.index) for st in model.exec_steps if st.gated}
     assert gated_refs == {(1, 2), (2, 1), (2, 3)}
@@ -76,7 +76,7 @@ def test_gating_only_for_intruder_steps(lib):
 def test_goal_formula_disjunction_over_instances(lib):
     model = model_of(lib, "dsp", "key_compromise", k=2)
     assert model.goal_floor == 6  # both sessions complete
-    text = encode(BmcProblem(model, 7)).text
+    text = encode(model, 7).text
     goal = text.split("; goal")[1]
     from tspbmc.terms import parse_term
     for sid in (1, 2):
@@ -89,7 +89,7 @@ def test_goal_formula_disjunction_over_instances(lib):
 
 def test_lifetime_section(lib):
     model = model_of(lib, "nspkt", "fair")
-    text = encode(BmcProblem(model, 3)).text
+    text = encode(model, 3).text
     lifetimes = text.split("; lifetimes")[1].split("; knowledge")[0]
     # Ta#1 used at (1,2), generated at (1,1), bound 10
     assert "(=> f_1_2 (<= t_1_2 (+ t_1_1 10.0)))" in lifetimes
@@ -105,7 +105,7 @@ def test_render_value_forms():
 def test_bound_one_pigeonhole_unsat(lib):
     # completing a >1-step session within one transition is impossible
     model = model_of(lib, "nspkt", "fair")
-    result = run_solver(encode(BmcProblem(model, 1)), solver_config())
+    result = run_solver(encode(model, 1), solver_config())
     assert result.status == "unsat"
 
 
@@ -121,7 +121,7 @@ def test_eavesdrop_off_removes_intruder_taps(lib):
     assert honest
 
     def taps(model):
-        text = encode(BmcProblem(model, 4)).text
+        text = encode(model, 4).text
         formulas = text.split("; gating")[1]
         return {(st.sid, st.index) for st in honest
                 if re.search(rf"\bf_{st.sid}_{st.index}\b", formulas)}
@@ -134,10 +134,10 @@ def test_bound_monotonicity_on_attack_instance(lib):
     # steps fire, also past the exec-step count (6 here)
     model = model_of(lib, "nspkt", "mitm1_lowe")
     for n in (5, 6, 7):
-        result = run_solver(encode(BmcProblem(model, n)), solver_config())
+        result = run_solver(encode(model, n), solver_config())
         assert result.status == "sat", n
     small = model_of(lib, "dsp", "key_compromise")  # 3 exec steps, attack at 3
-    result = run_solver(encode(BmcProblem(small, 4)), solver_config())
+    result = run_solver(encode(small, 4), solver_config())
     assert result.status == "sat"
 
 
@@ -145,7 +145,7 @@ def test_fired_steps_are_session_prefixes_and_counted(lib):
     # a step fires only after its session predecessor, and below the cone's
     # 5 steps at most n of them fire
     model = model_of(lib, "nspkt", "mitm1_lowe")  # attack at 5
-    script = encode(BmcProblem(model, 4))
+    script = encode(model, 4)
     goal = script.text.split("; goal\n")[1].split("\n")[0]
 
     def status_with(extra):
@@ -162,6 +162,6 @@ def test_cap_script_grows_linearly_in_the_cone(lib):
     def cap_bytes(k):
         model = model_of(lib, "wmf", "replay_tight", k=k)
         assert len(model.cone) == len(model.exec_steps) == 3 * k
-        return len(encode(BmcProblem(model, 3 * k)).text.encode())
+        return len(encode(model, 3 * k).text.encode())
 
     assert cap_bytes(8) <= 2.5 * cap_bytes(4)

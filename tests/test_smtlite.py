@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from tspbmc.dbm import ZERO, solve
-from tspbmc.encoder import BmcProblem, encode
+from tspbmc.encoder import encode
 from tspbmc.sexpr import (
     Reader,
     parse_all,
@@ -137,7 +137,7 @@ def test_every_library_script_is_in_the_fragment(lib):
     for model in library_models(lib, ks=(1, 2, 3)):
         for bound in range(1, len(model.exec_steps) + 1):
             solver = Solver()
-            for cmd in parse_all(encode(BmcProblem(model, bound)).text):
+            for cmd in parse_all(encode(model, bound).text):
                 if cmd[0] == "declare-const":
                     solver.declare(cmd[1], cmd[2])
                 elif cmd[0] == "assert":

@@ -17,7 +17,7 @@ import pytest
 
 import tspbmc
 from tspbmc import cli
-from tspbmc.encoder import BmcProblem, SmtScript, encode
+from tspbmc.encoder import SmtScript, encode
 from tspbmc.errors import SolverError
 from tspbmc.frontend import parse_protocol, parse_scenario
 from tspbmc.model import build_model
@@ -32,7 +32,8 @@ from tspbmc.solver import (
 )
 from tspbmc.witness import decode
 
-from conftest import BUNDLED, ERROR_REPLY, ERROR_THEN_SAT, library_models, model_of, solver_config
+from conftest import (BUNDLED, ERROR_REPLY, ERROR_THEN_SAT, library_models, model_of,
+                      sat_then, solver_config)
 
 
 def script_of(text: str, names: dict) -> SmtScript:
@@ -104,20 +105,11 @@ def test_first_reply_that_is_not_an_answer_is_an_error():
     assert result.solver_stderr.splitlines()[0] == ERROR_REPLY
 
 
-def sat_then(value: str) -> str:
-    """A solver body that answers every script sat, and get-value with x bound
-    to ``value``."""
-    reply = f"((x {value}))"
-    return ("import sys\n"
-            "for line in sys.stdin:\n"
-            "    if 'check-sat' in line: print('sat', flush=True)\n"
-            f"    if 'get-value' in line: print({reply!r}, flush=True)\n")
-
-
 @pytest.mark.parametrize("value", ["(/ 1.0 0.0)", "(- " * 5000 + "1.0" + ")" * 5000],
                          ids=["zero-divisor", "nested-5000-deep"])
 def test_an_undecodable_value_is_a_solver_error(capsys, value):
-    cfg = solver_config(command=(sys.executable, "-c", sat_then(value)), timeout=20.0)
+    cfg = solver_config(command=(sys.executable, "-c", sat_then(f"((x {value}))")),
+                        timeout=20.0)
     script = script_of("(declare-const x Real)(check-sat)\n", {"x": "Real"})
     result = run_solver(script, cfg)
     assert (result.status, result.values) == ("error", {})
@@ -142,9 +134,11 @@ def test_the_fallback_solver_runs_from_another_directory(tmp_path, monkeypatch, 
 
 def test_config_validation():
     with pytest.raises(SolverError):
-        SolverConfig(timeout=0)
+        SolverConfig(BUNDLED, timeout=0)
     with pytest.raises(SolverError):
-        SolverConfig(max_bound=0)
+        SolverConfig(BUNDLED, max_bound=0)
+    with pytest.raises(SolverError, match="^empty solver command$"):
+        SolverConfig(command=())
 
 
 def test_resolve_solver_command(monkeypatch):
@@ -177,7 +171,7 @@ def test_iterate_bounds_attack_is_minimal(lib):
     # the attack is at the goal floor, so no bound below it is asked
     assert model.goal_floor == 5 and log == [(5, "sat")]
     sat_bound = log[-1][0]
-    names = list(encode(BmcProblem(model, sat_bound)).model_symbols)
+    names = list(encode(model, sat_bound).model_symbols)
     assert names == sorted(f"{kind}_{sid}_{i}" for kind in "fto"
                            for sid, i in model.cone)
     assert sorted(verdict.result.values) == names  # sat carries what decode reads
@@ -302,7 +296,7 @@ def test_bound_above_step_count_adds_nothing(lib, scenario):
     # limits nothing: it decides the same as the step count
     model = model_of(lib, "nspkt", scenario)
     steps = len(model.exec_steps)
-    statuses = [run_solver(encode(BmcProblem(model, n)), solver_config()).status
+    statuses = [run_solver(encode(model, n), solver_config()).status
                 for n in (steps, steps + 1)]
     assert statuses[0] == statuses[1]
     assert statuses[0] == ("sat" if scenario == "mitm1_lowe" else "unsat")
@@ -333,11 +327,11 @@ def test_get_value_requests_only_decoded_symbols(lib, tmp_path):
     assert len(requests) == len(sat_bounds) >= 1  # one request per sat query
     for request, bound in zip(requests, sat_bounds):
         names = request[len("(get-value ("):-len("))")].split()
-        assert names == list(encode(BmcProblem(model, bound)).model_symbols)
+        assert names == list(encode(model, bound).model_symbols)
         # the f, t and o symbols of the encoded steps, and no counter cell
         assert names == sorted(f"{kind}_{sid}_{i}" for kind in "fto"
                                for sid, i in model.cone)
-    trace = decode(verdict.result, encode(BmcProblem(model, 5)), model)
+    trace = decode(verdict.result, encode(model, 5), model)
     assert replay(trace, model) is None
 
 
@@ -368,7 +362,7 @@ def test_queried_bounds_descend_to_below_oracle_depth(lib, tmp_path, protocol,
         close_idle()  # the next floor's child logs to a new file
         assert (verdict.outcome, verdict.bound) == ("attack-found", oracle.depth)
         queried = [b for b, _, _ in verdict.per_bound_log]
-        assert sent_scripts(logfile) == [encode(BmcProblem(floored, b)).text
+        assert sent_scripts(logfile) == [encode(floored, b).text
                                          for b in queried]
         assert queried[0] == min(default_max_bound(model), len(model.cone))
         assert all(a > b for a, b in zip(queried, queried[1:]))
@@ -399,7 +393,7 @@ def test_bound_n_is_sat_iff_oracle_attack_within_n(lib):
     for model in models:
         steps = default_max_bound(model)
         for n in range(1, steps + 2):
-            status = run_solver(encode(BmcProblem(model, n)), solver_config()).status
+            status = run_solver(encode(model, n), solver_config()).status
             oracle = explicit_reach(model, depth=n)
             assert status == ("sat" if oracle.outcome == "attack-found"
                               else "unsat"), (model.protocol, model.scenario,
@@ -411,7 +405,7 @@ def test_bound_n_is_sat_iff_oracle_attack_within_n_on_a_partial_cone(lib):
     model = model_of(lib, "nspkt", "mitm1_lowe", k=3)
     assert (len(model.cone), default_max_bound(model)) == (5, 9)
     for n in range(1, 11):
-        status = run_solver(encode(BmcProblem(model, n)), solver_config()).status
+        status = run_solver(encode(model, n), solver_config()).status
         oracle = explicit_reach(model, depth=n)
         assert status == ("sat" if oracle.outcome == "attack-found"
                           else "unsat"), n
@@ -667,7 +661,7 @@ def test_a_parked_child_killed_from_outside_is_replaced(lib, tmp_path):
     assert_reaped([parked])
     assert (second.outcome, second.bound) == (first.outcome, first.bound) == (
         "attack-found", 5)
-    script = encode(BmcProblem(model, 5))
+    script = encode(model, 5)
     assert decode(second.result, script, model) == decode(first.result, script, model)
     close_idle()
     assert_reaped(pids)

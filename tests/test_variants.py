@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from tspbmc.encoder import BmcProblem, encode
+from tspbmc.encoder import encode
 from tspbmc.errors import TspbmcError
 from tspbmc.frontend import parse_protocol, parse_scenario
 from tspbmc.model import build_model
@@ -76,7 +76,7 @@ def test_verdict_and_minimal_bound_match_the_oracle(sample):
         if oracle.outcome == "attack-found":
             attacks += 1
             assert (verdict.outcome, verdict.bound) == ("attack-found", oracle.depth), key
-            trace = decode(verdict.result, encode(BmcProblem(model, verdict.bound)), model)
+            trace = decode(verdict.result, encode(model, verdict.bound), model)
             assert replay(trace, model) is None, key
         else:
             assert (verdict.outcome, verdict.bound) == (

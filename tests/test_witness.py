@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tspbmc.encoder import BmcProblem, encode
+from tspbmc.encoder import encode
 from tspbmc.errors import ModelError
 from tspbmc.oracle import explicit_reach
 from tspbmc.solver import run_solver
@@ -26,7 +26,7 @@ from conftest import model_of, solver_config
 @pytest.fixture(scope="module")
 def mitm_sat(lib):
     model = model_of(lib, "nspkt", "mitm1_lowe")
-    script = encode(BmcProblem(model, 5))
+    script = encode(model, 5)
     result = run_solver(script, solver_config())
     assert result.status == "sat"
     return model, script, result
@@ -55,7 +55,7 @@ def test_decode_shape(mitm):
 def test_decode_rejects_non_sat(mitm):
     from tspbmc.solver import RawResult
     model, trace = mitm
-    script = encode(BmcProblem(model, 5))
+    script = encode(model, 5)
     with pytest.raises(ModelError):
         decode(RawResult("unsat"), script, model)
 
@@ -101,6 +101,9 @@ def test_replay_rejects_session_disorder(mitm):
     violation = replay(bad, model)
     assert violation is not None
     assert violation.kind == "session order"
+    unknown = (replace(trace.events[0], sid=9),) + trace.events[1:]
+    assert str(replay(replace(trace, events=unknown), model)) == (
+        "position 1: session order: unknown step (9,1)")
 
 
 def test_replay_rejects_delay_violation(mitm):
