@@ -6,13 +6,17 @@ fixed at 0. A system is infeasible exactly when its constraint graph (an
 edge u -> v of weight w per constraint) has a negative cycle (Bengtsson &
 Yi, "Timed Automata: Semantics, Algorithms and Tools", LNCS 3098, 2004).
 ``smtlite``'s theory check, the oracle's timing and the timing rules
-``witness.trace_of`` checks all use these constraints. Imports only the standard library, as
-the solver child loads it.
+``witness.trace_of`` checks all use these constraints. The search runs
+over integers: every weight is scaled by the lcm of the weights'
+denominators, which keeps each comparison and each sum exact, and only
+the returned values are rationals again. Imports only the standard
+library, as the solver child loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 ZERO = object()  # reference node: its value is 0
 
@@ -27,10 +31,12 @@ def solve(constraints):
     constraints that form a cycle whose weights sum to < 0.
 
     One Bellman-Ford from a virtual source with an edge of weight 0 to
-    every node.
+    every node, over the weights times ``scale``, the lcm of their
+    denominators (weights are ints or Fractions).
     """
-    edges = [c[:3] for c in constraints]
-    dist = dict.fromkeys([ZERO] + [x for c in edges for x in c[:2]], Fraction(0))
+    scale = lcm(*{c[2].denominator for c in constraints})
+    edges = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w, *_ in constraints]
+    dist = dict.fromkeys([ZERO] + [x for c in edges for x in c[:2]], 0)
     pred = {}
     for _ in range(len(dist) + 1):
         changed = None
@@ -57,4 +63,4 @@ def solve(constraints):
                 return False, cycle[::-1]
 
     d0 = dist[ZERO]
-    return True, {x: d - d0 for x, d in dist.items()}
+    return True, {x: Fraction(d - d0, scale) for x, d in dist.items()}

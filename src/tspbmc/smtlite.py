@@ -25,7 +25,8 @@ variables false first (MiniSat's default phase), in order of first
 occurrence in the clauses, and backtracks chronologically. A sat model
 thus fires the encoded steps the goal and the gates need, not the cone.
 Each theory atom is one non-strict difference edge, its key when it is
-interned; at a full assignment the edges of the atoms assigned true go
+interned, and each distinct constant is parsed once per ``Solver``; at a
+full assignment the edges of the atoms assigned true go
 to ``dbm.solve``, and the negations of a negative cycle's atoms become a
 blocking clause, added by the same ``add_clause`` as every other clause.
 """
@@ -39,8 +40,18 @@ from .dbm import ZERO, solve
 from .sexpr import Reader, parse_real, render_value, string_literal, string_value
 
 
+_NIL = Fraction(0)
+
+
 class Unsupported(Exception):
     pass
+
+
+def _minus(a: Fraction, b: Fraction) -> Fraction:
+    """a - b, with no Fraction arithmetic when a side is 0."""
+    if not b:
+        return a
+    return a - b if a else -b
 
 
 class Solver:
@@ -55,6 +66,7 @@ class Solver:
         self.decisions = []  # trail position of each decision literal
         self.order = []  # decision order: first occurrence in a clause
         self.atoms = {}  # theory atom's dbm constraint (u, v, w) -> var
+        self.constants = {}  # a constant's text -> its Fraction
         self.status = None
         self.real_values = {}
         self.unsat_at_root = False
@@ -210,15 +222,19 @@ class Solver:
         """(x, c) of an operand x + c: a Real symbol (c = 0), a constant
         (x = ``ZERO``) or ``(+ x c)``."""
         if isinstance(ast, str) and self.sorts.get(ast) == "Real":
-            return ast, Fraction(0)
+            return ast, _NIL
         x, c = ZERO, ast
         if isinstance(ast, list) and len(ast) == 3 and ast[0] == "+" \
                 and self.sorts.get(ast[1]) == "Real":
             x, c = ast[1], ast[2]
-        try:
-            return x, parse_real(c)
-        except ValueError:
-            raise Unsupported(f"arithmetic term {ast!r}") from None
+        text = c if isinstance(c, str) else repr(c)
+        q = self.constants.get(text)
+        if q is None:
+            try:
+                q = self.constants[text] = parse_real(c)
+            except ValueError:
+                raise Unsupported(f"arithmetic term {ast!r}") from None
+        return x, q
 
     def _theory_lit(self, ast) -> int:
         """Intern ``(<= a b)`` or ``(>= a b)``, keyed by its one
@@ -227,7 +243,7 @@ class Solver:
             raise Unsupported(f"{ast[0]!r} takes two arguments")
         (x, c), (y, d) = self._operand(ast[1]), self._operand(ast[2])
         # x + c <= y + d is x - y <= d - c; x + c >= y + d is y - x <= c - d
-        key = (y, x, d - c) if ast[0] == "<=" else (x, y, c - d)
+        key = (y, x, _minus(d, c)) if ast[0] == "<=" else (x, y, _minus(c, d))
         v = self.atoms.get(key)
         if v is None:
             v = self.atoms[key] = self.new_var()

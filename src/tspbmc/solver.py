@@ -14,7 +14,11 @@ script, the fire flags, times and orders the decoder reads), or for
 every declared symbol when it names none. One ``sexpr.Reader`` per child
 reads every reply, so a reply such as ``(error "... '(' expected")`` is
 read as one expression and ends the exchange with status ``error`` at
-once, as does a reply the driver cannot decode.
+once, as does a reply the driver cannot decode. The exchange runs on
+the calling thread and starts none: the driver's ends of the child's
+stdin and stdout are non-blocking, and one ``poll`` over both writes the
+script and reads the replies, a line at a time, against the query's
+deadline. At the deadline the query ends with status ``timeout``.
 
 A process keeps one warm child: it is parked after each answered query,
 and the next query in the same process, directory and solver command
@@ -28,13 +32,13 @@ replaced once by a new child, which is asked the same script. A
 timeout, an error or an exception during the wait closes the child at
 once, and it is never parked. The child runs in a process group of its
 own, and its stderr goes to an unnamed temporary file, which never
-fills, so no thread has to read it. Closing a child kills the whole
+fills, so nothing has to drain it. Closing a child kills the whole
 group and reaps the child, so a wrapper ends with everything it
 started. The parked child is closed by ``close_idle``, which runs at
 interpreter exit. A process that did not spawn a child (a fork) never
 writes to it, parks it or signals it. Only a failed query reads stderr:
-what the group wrote since the query began, read once the kill has
-stopped every writer.
+what the group wrote since the query began, read after the group is
+killed and the child reaped.
 
 The bound-n script asks for the goal within at most n transitions, so
 the bounds are monotone and every exec step fires at most once. Every
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import select
 import shlex
 import shutil
 import signal
@@ -72,8 +77,11 @@ from .sexpr import Reader, parse_value
 from .witness import decode
 
 DEFAULT_TIMEOUT = 60.0
-EXIT_GRACE = 5.0  # seconds to wait for the exchange thread after the kill
 STDERR_KEEP = 64 * 1024  # bytes of stderr kept from a failed query
+_WAIT_SLICE_MS = 2**31 - 1  # poll takes a C int of milliseconds
+# what a failed exchange raises: a broken pipe, a reply that is not an
+# answer, a value that does not decode (ValueError, RecursionError)
+_FAILURES = (SolverError, OSError, ValueError, RecursionError)
 _FALLBACK = (sys.executable, "-m", "tspbmc.smtlite")
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -87,7 +95,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.command:
             raise SolverError("empty solver command")
-        # NaN fails both comparisons; join() rejects a wait past TIMEOUT_MAX
+        # NaN fails both comparisons; a wait of up to TIMEOUT_MAX is kept
+        # as the accepted range, and _Pipes waits in slices to reach it
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:
             raise SolverError(
                 f"timeout must be positive and at most {threading.TIMEOUT_MAX:g} s")
@@ -127,44 +136,6 @@ def resolve_solver_command(explicit: Optional[str] = None) -> tuple:
     return _FALLBACK
 
 
-def _interact(proc, reader: Reader, script: SmtScript, reset: bool, box: dict):
-    """One script's exchange, run on a worker thread so timeouts can kill it."""
-    try:
-        if reset:
-            proc.stdin.write("(reset)\n")
-        proc.stdin.write(script.text)
-        proc.stdin.flush()
-        item = reader.scan()
-        if item is None:
-            raise SolverError("solver closed its output before answering")
-        box["replied"] = True
-        status = item[1]
-        if status not in ("sat", "unsat", "unknown"):
-            raise SolverError(item[0])
-        values = {}
-        if status == "sat":
-            names = script.model_symbols or sorted(script.var_index)
-            proc.stdin.write("(get-value (" + " ".join(names) + "))\n")
-            proc.stdin.flush()
-            item = reader.scan()
-            if item is None:
-                raise SolverError("solver closed its output before get-value")
-            text, reply = item
-            if not isinstance(reply, list) or reply[:1] == ["error"]:
-                raise SolverError(f"unexpected get-value reply: {text}")
-            for entry in reply:
-                if not (isinstance(entry, list) and len(entry) == 2):
-                    raise SolverError(f"malformed model binding: {entry!r}")
-                values[entry[0]] = parse_value(entry[1])
-            missing = set(names) - set(values)
-            if missing:
-                raise SolverError(f"model is missing symbols: {sorted(missing)[:5]}")
-        box["status"] = status
-        box["values"] = values
-    except Exception as e:  # any failure, an undecodable reply too, ends the query
-        box["exception"] = e
-
-
 def _key(command) -> tuple:
     """What a parked child must match to be taken over: its command, the
     directory that resolves the command's relative paths (by identity, so
@@ -178,6 +149,70 @@ def _kill_group(proc):
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
         pass  # the child was reaped, and nothing it started is left
+
+
+class _Deadline(Exception):
+    """The query's deadline passed while it waited on the child's pipes."""
+
+
+class _Pipes:
+    """The child's stdin and stdout, non-blocking, and one poll over both.
+
+    ``write`` sends bytes and ``readline`` returns the next line of
+    stdout, '' at its end, for the ``sexpr.Reader``. Both wait against
+    ``deadline`` (a ``time.monotonic()`` value) and raise ``_Deadline``
+    once it has passed. A write that waits for room keeps reading what
+    the child writes meanwhile, so a child blocked on a full stdout
+    cannot stall it. Each wait is a poll of at most _WAIT_SLICE_MS, the
+    longest one poll takes, so any ``SolverConfig.timeout`` works.
+    """
+
+    def __init__(self, stdin, stdout):
+        self._in, self._out = stdin.fileno(), stdout.fileno()
+        os.set_blocking(self._in, False)
+        os.set_blocking(self._out, False)
+        self._poll = select.poll()
+        self._poll.register(self._out, select.POLLIN)
+        self._buf = bytearray()  # stdout read but not yet returned
+        self._eof = False
+        self.deadline = 0.0
+
+    def write(self, data: bytes):
+        view = memoryview(data)
+        self._poll.register(self._in, select.POLLOUT)
+        while view:
+            try:
+                view = view[os.write(self._in, view):]
+            except BlockingIOError:
+                self._wait()
+        self._poll.unregister(self._in)
+
+    def readline(self) -> str:
+        end = self._buf.find(b"\n") + 1
+        while not (end or self._eof):
+            self._wait()
+            end = self._buf.find(b"\n") + 1
+        end = end or len(self._buf)  # at the end, what is left
+        line = self._buf[:end].decode(errors="replace")
+        del self._buf[:end]
+        return line
+
+    def _wait(self):
+        """Wait until a registered pipe is ready; read stdout if it is."""
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise _Deadline
+        for fd, _ in self._poll.poll(min(left * 1000, _WAIT_SLICE_MS)):
+            if fd != self._out:
+                continue
+            try:
+                chunk = os.read(self._out, 65536)
+            except BlockingIOError:
+                continue
+            self._buf += chunk
+            if not chunk:
+                self._eof = True
+                self._poll.unregister(self._out)
 
 
 class _Child:
@@ -199,15 +234,15 @@ class _Child:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=self._stderr,
-                text=True,
-                errors="replace",
+                bufsize=0,
                 start_new_session=True,
                 env=env,
             )
         except OSError as e:
             self._stderr.close()
             raise SolverError(f"cannot spawn solver {command!r}: {e}") from e
-        self.reader = Reader(self.proc.stdout)
+        self.pipes = _Pipes(self.proc.stdin, self.proc.stdout)
+        self.reader = Reader(self.pipes)
 
     def ask(self, script: SmtScript, timeout: float) -> Optional[RawResult]:
         """The child's result for ``script``. A timeout or an error closes
@@ -217,29 +252,58 @@ class _Child:
         reset = self.answered
         mark = os.fstat(self._stderr.fileno()).st_size
         start = time.monotonic()
-        box: dict = {}
-        worker = threading.Thread(
-            target=_interact, args=(self.proc, self.reader, script, reset, box),
-            daemon=True)
-        worker.start()
+        self.pipes.deadline = start + timeout
+        replied, failure = False, None
         try:
-            worker.join(timeout)
+            self.pipes.write((b"(reset)\n" if reset else b"") + script.text.encode())
+            text, status = self._reply("answering")
+            replied = True
+            if status not in ("sat", "unsat", "unknown"):
+                raise SolverError(text)
+            values = self._model(script) if status == "sat" else {}
+        except _Deadline:
+            pass
+        except _FAILURES as e:  # an undecodable reply too ends the query
+            failure = e
         except BaseException:
             self.close()
             raise
-        timed_out = worker.is_alive()
-        if not (timed_out or "exception" in box):
+        else:
             self.answered = True
-            return RawResult(box["status"], box["values"], elapsed=time.monotonic() - start)
-        _kill_group(self.proc)  # the group writes no more
-        worker.join(EXIT_GRACE)
+            return RawResult(status, values, elapsed=time.monotonic() - start)
+        _kill_group(self.proc)
+        self.proc.wait()  # the group writes no more
         stderr = os.pread(self._stderr.fileno(), STDERR_KEEP, mark)
         self.close()
-        if reset and not (timed_out or "replied" in box):
+        if reset and failure is not None and not replied:
             return None
-        status, note = ("timeout", "") if timed_out else ("error", f"{box['exception']}\n")
+        status, note = ("timeout", "") if failure is None else ("error", f"{failure}\n")
         return RawResult(status, {}, (note + stderr.decode(errors="replace")).strip(),
                          time.monotonic() - start)
+
+    def _reply(self, before: str) -> tuple:
+        item = self.reader.scan()
+        if item is None:
+            raise SolverError(f"solver closed its output before {before}")
+        return item
+
+    def _model(self, script: SmtScript) -> dict:
+        """The values of the symbols the decoder reads, by one get-value."""
+        names = script.model_symbols or sorted(script.var_index)
+        self.pipes.write(("(get-value (" + " ".join(names) + "))\n").encode())
+        text, reply = self._reply("get-value")
+        if not isinstance(reply, list) or reply[:1] == ["error"]:
+            raise SolverError(f"unexpected get-value reply: {text}")
+        values = {}
+        for entry in reply:
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and isinstance(entry[0], str)):
+                raise SolverError(f"malformed model binding: {entry!r}")
+            values[entry[0]] = parse_value(entry[1])
+        missing = set(names) - set(values)
+        if missing:
+            raise SolverError(f"model is missing symbols: {sorted(missing)[:5]}")
+        return values
 
     def close(self):
         """Kill the child's process group, reap the child and close its

@@ -463,7 +463,8 @@ def test_error_reply_before_sat_exits_3(capsys):
     (None, "solver closed its output before get-value"),
     ("((f_1_1))", "malformed model binding: ['f_1_1']"),
     ("()", "model is missing symbols: ['f_1_1', 'f_1_2', 'f_1_3', 'f_2_1', 'f_2_2']"),
-], ids=["closed", "malformed", "missing"])
+    ("(((f_1_1) true))", "malformed model binding: [['f_1_1'], 'true']"),
+], ids=["closed", "malformed", "missing", "name-not-a-symbol"])
 def test_a_bad_get_value_reply_exits_3(capsys, reply, message):
     import shlex
     solver = shlex.join([sys.executable, "-c", sat_then(reply)])

@@ -61,3 +61,56 @@ def test_extra_fields_are_ignored_and_cycles_index_the_input():
     assert not feasible and sorted(cycle) == [0, 1]
     assert solve([(ZERO, ZERO, -1)]) == (False, [0])
     assert solve([]) == (True, {ZERO: 0})
+
+
+def fraction_bellman_ford(constraints):
+    """Reference: the same Bellman-Ford as ``solve``, relaxing in the same
+    order, over Fractions."""
+    edges = [c[:3] for c in constraints]
+    dist = dict.fromkeys([ZERO] + [x for c in edges for x in c[:2]], Fraction(0))
+    pred = {}
+    for _ in range(len(dist) + 1):
+        changed = None
+        for i, (u, v, w) in enumerate(edges):
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                pred[v] = i
+                changed = v
+        if changed is None:
+            break
+    else:
+        seen = set()
+        while changed not in seen:
+            seen.add(changed)
+            changed = edges[pred[changed]][0]
+        cycle, node = [], changed
+        while True:
+            cycle.append(pred[node])
+            node = edges[pred[node]][0]
+            if node == changed:
+                return False, cycle[::-1]
+    return True, {x: d - dist[ZERO] for x, d in dist.items()}
+
+
+WEIGHTS = {
+    "small-denominators": lambda rng: Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+    "coprime-large": lambda rng: Fraction(rng.randint(-3000, 3000), rng.choice((991, 997))),
+    "integers": lambda rng: rng.randint(-8, 8),
+    "mixed": lambda rng: rng.choice((Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                                     Fraction(rng.randint(-3000, 3000), 991),
+                                     rng.randint(-5, 5))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTS))
+@pytest.mark.parametrize("seed", range(50))
+def test_integer_relaxation_is_the_fraction_one(kind, seed):
+    # the same feasibility, the same cycle in path order, the same values
+    rng = random.Random(seed)
+    nodes = [ZERO] + list(range(rng.randint(1, 7)))
+    constraints = [(rng.choice(nodes), rng.choice(nodes), WEIGHTS[kind](rng))
+                   for _ in range(rng.randint(1, 16))]
+    got = solve(constraints)
+    assert got == fraction_bellman_ford(constraints)
+    if got[0]:
+        assert all(type(v) is Fraction for v in got[1].values())

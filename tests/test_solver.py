@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -832,3 +833,111 @@ def test_a_check_in_a_removed_directory(lib, tmp_path, monkeypatch):
     os.kill(pids[0], 0)
     close_idle()
     assert_reaped(pids)
+
+
+def test_run_solver_starts_no_thread(lib, tmp_path, monkeypatch):
+    # a fresh child, a taken-over one, a sat model and a timeout: every
+    # exchange waits on the pipes from the calling thread
+    def no_thread(self):
+        raise AssertionError("run_solver started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    close_idle()
+    cfg = solver_config()
+    model = model_of(lib, "nspkt", "mitm1_lowe")
+    assert iterate_bounds(model, config=cfg).outcome == "attack-found"
+    assert iterate_bounds(model, config=cfg).outcome == "attack-found"
+    sleeper = solver_config(command=(sys.executable, "-c", "import time; time.sleep(60)"),
+                            timeout=0.3)
+    assert run_solver(script_of("(check-sat)\n", {}), sleeper).status == "timeout"
+
+
+def test_a_reply_line_split_across_writes_is_answered():
+    # each reply arrives in two writes with a pause between them: a line
+    # is read whole before it is parsed
+    fake = ("import sys, time\n"
+            "def say(a, b):\n"
+            "    sys.stdout.write(a); sys.stdout.flush(); time.sleep(0.2)\n"
+            "    sys.stdout.write(b); sys.stdout.flush()\n"
+            "for line in sys.stdin:\n"
+            "    if 'check-sat' in line: say('s', 'at\\n')\n"
+            "    if 'get-value' in line: say('((x (/ 7.0 ', '2.0)))\\n')\n")
+    cfg = solver_config(command=(sys.executable, "-c", fake), timeout=20.0)
+    script = script_of("(declare-const x Real)(check-sat)\n", {"x": "Real"})
+    result = run_solver(script, cfg)
+    assert (result.status, result.values) == ("sat", {"x": Fraction(7, 2)})
+    close_idle()
+
+
+def test_half_a_reply_line_then_a_hang_times_out_at_the_deadline(tmp_path):
+    # the child writes "sa" and sleeps, and a grandchild holds the pipes:
+    # the query ends at its deadline and the whole group is gone
+    pidfile = tmp_path / "pids"
+    body = ("import subprocess, sys, time; "
+            "p = subprocess.Popen(['sleep', '30']); "
+            f"open({str(pidfile)!r}, 'a').write(f'{{p.pid}}\\n'); "
+            "sys.stdout.write('sa'); sys.stdout.flush(); time.sleep(60)")
+    cfg = solver_config(command=pid_logging(pidfile, body), timeout=1.0)
+    start = time.monotonic()
+    result = run_solver(script_of("(check-sat)\n", {}), cfg)
+    took = time.monotonic() - start
+    assert result.status == "timeout"
+    assert 1.0 <= took < 3.0
+    child, grandchild = spawned(pidfile)
+    assert_reaped([child])
+    deadline = time.monotonic() + 2.0  # SIGKILL lands when the sleep is next scheduled
+    while not gone_or_zombie(grandchild) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert gone_or_zombie(grandchild)
+
+
+def large_script(n: int) -> SmtScript:
+    """A sat script of over 40 bytes per Bool symbol, for n symbols."""
+    lines = [f"(declare-const b{i:05d} Bool)(assert (or b{i:05d} false))\n"
+             for i in range(n)]
+    return script_of("".join(lines) + "(check-sat)\n", {f"b{i:05d}": "Bool" for i in range(n)})
+
+
+def test_a_large_script_to_a_child_that_never_reads_times_out():
+    # the write waits for room in the pipe until the deadline
+    script = large_script(6000)
+    assert len(script.text) >= 256 * 1024
+    cfg = solver_config(command=(sys.executable, "-c", "import time; time.sleep(60)"),
+                        timeout=1.0)
+    start = time.monotonic()
+    assert run_solver(script, cfg).status == "timeout"
+    assert time.monotonic() - start < 5.0
+
+
+def test_the_bundled_child_answers_a_large_script():
+    # a script larger than a pipe's buffer, and a get-value reply larger
+    # than one read
+    script = large_script(6000)
+    assert len(script.text) >= 256 * 1024
+    result = run_solver(script, solver_config(timeout=60.0))
+    assert result.status == "sat"
+    assert result.values == dict.fromkeys(script.var_index, True)
+    close_idle()
+
+
+def test_output_written_while_the_script_is_read_is_drained():
+    # the child writes a comment per line it reads: 600 KB, which fills
+    # its stdout long before the driver has written the whole script
+    fake = ("import sys\n"
+            "for line in sys.stdin:\n"
+            "    sys.stdout.write('; ' + 'x' * 100 + '\\n')\n"
+            "    if 'check-sat' in line: print('unsat', flush=True)\n")
+    cfg = solver_config(command=(sys.executable, "-c", fake), timeout=20.0)
+    result = run_solver(large_script(6000), cfg)
+    assert result.status == "unsat"
+    assert result.elapsed < 10.0
+    close_idle()
+
+
+def test_the_longest_timeout_is_still_answered():
+    # a wait that one poll cannot take is cut into slices, with no OverflowError
+    cfg = solver_config(timeout=threading.TIMEOUT_MAX)
+    script = script_of("(declare-const x Bool)(assert x)(check-sat)\n", {"x": "Bool"})
+    result = run_solver(script, cfg)
+    assert (result.status, result.values) == ("sat", {"x": True})
+    close_idle()
