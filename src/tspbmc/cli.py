@@ -54,7 +54,7 @@ def _pipeline():
     global resolve_solver_command, render_term, decode, replay
     if _bound:
         return
-    from .encoder import encode
+    from .encoder import decode, encode
     from .frontend import parse_protocol, parse_scenario
     from .model import adequacy_warnings, build_model, model_to_json
     from .oracle import explicit_reach
@@ -66,7 +66,7 @@ def _pipeline():
         resolve_solver_command,
     )
     from .terms import render_term
-    from .witness import decode, render_html, render_json, render_text, replay
+    from .witness import render_html, render_json, render_text, replay
 
     _RENDERERS = {"text": render_text, "json": render_json, "html": render_html}
     _bound = True

@@ -6,7 +6,7 @@ encoded by the steps it fires and their causal order, not by the position
 of each step (partial-order BMC, Heljanko, CONCUR 2001): every encoded
 step s has a fire flag ``f_s``, a fire time ``t_s`` and an order value
 ``o_s``, and sorting the fired steps by (t, o, sid, index) gives the run
-(``witness.decode``).
+(``decode``).
 
 Only the goal's cone of influence is encoded (``model.cone``: every goal
 run has a run of cone steps that reaches the goal as early). The
@@ -21,8 +21,8 @@ assertions are:
   whose generation step is encoded;
 - gating: an intruder-sent step fires only if, for some support of its
   message's label, every root m has a deliverer d that precedes it:
-  ``f_d``, ``o_d + 1 <= o_s`` and ``t_d <= t_s``. Neither s nor a later
-  step of its session can, and neither is named;
+  ``f_d``, ``o_d + 1 <= o_s`` and ``t_d <= t_s``. Only deliverers d
+  with ``model.can_fire_before(d, s)`` are named;
 - the goal: the required sessions' last steps fire, and every root of
   some support of a goal secret's label has a fired deliverer;
 - the bound: for n below the encoded step count, at most n of the
@@ -37,9 +37,10 @@ goal position, so the bounds are monotone and the least sat bound is the
 least attack bound. Every theory atom is a non-strict difference in
 positive polarity.
 
-Symbol scheme (a stable contract consumed by the decoder), for each
-encoded step (sid,i), and for each counter cell 1 <= i < m, 1 <= j <=
-min(i, n) over the m encoded steps in (sid, index) order::
+Symbol scheme (a stable contract: ``encode`` writes it and ``decode``
+reads it back, and no other module names it), for each encoded step
+(sid,i), and for each counter cell 1 <= i < m, 1 <= j <= min(i, n) over
+the m encoded steps in (sid, index) order::
 
     f_<sid>_<i>   Bool   step (sid,i) fires
     t_<sid>_<i>   Real   fire time of step (sid,i)
@@ -50,9 +51,12 @@ min(i, n) over the m encoded steps in (sid, index) order::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .model import TiisModel
+from .errors import ModelError
+from .model import TiisModel, can_fire_before
 from .sexpr import render_value
+from .witness import Trace, trace_of
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,7 @@ def encode(model: TiisModel, n: int) -> SmtScript:
         if st.gated:
             label = model.labels[model.universe.id_of(st.message)]
             cond = support_formula(label, lambda r: _or(
-                [precedes(d, st) for d in model.deliveries[r]
-                 if d.sid != st.sid or d.index < st.index]))
+                [precedes(d, st) for d in model.deliveries[r] if can_fire_before(d, st)]))
             if cond != "true":
                 assert_(f"(=> {f_name(*st.ref)} {cond})")
 
@@ -189,3 +192,22 @@ def encode(model: TiisModel, n: int) -> SmtScript:
     lines.append("(check-sat)")
     return SmtScript("\n".join(lines) + "\n", var_index,
                      tuple(st.ref for st in steps), n)
+
+
+def decode(result, script: SmtScript, model: TiisModel) -> Trace:
+    """Decode ``result``, a sat ``solver.RawResult`` for ``script``, into a
+    goal-truncated Trace: the fired steps sorted by (time, order, sid,
+    index). Raises ModelError if they are not a run."""
+    if result.status != "sat":
+        raise ModelError(f"cannot decode a {result.status} result")
+
+    def value(name):
+        """The model value of ``name``, of its declared sort."""
+        v, sort = result.values.get(name), script.var_index[name]
+        if not isinstance(v, bool if sort == "Bool" else Fraction):
+            raise ModelError(f"missing or non-{sort} model value for {name}")
+        return v
+
+    fired = sorted((value(t_name(*ref)), value(o_name(*ref)), ref)
+                   for ref in script.steps if value(f_name(*ref)))
+    return trace_of(model, [(model.step_at(*ref), t) for t, _, ref in fired], script.bound)

@@ -14,9 +14,11 @@ Checking*, 1999) and the goal floor L (no goal holds before position L).
 
 ``Run`` is the one concrete semantics of a model: session order,
 delivery to ``receivers`` with knowledge closure, a sender's knowledge
-of the fresh terms its step generates, and the goal test.
-``witness.trace_of`` (decode, replay), the oracle and ``adequacy_warnings``
-step through it; the timing rules are ``step_constraints``.
+of the fresh terms its step generates, and the goal test; a step's
+knowledge deltas are the runs before and after it, compared.
+``witness.trace_of`` (``encoder.decode``, replay), the oracle and
+``adequacy_warnings`` step through it. The timing rules are
+``step_constraints``; the precedence rule of gates is ``can_fire_before``.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ class TiisModel:
         raise KeyError((sid, index))
 
 
-def build_universe(steps, roles, compromised=()) -> TermUniverse:
+def build_universe(steps, roles, compromised) -> TermUniverse:
     """Deterministic subterm-closed universe for the given exec steps.
 
     Contains all step messages with their subterms, every agent identity,
@@ -213,6 +215,12 @@ def constructible(known, t: Term, universe: TermUniverse) -> bool:
     minimal root supports of ``t`` are its label.
     """
     return universe.id_of(t) in known
+
+
+def can_fire_before(d, st) -> bool:
+    """Can step ``d`` fire before the gated step ``st``? Not if it is
+    ``st`` or a later step of ``st``'s session."""
+    return d.sid != st.sid or d.index < st.index
 
 
 def step_constraints(sequence) -> list:
@@ -361,43 +369,44 @@ def goal_analysis(steps, universe: TermUniverse, labels, deliveries: dict,
     """The goal's cone of influence and the goal floor L.
 
     Both close a set of steps under session prefix and, for each gated
-    step, under deliverers of roots of its label. The cone starts from
-    every step of each required session and every deliverer of a root of
-    a goal-secret support, and adds every deliverer of every root of every
-    support. Dropping the steps outside it from a goal run leaves a run:
-    session order, every gate and the goal see the same deliveries, times
-    are kept, and a lifetime binds only after its generation step has
-    fired. So a run reaching the goal within n transitions has a cone run
-    that does too.
+    step, under deliverers of roots of its label that ``can_fire_before``
+    it. The cone starts from every step of each required session and
+    every deliverer of a root of a goal-secret support, and adds each such
+    deliverer of every root of every support. Dropping the steps outside
+    it from a goal run leaves a run: session order, every gate and the
+    goal see the same deliveries, times are kept, and a lifetime binds
+    only after its generation step has fired. So a run reaching the goal
+    within n transitions has a cone run that does too.
 
     L is the size of a set of steps that every goal run fires by its goal
     position. The set starts and closes the same way, but a label adds
     only a step d that every usable support needs: some root of the
-    support has d as its one deliverer that can precede the gated step
-    (one that is neither the step nor a later step of its session). L is
-    also no less than the required sessions' step count plus, for the
-    cheapest goal support, the longest session prefix outside them that
-    a root needs. So no goal holds before position L. If the goal, or a
-    gated step of the set, has no usable support, no goal run exists and
-    L is past every run: the step count plus one.
+    support has d as its one such deliverer. L is also no less than the
+    required sessions' step count plus, for the cheapest goal support,
+    the longest session prefix outside them that a root needs. So no goal
+    holds before position L. If the goal, or a gated step of the set, has
+    no usable support, no goal run exists and L is past every run: the
+    step count plus one.
 
     Returns (cone refs, L).
     """
     by_ref = {st.ref: st for st in steps}
     goal_label = [sup for tid in secret_ids for sup in labels[tid]]
 
+    def early(m, st):  # root m's deliverers that can fire before st (the goal if None)
+        return [d for d in deliveries[m] if st is None or can_fire_before(d, st)]
+
     def may(label, st):
-        return [d for sup in label for m in sup for d in deliveries[m]]
+        return [d for sup in label for m in sup for d in early(m, st)]
 
     def must(label, st):
         """The steps that every usable support of ``label`` needs before
         ``st`` (before the goal when None); None if no support is usable."""
         sole = []
         for sup in label:
-            early = [[d.ref for d in deliveries[m] if st is None or d.sid != st.sid
-                      or d.index < st.index] for m in sup]
-            if all(early):
-                sole.append({refs[0] for refs in early if len(refs) == 1})
+            refs = [[d.ref for d in early(m, st)] for m in sup]
+            if all(refs):
+                sole.append({r[0] for r in refs if len(r) == 1})
         return [by_ref[ref] for ref in sorted(set.intersection(*sole))] if sole else None
 
     def closed(needed):
@@ -447,24 +456,22 @@ class Run:
                    {a: closure(model.initial_knowledge[a], model.rules)
                     for a in model.agents})
 
-    def then(self, step):
+    def then(self, step) -> "Run":
         """Fire ``step``: its message goes to ``receivers(step,
         model.eavesdrop)``, and an honest sender knows the fresh terms the
-        step generates. Returns the next run and agent -> sorted tuple of
-        the term ids that agent newly knows."""
+        step generates. Returns the next run, in which an agent that
+        learns nothing keeps the same knowledge set object."""
         model = self.model
         id_of = model.universe.id_of
         new = {a: {id_of(step.message)} for a in receivers(step, model.eavesdrop)}
         if step.sender != INTRUDER:
             new[step.sender] = {id_of(t) for t in step.generates}
         known = dict(self.known)
-        gained = {}
-        for a in sorted(new):
-            if not new[a] <= known[a]:  # closed knowledge holding them is unchanged
-                known[a] = closure(known[a] | new[a], model.rules)
-                gained[a] = tuple(sorted(known[a] - self.known[a]))
+        for a, ids in new.items():
+            if not ids <= known[a]:  # closed knowledge holding them is unchanged
+                known[a] = closure(known[a] | ids, model.rules)
         pc = self.pc[:step.sid - 1] + (step.index + 1,) + self.pc[step.sid:]
-        return Run(model, pc, known), gained
+        return Run(model, pc, known)
 
     def goal(self) -> Optional[int]:
         """A goal-secret id the intruder knows once every required session
@@ -482,7 +489,7 @@ def adequacy_warnings(model: TiisModel):
     warnings = []
     run = Run.start(model)
     for st in model.exec_steps:
-        run = run.then(st)[0]
+        run = run.then(st)
         if st.receiver != INTRUDER and isinstance(st.message, Cipher):
             body_id = model.universe.id_of(st.message.body)
             if body_id not in run.known[st.receiver]:

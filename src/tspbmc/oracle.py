@@ -1,12 +1,12 @@
 """Explicit-state bounded reachability over the concrete TIIS semantics.
 
-Independent ground truth for the SMT verdicts at desk scale: a
-breadth-first search over step interleavings (so the first hit is at
-minimal depth). Each frontier node is a ``model.Run`` (session pcs and
-closed knowledge): gating is checked against its intruder knowledge, and
-``Run.goal`` is the goal test. The witness is built by
-``witness.trace_of`` from the node's path, as ``decode`` builds one from a
-sat model.
+Independent ground truth for the SMT verdicts at desk scale, loading no
+module of the SMT path: a breadth-first search over step interleavings
+(so the first hit is at minimal depth). Each frontier node is a
+``model.Run`` (session pcs and closed knowledge): gating is checked
+against its intruder knowledge, and ``Run.goal`` is the goal test. The
+witness is built by ``witness.trace_of`` from the node's path, as
+``encoder.decode`` builds one from a sat model.
 
 Timing is decided per explored prefix by ``dbm.solve`` over the fired
 steps' times: each frontier node carries its prefix's constraints and
@@ -70,7 +70,7 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
                 feasible, times = solve(new_cons)
                 if not feasible:
                     continue
-                new_run = run.then(st)[0]
+                new_run = run.then(st)
                 if new_run.goal() is not None:
                     fired = ((s, times[s.ref]) for s in new_seq)
                     return OracleResult("attack-found", d, trace_of(model, fired, d))

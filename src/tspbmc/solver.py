@@ -10,7 +10,7 @@ per script is: write the script and read its first reply, which must be
 script, so the query ends with status ``error`` and that reply as its
 message, never with a verdict. On ``sat`` the driver sends one
 ``(get-value ...)`` for the script's ``model_symbols`` (for an encoded
-script, the fire flags, times and orders the decoder reads), or for
+script, the fire flags, times and orders ``encoder.decode`` reads), or for
 every declared symbol when it names none. One ``sexpr.Reader`` per child
 reads every reply, so a reply such as ``(error "... '(' expected")`` is
 read as one expression and ends the exchange with status ``error`` at
@@ -70,11 +70,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .encoder import SmtScript, encode
+from .encoder import SmtScript, decode, encode
 from .errors import ModelError, SolverError
 from .model import TiisModel
 from .sexpr import Reader, parse_value
-from .witness import decode
 
 DEFAULT_TIMEOUT = 60.0
 STDERR_KEEP = 64 * 1024  # bytes of stderr kept from a failed query

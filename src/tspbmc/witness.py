@@ -1,16 +1,17 @@
-"""Witness decoding, the one checked execution, replay and reporting.
+"""The one checked execution, replay and reporting.
 
 ``trace_of`` decides whether fired (step, time) pairs are a run. It steps
 a ``model.Run`` and raises ``ReplayViolation`` at the first firing past
 the bound, out of session order, failing its intruder gate or breaking a
 ``model.step_constraints`` delay or lifetime, or when no position reaches
-the goal; else it returns the Trace (each position's time and per-agent
-knowledge deltas) up to the first goal position, the least bound the
-firings witness. ``decode`` feeds it a sat model's fired steps sorted by
-time and order, the oracle its BFS path, and ``replay`` a trace's own
-steps and times, after checking its positions and step labels;
-``replay`` then compares the deltas, secret, completed sessions and
-length. No solving is involved.
+the goal; else it returns the Trace up to the first goal position, the
+least bound the firings witness, with each position's per-agent
+knowledge deltas: the runs after and before its step, compared.
+``encoder.decode`` feeds it a sat model's fired steps sorted by time and
+order, the oracle its BFS path, and ``replay`` a trace's own steps and
+times, after checking its positions and step labels; ``replay`` then
+compares the deltas, secret, completed sessions and length. No solving
+and no part of the SMT encoding is involved.
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ import html
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .dbm import ZERO
-from .encoder import SmtScript, f_name, o_name, t_name
 from .errors import ModelError
 from .frontend import INTRUDER
 from .model import Run, TiisModel, constructible, step_constraints
 from .terms import Term, parse_term, render_term
-
-if TYPE_CHECKING:
-    from .solver import RawResult
 
 
 @dataclass(frozen=True)
@@ -66,20 +63,6 @@ class ReplayViolation(ModelError):
         self.kind, self.position, self.detail = kind, position, detail
 
 
-def _bool(values: dict, name: str) -> bool:
-    v = values.get(name)
-    if not isinstance(v, bool):
-        raise ModelError(f"missing or non-Bool model value for {name}")
-    return v
-
-
-def _real(values: dict, name: str) -> Fraction:
-    v = values.get(name)
-    if not isinstance(v, Fraction):
-        raise ModelError(f"missing or non-Real model value for {name}")
-    return v
-
-
 def _clock(node) -> str:
     return "0" if node is ZERO else f"t{node[0]}.{node[1]}"
 
@@ -108,8 +91,9 @@ def trace_of(model: TiisModel, fired, bound: int) -> Trace:
             if times[v] - times[u] > w:
                 raise ReplayViolation(kind, j, f"{_clock(v)} - {_clock(u)} = "
                                       f"{times[v] - times[u]}, must be <= {w}")
-        run, gained = run.then(st)
-        deltas = {a: tuple(universe.term_of(t) for t in ids) for a, ids in gained.items()}
+        before, run = run, run.then(st)
+        deltas = {a: tuple(universe.term_of(t) for t in sorted(run.known[a] - before.known[a]))
+                  for a in sorted(run.known) if run.known[a] is not before.known[a]}
         events.append(TraceEvent(j, st.sid, st.index, st.sender, st.receiver,
                                  st.message, time, deltas))
         secret = run.goal()
@@ -118,18 +102,6 @@ def trace_of(model: TiisModel, fired, bound: int) -> Trace:
                          tuple(events), universe.term_of(secret),
                          tuple(sorted(model.require_complete)))
     raise ReplayViolation("goal", len(events), "the run satisfies the goal at no position")
-
-
-def decode(result: RawResult, script: SmtScript, model: TiisModel) -> Trace:
-    """Decode a sat model into a goal-truncated Trace: the fired steps
-    sorted by (time, order, sid, index). Raises ModelError if they are not
-    a run."""
-    if result.status != "sat":
-        raise ModelError(f"cannot decode a {result.status} result")
-    values = result.values
-    fired = sorted((_real(values, t_name(*ref)), _real(values, o_name(*ref)), ref)
-                   for ref in script.steps if _bool(values, f_name(*ref)))
-    return trace_of(model, [(model.step_at(*ref), t) for t, _, ref in fired], script.bound)
 
 
 def replay(trace: Trace, model: TiisModel) -> Optional[ReplayViolation]:

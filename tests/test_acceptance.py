@@ -13,13 +13,13 @@ from dataclasses import replace
 import pytest
 
 from tspbmc.cli import main
-from tspbmc.encoder import encode
+from tspbmc.encoder import decode, encode
 from tspbmc.errors import TspbmcError
 from tspbmc.model import build_model, closure, model_to_json
 from tspbmc.oracle import explicit_reach
 from tspbmc.solver import iterate_bounds
 from tspbmc.terms import parse_term, render_term
-from tspbmc.witness import decode, parse_json, render_json, replay
+from tspbmc.witness import parse_json, render_json, replay
 
 from conftest import (
     BUNDLED,

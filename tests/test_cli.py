@@ -583,7 +583,7 @@ def test_check_loads_the_pipeline():
 # the names the benchmark's tracer wraps in tspbmc.cli, and their modules
 TRACED = {"parse_protocol": "frontend", "parse_scenario": "frontend",
           "build_model": "model", "iterate_bounds": "solver", "encode": "encoder",
-          "decode": "witness", "replay": "witness", "explicit_reach": "oracle"}
+          "decode": "encoder", "replay": "witness", "explicit_reach": "oracle"}
 
 CONTRACT = """
 import importlib, sys

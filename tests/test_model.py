@@ -158,13 +158,22 @@ def test_adequacy_warnings(lib):
     assert adequacy_warnings(model) == ["step (1,1): receiver B cannot decrypt <Kab#1,Na#1>"]
 
 
+def gained(before, after) -> dict:
+    """Agent -> the term ids it knows in ``after`` and not in ``before``,
+    for the agents that learned something."""
+    return {a: after.known[a] - before.known[a] for a in before.known
+            if after.known[a] != before.known[a]}
+
+
 def test_honest_sender_knows_what_its_step_generates(lib):
     model = model_of(lib, "wmf", "fair")
     u = model.universe
-    _, gained = Run.start(model).then(model.step_at(1, 1))
-    assert ids(u, "Kab#1", "Ta#1") <= set(gained["A"])
+    first = model.step_at(1, 1)
+    before = Run.start(model)
+    learned = gained(before, before.then(first))
+    assert ids(u, "Kab#1", "Ta#1") <= learned["A"]
     # the intruder only gets the message
-    assert gained[INTRUDER] == (u.id_of(model.step_at(1, 1).message),)
+    assert learned[INTRUDER] == {u.id_of(first.message)}
     # an intruder-sent generation step gives the intruder nothing extra
     spec, _ = load(lib, "nspkt", "fair")
     scen = parse_scenario('{"name": "x", "overrides": [{"sid": 1, "step": 1, '
@@ -172,9 +181,29 @@ def test_honest_sender_knows_what_its_step_generates(lib):
     model = build_model(spec, scen)
     first = model.step_at(1, 1)
     assert first.generates == (parse_term("Ta#1"),)
-    _, gained = Run.start(model).then(first)
-    assert set(gained) == {"B", INTRUDER}
-    assert parse_term("Ta#1") not in {model.universe.term_of(t) for t in gained[INTRUDER]}
+    before = Run.start(model)
+    learned = gained(before, before.then(first))
+    assert set(learned) == {"B", INTRUDER}
+    assert model.universe.id_of(parse_term("Ta#1")) not in learned[INTRUDER]
+
+
+def test_then_keeps_the_set_of_an_agent_that_learns_nothing(lib):
+    # wmf step (1,1) is A -> S, eavesdropped: B learns nothing
+    model = model_of(lib, "wmf", "fair")
+    before = Run.start(model)
+    after = before.then(model.step_at(1, 1))
+    assert after.known["B"] is before.known["B"]
+    assert all(after.known[a] is not before.known[a] for a in ("A", "S", INTRUDER))
+    # along every library model's declaration order, an agent keeps its set
+    # exactly when its knowledge does not change
+    for model in library_models(lib):
+        run = Run.start(model)
+        for st in model.exec_steps:
+            after = run.then(st)
+            for a in model.agents:
+                assert (after.known[a] is run.known[a]) == (after.known[a] == run.known[a]), \
+                    (model.protocol, model.scenario, model.sessions, st.ref, a)
+            run = after
 
 
 def test_model_to_json_deterministic(lib):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from tspbmc.terms import parse_term
 from tspbmc.witness import replay
 
 from conftest import model_of
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # pinned regression values; produced by this oracle and asserted against
@@ -113,3 +119,14 @@ def test_gating_blocks_unconstructible_injections(lib):
     # <KA,Ta#1|Tb#2|I> (wrong identity inside an unopenable cipher)
     result = explicit_reach(model, depth=8)
     assert result.outcome == "no-attack-up-to"
+
+
+@pytest.mark.parametrize("module", ["tspbmc.oracle", "tspbmc.witness"])
+def test_the_ground_truth_loads_no_module_of_the_encoding(module):
+    # the oracle and the witness share no code with the SMT path, so the two
+    # semantics check each other
+    code = (f"import sys, {module}; print(sorted({{'tspbmc.encoder', 'tspbmc.sexpr', "
+            "'tspbmc.solver'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120, check=True)
+    assert proc.stdout == "[]\n"

@@ -18,7 +18,7 @@ import pytest
 
 import tspbmc
 from tspbmc import cli
-from tspbmc.encoder import SmtScript, encode
+from tspbmc.encoder import SmtScript, decode, encode
 from tspbmc.errors import SolverError
 from tspbmc.frontend import parse_protocol, parse_scenario
 from tspbmc.model import build_model
@@ -31,7 +31,6 @@ from tspbmc.solver import (
     resolve_solver_command,
     run_solver,
 )
-from tspbmc.witness import decode
 
 from conftest import (BUNDLED, ERROR_REPLY, ERROR_THEN_SAT, library_models, model_of,
                       sat_then, solver_config)

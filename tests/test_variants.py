@@ -11,13 +11,13 @@ from dataclasses import replace
 
 import pytest
 
-from tspbmc.encoder import encode
+from tspbmc.encoder import decode, encode
 from tspbmc.errors import TspbmcError
 from tspbmc.frontend import parse_protocol, parse_scenario
 from tspbmc.model import build_model
 from tspbmc.oracle import explicit_reach
 from tspbmc.solver import default_max_bound, iterate_bounds
-from tspbmc.witness import decode, replay
+from tspbmc.witness import replay
 
 from conftest import solver_config
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tspbmc.encoder import encode
+from tspbmc.encoder import decode, encode
 from tspbmc.errors import ModelError
 from tspbmc.oracle import explicit_reach
 from tspbmc.solver import run_solver
@@ -12,7 +12,6 @@ from tspbmc.terms import parse_term
 from tspbmc.witness import (
     ReplayViolation,
     TraceEvent,
-    decode,
     parse_json,
     render_html,
     render_json,
