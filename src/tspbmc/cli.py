@@ -12,7 +12,7 @@ Protocol/scenario arguments accept either a file path or the name of an
 embedded library entry (see ``tspbmc list``). Exit codes: 0 no attack up
 to the bound (all runs covered when the bound is the exec-step count), 10
 attack found (witness written), 2 usage/input error, 3 solver
-inconclusive.
+inconclusive or an oracle search out of memory.
 
 The argument parser is built once per process, on the first ``main``
 call, so a program that calls ``main`` several times pays for it once.
@@ -160,7 +160,7 @@ def cmd_check(args) -> int:
     model = build_model(spec, scenario, k=args.sessions)
     for w in adequacy_warnings(model):
         print(f"warning: {w}", file=sys.stderr)
-    if not any(model.labels[tid] for tid in model.goal_secret_ids):
+    if not model.gates[None]:
         for tid in model.goal_secret_ids:
             print(f"note: goal secret {render_term(model.universe.term_of(tid))} is "
                   "not derivable from any message of this scenario", file=sys.stderr)
@@ -196,7 +196,13 @@ def cmd_oracle(args) -> int:
         raise UsageError("--depth must be >= 1")
     model = build_model(spec, scenario, k=args.sessions)
     depth = args.depth or default_max_bound(model)
-    result = explicit_reach(model, depth=depth)
+    try:
+        result = explicit_reach(model, depth=depth)
+    except MemoryError:
+        result = None  # reported below, once the search's frames are freed
+    if result is None:
+        print("inconclusive: the oracle's search ran out of memory", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     if result.outcome == "no-attack-up-to":
         print(f"no attack up to depth {result.depth}")
         return EXIT_NO_ATTACK

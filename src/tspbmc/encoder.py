@@ -20,11 +20,11 @@ assertions are:
 - lifetimes: ``f_s => t_s <= t_gen + b`` for each lifetime check of s
   whose generation step is encoded;
 - gating: an intruder-sent step fires only if, for some support of its
-  message's label, every root m has a deliverer d that precedes it:
-  ``f_d``, ``o_d + 1 <= o_s`` and ``t_d <= t_s``. Only deliverers d
-  with ``model.can_fire_before(d, s)`` are named;
+  gate (``model.gates[s]``), every root has a listed deliverer d that
+  precedes it: ``f_d``, ``o_d + 1 <= o_s`` and ``t_d <= t_s``;
 - the goal: the required sessions' last steps fire, and every root of
-  some support of a goal secret's label has a fired deliverer;
+  some support of the goal's gate (``model.gates[None]``) has a fired
+  deliverer;
 - the bound: for n below the encoded step count, at most n of the
   ``f_s`` hold, as a sequential counter (Sinz, CP 2005); at or above it
   the count is no limit and the section is empty.
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelError
-from .model import TiisModel, can_fire_before
+from .model import TiisModel
 from .sexpr import render_value
 from .witness import Trace, trace_of
 
@@ -106,10 +106,11 @@ def _or(parts):
     return "(or " + " ".join(parts) + ")"
 
 
-def support_formula(label, recv) -> str:
-    """Some support in ``label`` has fully reached the intruder, where
-    ``recv(m)`` says that root m has."""
-    return _or([_and([recv(m) for m in support]) for support in label])
+def support_formula(gate, fires) -> str:
+    """Some support of ``gate`` (a ``model.gates`` entry) has fully reached
+    the intruder: each of its roots by one of its deliverers d, where
+    ``fires(d)`` says that d has delivered it."""
+    return _or([_and([_or([fires(d) for d in ds]) for ds in sup]) for sup in gate])
 
 
 def encode(model: TiisModel, n: int) -> SmtScript:
@@ -164,18 +165,14 @@ def encode(model: TiisModel, n: int) -> SmtScript:
     lines.append("; gating")
     for st in steps:
         if st.gated:
-            label = model.labels[model.universe.id_of(st.message)]
-            cond = support_formula(label, lambda r: _or(
-                [precedes(d, st) for d in model.deliveries[r] if can_fire_before(d, st)]))
+            cond = support_formula(model.gates[st.ref], lambda d: precedes(d, st))
             if cond != "true":
                 assert_(f"(=> {f_name(*st.ref)} {cond})")
 
     lines.append("; goal")
     last = model.steps_per_session()
-    goal_label = [sup for tid in model.goal_secret_ids for sup in model.labels[tid]]
     assert_(_and([f_name(sid, last) for sid in sorted(model.require_complete)]
-                 + [support_formula(goal_label, lambda r: _or(
-                     [f_name(*d.ref) for d in model.deliveries[r]]))]))
+                 + [support_formula(model.gates[None], lambda d: f_name(*d.ref))]))
 
     lines.append("; bound")
     if n < m:

@@ -7,8 +7,9 @@ Kleer's ATMS labels, AIJ 1986) and the timing structure. The resulting
 TiisModel is immutable and shared by the SMT encoder, the witness
 replayer and the explicit-state oracle.
 
-``goal_analysis`` adds two static facts that the encoder and the bound
-loop use and the oracle does not: the goal's cone of influence (the
+``gate_table`` names, once, the deliverers that can open each gate.
+``goal_analysis`` reads it for two static facts that the encoder and the
+bound loop use and the oracle does not: the goal's cone of influence (the
 steps a goal run can need, as in Clarke, Grumberg & Peled, *Model
 Checking*, 1999) and the goal floor L (no goal holds before position L).
 
@@ -18,7 +19,7 @@ of the fresh terms its step generates, and the goal test; a step's
 knowledge deltas are the runs before and after it, compared.
 ``witness.trace_of`` (``encoder.decode``, replay), the oracle and
 ``adequacy_warnings`` step through it. The timing rules are
-``step_constraints``; the precedence rule of gates is ``can_fire_before``.
+``step_constraints``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import FrozenSet, Optional
 
 from .dbm import ZERO
-from .errors import ModelError, ScenarioError
+from .errors import ModelError, ScenarioError, TermSyntaxError
 from .frontend import (
     INTRUDER,
     ProtocolSpec,
@@ -75,8 +76,8 @@ class TiisModel:
     require_complete: frozenset
     goal_secret_ids: tuple  # term ids the intruder must learn (disjunction)
     eavesdrop: bool
-    deliveries: dict  # intruder root id -> the exec steps delivering it
     labels: tuple  # term id -> minimal root supports (sorted id tuples)
+    gates: dict  # gated step ref, None for the goal -> the gate (gate_table)
     cone: frozenset  # refs of the steps a goal run can need
     goal_floor: int  # L: no goal holds at a position before it
 
@@ -128,7 +129,10 @@ def _check_compromised(spec: ProtocolSpec, compromised, k: int) -> list:
     sesskeys = {d.name for d in spec.fresh_decls if d.klass == "sesskey"}
     keys = []
     for text in compromised:
-        key = parse_term(text)
+        try:
+            key = parse_term(text)
+        except TermSyntaxError as e:
+            raise ScenarioError(f"compromised entry {text!r}: {e}") from e
         if isinstance(key, Fresh) and not (key.name in sesskeys and key.sid and key.sid <= k):
             raise ScenarioError(f"compromised entry {text!r} is not a declared "
                                 f"session key of sessions 1..{k}")
@@ -217,12 +221,6 @@ def constructible(known, t: Term, universe: TermUniverse) -> bool:
     return universe.id_of(t) in known
 
 
-def can_fire_before(d, st) -> bool:
-    """Can step ``d`` fire before the gated step ``st``? Not if it is
-    ``st`` or a later step of ``st``'s session."""
-    return d.sid != st.sid or d.index < st.index
-
-
 def step_constraints(sequence) -> list:
     """The timing constraints that firing ``sequence[-1]`` adds after the
     steps before it (ExecSteps in firing order), as ``dbm`` constraints over
@@ -278,8 +276,8 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
     deliveries = intruder_deliveries(steps, universe, scenario.eavesdrop)
     labels = tuple(_sorted_label(lab) for lab in
                    support_labels(universe, rules, init[INTRUDER], deliveries))
-    cone, goal_floor = goal_analysis(
-        steps, universe, labels, deliveries, require, secret_ids)
+    gates = gate_table(steps, universe, labels, deliveries, secret_ids)
+    cone, goal_floor = goal_analysis(steps, gates, require)
 
     return TiisModel(
         protocol=spec.name,
@@ -294,8 +292,8 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
         require_complete=require,
         goal_secret_ids=tuple(secret_ids),
         eavesdrop=scenario.eavesdrop,
-        deliveries=deliveries,
         labels=labels,
+        gates=gates,
         cone=cone,
         goal_floor=goal_floor,
     )
@@ -364,57 +362,56 @@ def intruder_deliveries(steps, universe: TermUniverse, eavesdrop: bool) -> dict:
     return out
 
 
-def goal_analysis(steps, universe: TermUniverse, labels, deliveries: dict,
-                  require, secret_ids):
-    """The goal's cone of influence and the goal floor L.
+def gate_table(steps, universe: TermUniverse, labels, deliveries: dict, secret_ids) -> dict:
+    """Gated step ref, and None for the goal -> its gate: per support of the
+    label (the message's, or the goal secrets' in turn), in label order and
+    unusable ones kept, per root, the deliverers that can fire before the
+    step: all but the step and its session's later steps (the goal: all)."""
+    def gate(label, st):
+        return tuple(tuple(tuple(d for d in deliveries[m] if st is None or d.sid != st.sid
+                                 or d.index < st.index) for m in sup) for sup in label)
+
+    table = {st.ref: gate(labels[universe.id_of(st.message)], st) for st in steps if st.gated}
+    table[None] = gate([sup for tid in secret_ids for sup in labels[tid]], None)
+    return table
+
+
+def goal_analysis(steps, gates: dict, require):
+    """The goal's cone of influence and the goal floor L, as (cone refs, L).
 
     Both close a set of steps under session prefix and, for each gated
-    step, under deliverers of roots of its label that ``can_fire_before``
-    it. The cone starts from every step of each required session and
-    every deliverer of a root of a goal-secret support, and adds each such
-    deliverer of every root of every support. Dropping the steps outside
-    it from a goal run leaves a run: session order, every gate and the
-    goal see the same deliveries, times are kept, and a lifetime binds
-    only after its generation step has fired. So a run reaching the goal
-    within n transitions has a cone run that does too.
+    step, under the deliverers its gate lists (``gate_table``). The cone
+    starts from every step of each required session and every deliverer
+    the goal's gate lists. Dropping the steps outside it from a goal run
+    leaves a run: session order, every gate and the goal see the same
+    deliveries, times are kept, and a lifetime binds only after its
+    generation step has fired. So a run reaching the goal within n
+    transitions has a cone run that does too.
 
     L is the size of a set of steps that every goal run fires by its goal
-    position. The set starts and closes the same way, but a label adds
+    position. The set starts and closes the same way, but a gate adds
     only a step d that every usable support needs: some root of the
-    support has d as its one such deliverer. L is also no less than the
+    support has d as its one listed deliverer. L is also no less than the
     required sessions' step count plus, for the cheapest goal support,
     the longest session prefix outside them that a root needs. So no goal
     holds before position L. If the goal, or a gated step of the set, has
     no usable support, no goal run exists and L is past every run: the
     step count plus one.
-
-    Returns (cone refs, L).
     """
     by_ref = {st.ref: st for st in steps}
-    goal_label = [sup for tid in secret_ids for sup in labels[tid]]
 
-    def early(m, st):  # root m's deliverers that can fire before st (the goal if None)
-        return [d for d in deliveries[m] if st is None or can_fire_before(d, st)]
+    def may(gate):  # every listed deliverer
+        return [d for sup in gate for ds in sup for d in ds]
 
-    def may(label, st):
-        return [d for sup in label for m in sup for d in early(m, st)]
-
-    def must(label, st):
-        """The steps that every usable support of ``label`` needs before
-        ``st`` (before the goal when None); None if no support is usable."""
-        sole = []
-        for sup in label:
-            refs = [[d.ref for d in early(m, st)] for m in sup]
-            if all(refs):
-                sole.append({r[0] for r in refs if len(r) == 1})
+    def must(gate):  # the steps every usable support needs; None if none is usable
+        sole = [{ds[0].ref for ds in sup if len(ds) == 1} for sup in gate if all(sup)]
         return [by_ref[ref] for ref in sorted(set.intersection(*sole))] if sole else None
 
     def closed(needed):
-        """The required sessions' steps and ``needed(goal_label, None)``,
-        closed under session prefix and ``needed`` of each gated step's
-        label; None where ``needed`` is."""
+        """The required sessions' steps and ``needed(gates[None])``, closed
+        under session prefix and ``needed`` of each gate; None where it is."""
         out = set()
-        todo = needed(goal_label, None)
+        todo = needed(gates[None])
         if todo is None:
             return None
         todo += [st for st in steps if st.sid in require]
@@ -424,14 +421,14 @@ def goal_analysis(steps, universe: TermUniverse, labels, deliveries: dict,
                 out.add(st.ref)
                 todo += [by_ref[(st.sid, i)] for i in range(1, st.index)]
                 if st.gated:
-                    more = needed(labels[universe.id_of(st.message)], st)
+                    more = needed(gates[st.ref])
                     if more is None:
                         return None
                     todo += more
         return out
 
-    outside = min((max((min(0 if d.sid in require else d.index for d in deliveries[m])
-                        for m in sup), default=0) for sup in goal_label), default=0)
+    outside = min((max((min(0 if d.sid in require else d.index for d in ds)
+                        for ds in sup), default=0) for sup in gates[None]), default=0)
     last = max(st.index for st in steps)
     core = closed(must)
     floor = (len(steps) + 1 if core is None

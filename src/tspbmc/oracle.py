@@ -17,7 +17,7 @@ symbolic ones. An infeasible prefix can never become feasible by
 extension (extensions only add constraints), so pruning is sound and BFS
 depth minimality is preserved. When no goal secret is in the closure of
 every message the intruder can receive, no interleaving is explored at
-all.
+all. No fact only the SMT path reads (labels, gates, cone, floor) is used.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional
 
 from .dbm import solve
 from .frontend import INTRUDER
-from .model import Run, TiisModel, closure, constructible, step_constraints
+from .model import Run, TiisModel, closure, constructible, intruder_deliveries, step_constraints
 from .witness import Trace, trace_of
 
 
@@ -49,8 +49,8 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
     last = model.steps_per_session()
     # the intruder learns only the messages delivered to it: a goal secret
     # outside the closure of all of them is unknown in every interleaving
-    reachable = closure(model.initial_knowledge[INTRUDER] | set(model.deliveries),
-                        model.rules)
+    reachable = closure(model.initial_knowledge[INTRUDER] | set(intruder_deliveries(
+        model.exec_steps, model.universe, model.eavesdrop)), model.rules)
     if not any(t in reachable for t in model.goal_secret_ids):
         return OracleResult("no-attack-up-to", depth)
 

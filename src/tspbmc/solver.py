@@ -122,8 +122,8 @@ class Verdict:
 
 def resolve_solver_command(explicit: Optional[str] = None) -> tuple:
     """Pick the solver command line; see module docstring for the order."""
-    for source in (explicit, os.environ.get("TSPBMC_SOLVER")):
-        if source:
+    for source in (explicit, os.environ.get("TSPBMC_SOLVER") or None):
+        if source is not None:
             try:
                 parts = tuple(shlex.split(source))
             except ValueError as e:

@@ -355,6 +355,7 @@ def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit,
      "compromised entry \"KI'\" is a key the intruder knows initially"),
     ("dsp", {"compromised": ["KAI"]},
      "compromised entry 'KAI' is a key the intruder knows initially"),
+    ("dsp", {"compromised": ["KA|"]}, "compromised entry 'KA|': expected an atom (at offset 3)"),
 ])
 def test_check_rejects_a_scenario_it_cannot_mean(capsys, tmp_path, protocol, scenario_edit,
                                                  message):
@@ -385,7 +386,8 @@ UNBALANCED = "solver command '\"': No closing quotation"
     ([], '"', UNBALANCED),
     (["--solver", " "], None, "empty solver command"),
     ([], " ", "empty solver command"),
-], ids=["option0-None", 'option1-"', "blank-option", "blank-env"])
+    (["--solver", ""], None, "empty solver command"),
+], ids=["option0-None", 'option1-"', "blank-option", "blank-env", "empty-option"])
 def test_unbalanced_solver_quote_exits_2(capsys, monkeypatch, option, env, message):
     if env is not None:
         monkeypatch.setenv("TSPBMC_SOLVER", env)
@@ -483,6 +485,18 @@ def test_a_witness_that_fails_replay_exits_3(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err.splitlines()[-1] == (
         "internal error: SMT witness failed replay at position 2: gating: x")
+
+
+def test_an_oracle_out_of_memory_exits_3(capsys, monkeypatch):
+    from tspbmc import cli
+
+    def explicit_reach(model, depth):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "explicit_reach", explicit_reach)
+    code, out, err = run(capsys, "oracle", "dsp", "key_compromise", "--sessions", "4")
+    assert (code, out) == (3, "")
+    assert err == "inconclusive: the oracle's search ran out of memory\n"
 
 
 @pytest.mark.parametrize("command, origin", [("check", "SMT"), ("oracle", "oracle")])

@@ -8,7 +8,7 @@ from tspbmc.encoder import SmtScript, encode
 from tspbmc.frontend import INTRUDER
 from tspbmc.sexpr import render_value
 
-from conftest import model_of, solver_config
+from conftest import library_models, model_of, solver_config
 from tspbmc.solver import run_solver
 
 
@@ -165,3 +165,10 @@ def test_cap_script_grows_linearly_in_the_cone(lib):
         return len(encode(model, 3 * k).text.encode())
 
     assert cap_bytes(8) <= 2.5 * cap_bytes(4)
+
+
+def test_encoding_reads_the_gate_table_not_the_labels(lib):
+    for model in library_models(lib, ks=(1, 2, 3, 4)):
+        bare = replace(model, labels=())
+        for n in range(1, len(model.exec_steps) + 2):
+            assert encode(bare, n) == encode(model, n)

@@ -262,3 +262,35 @@ def test_goal_floor_counts_steps_outside_the_required_sessions(lib):
     assert model.cone == {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)}
     assert model.goal_floor == 5
     assert explicit_reach(model, depth=6).depth == 5
+
+
+def test_gate_table_lists_the_deliverers_that_can_fire_first(lib):
+    # the rule, written apart from gate_table: a root's deliverers are the
+    # steps whose message it is and that reach the intruder; a gated step's
+    # gate lists those that are neither the step nor a later step of its
+    # session, and the goal's lists them all
+    for model in library_models(lib, ks=(1, 2, 3, 4)):
+        id_of = model.universe.id_of
+        gated = [st for st in model.exec_steps if st.gated]
+        assert set(model.gates) == {st.ref for st in gated} | {None}
+
+        def expected(label, st):
+            return tuple(tuple(tuple(
+                d for d in model.exec_steps
+                if id_of(d.message) == m and (d.receiver == INTRUDER or model.eavesdrop)
+                and (st is None or d.sid != st.sid or d.index < st.index))
+                for m in sup) for sup in label)
+
+        for st in gated:
+            assert model.gates[st.ref] == expected(model.labels[id_of(st.message)], st)
+        goal = [sup for tid in model.goal_secret_ids for sup in model.labels[tid]]
+        assert model.gates[None] == expected(goal, None)
+
+
+def test_oracle_reads_none_of_the_encodings_facts(lib):
+    # the ground truth's verdict and witness stand without the labels, the
+    # gate table, the cone and the goal floor
+    for model in library_models(lib):
+        depth = len(model.exec_steps)
+        bare = replace(model, labels=(), gates={}, cone=frozenset(), goal_floor=0)
+        assert explicit_reach(bare, depth=depth) == explicit_reach(model, depth=depth)
