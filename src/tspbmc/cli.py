@@ -12,7 +12,7 @@ Protocol/scenario arguments accept either a file path or the name of an
 embedded library entry (see ``tspbmc list``). Exit codes: 0 no attack up
 to the bound (all runs covered when the bound is the exec-step count), 10
 attack found (witness written), 2 usage/input error, 3 solver
-inconclusive or an oracle search out of memory.
+inconclusive or any command out of memory.
 
 The argument parser is built once per process, on the first ``main``
 call, so a program that calls ``main`` several times pays for it once.
@@ -195,14 +195,7 @@ def cmd_oracle(args) -> int:
     if args.depth is not None and args.depth < 1:
         raise UsageError("--depth must be >= 1")
     model = build_model(spec, scenario, k=args.sessions)
-    depth = args.depth or default_max_bound(model)
-    try:
-        result = explicit_reach(model, depth=depth)
-    except MemoryError:
-        result = None  # reported below, once the search's frames are freed
-    if result is None:
-        print("inconclusive: the oracle's search ran out of memory", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    result = explicit_reach(model, depth=args.depth or default_max_bound(model))
     if result.outcome == "no-attack-up-to":
         print(f"no attack up to depth {result.depth}")
         return EXIT_NO_ATTACK
@@ -305,6 +298,10 @@ def main(argv=None) -> int:
     except (UsageError, TspbmcError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        pass  # reported below, once the command's frames are freed
+    print(f"inconclusive: {args.command} ran out of memory", file=sys.stderr)
+    return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

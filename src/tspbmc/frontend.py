@@ -421,14 +421,14 @@ def _override_rational(value, i: int) -> Fraction:
 def compute_generation(steps, decl_map) -> dict:
     """Map each fresh term occurring in the steps to its generation step.
 
-    The generation step is the first step, in (sid, index) order, whose
-    message contains the term and whose sender is the declared owner; if
-    the owner's send was overridden away, the first intruder step
+    ``steps`` are in (sid, index) order. The generation step is the first
+    step whose message contains the term and whose sender is the declared
+    owner; if the owner's send was overridden away, the first intruder step
     containing it. A term only honest non-owners send has none.
     """
     gen: dict = {}
     injected: dict = {}
-    for st in sorted(steps, key=lambda s: (s.sid, s.index)):
+    for st in steps:
         for t, _ in _fresh_atoms(st.message):
             if st.sender == INTRUDER:
                 injected.setdefault(t, st)
@@ -440,32 +440,31 @@ def compute_generation(steps, decl_map) -> dict:
 def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
     """Replicate steps over k sessions and substitute the overrides in place.
 
-    Returns the ExecStep list in (sid, index) order. Each step lists the
-    fresh terms it generates (``compute_generation``), and carries a
-    lifetime check, naming the generation step, for every lifetime-bounded
-    fresh term it uses outside that step. An honest sender sends only fresh
-    terms its step generates or that it sent or received earlier in the
-    same session.
+    This is the only code that builds exec steps. It returns the k x n grid
+    of them, for the protocol's n steps, in (sid, index) order: step (sid,
+    i) at position (sid - 1) * n + i - 1. Each step lists the fresh terms it
+    generates (``compute_generation``), and carries a lifetime check, naming
+    the generation step, for every lifetime-bounded fresh term it uses
+    outside that step. An honest sender sends only fresh terms its step
+    generates or that it sent or received earlier in the same session.
     """
     if k < 1:
         raise ScenarioError("session count must be >= 1")
     decl_map = spec.decl_map()
     nsteps = len(spec.steps)
 
-    by_ref: dict = {}
-    for sid in range(1, k + 1):
-        for st in spec.steps:
-            by_ref[(sid, st.index)] = ExecStep(
-                sid, st.index, st.sender, st.receiver,
-                instantiate(st.message, sid), st.min_delay)
+    steps = [ExecStep(sid, st.index, st.sender, st.receiver,
+                      instantiate(st.message, sid), st.min_delay)
+             for sid in range(1, k + 1) for st in spec.steps]
 
     lifetime_adjust: dict = {}  # (sid, step) -> {fresh name: bound}
     for ov in scenario.overrides:
-        if ov.sid > k or ov.step > nsteps:
+        if not (1 <= ov.sid <= k and 1 <= ov.step <= nsteps):
             raise ScenarioError(
                 f"override ({ov.sid},{ov.step}) out of range for k={k}, {nsteps} steps"
             )
-        cur = by_ref[(ov.sid, ov.step)]
+        at = (ov.sid - 1) * nsteps + ov.step - 1
+        cur = steps[at]
         if ov.kind in ("replace", "intruder"):
             sender, receiver = ov.edge
             for ag in (sender, receiver):
@@ -491,9 +490,8 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
                 if fname not in decl_map:
                     raise ScenarioError(f"lifetime override for undeclared fresh {fname!r}")
             lifetime_adjust[(ov.sid, ov.step)] = dict(ov.lifetime_overrides)
-        by_ref[(ov.sid, ov.step)] = cur
+        steps[at] = cur
 
-    steps = [by_ref[ref] for ref in sorted(by_ref)]
     gen = {t: st.ref for t, st in compute_generation(steps, decl_map).items()}
 
     out = []

@@ -19,7 +19,7 @@ of the fresh terms its step generates, and the goal test; a step's
 knowledge deltas are the runs before and after it, compared.
 ``witness.trace_of`` (``encoder.decode``, replay), the oracle and
 ``adequacy_warnings`` step through it. The timing rules are
-``step_constraints``.
+``step_constraints``, which read a run: its pcs and its last fired step.
 """
 
 from __future__ import annotations
@@ -64,11 +64,13 @@ class DerivationRule:
 
 @dataclass(frozen=True)
 class TiisModel:
+    """The verification model. ``exec_steps`` is the k x n grid that
+    ``frontend.apply_overrides`` builds, so a step is found by its ref."""
     protocol: str
     scenario: str
     sessions: int
     agents: tuple  # roles + intruder
-    exec_steps: tuple  # in (sid, index) order
+    exec_steps: tuple  # k x n, in (sid, index) order
     universe: TermUniverse
     rules: tuple
     depth: int  # universe nesting depth (at least 1)
@@ -82,13 +84,13 @@ class TiisModel:
     goal_floor: int  # L: no goal holds at a position before it
 
     def steps_per_session(self) -> int:
-        return max(st.index for st in self.exec_steps)
+        return len(self.exec_steps) // self.sessions
 
     def step_at(self, sid: int, index: int):
-        for st in self.exec_steps:
-            if st.sid == sid and st.index == index:
-                return st
-        raise KeyError((sid, index))
+        n = self.steps_per_session()
+        if not (1 <= sid <= self.sessions and 1 <= index <= n):
+            raise KeyError((sid, index))
+        return self.exec_steps[(sid - 1) * n + index - 1]
 
 
 def build_universe(steps, roles, compromised) -> TermUniverse:
@@ -98,9 +100,7 @@ def build_universe(steps, roles, compromised) -> TermUniverse:
     the intruder's key pair, the long-term keys implied by the messages,
     the compromised keys, and the inverse of every key member.
     """
-    members = set()
-    for st in steps:
-        members |= subterms(st.message)
+    members = set(subterms(*(st.message for st in steps)))
 
     agents = list(roles) + [INTRUDER]
     for a in agents:
@@ -145,29 +145,29 @@ def _check_compromised(spec: ProtocolSpec, compromised, k: int) -> list:
                     f"compromised entry {text!r}: {agent!r} is not a declared role")
         if not is_key_form(key):
             raise ScenarioError(f"compromised entry {text!r} is not a key")
-        if initial_knowledge(INTRUDER, TermUniverse([key])):
+        if _known_initially(INTRUDER, key):
             raise ScenarioError(
                 f"compromised entry {text!r} is a key the intruder knows initially")
         keys.append(key)
     return keys
 
 
+def _known_initially(agent: str, t: Term) -> bool:
+    """Whether ``agent`` knows ``t`` before any step: an identity, a public
+    key, or one of its own private or shared long-term keys."""
+    return (isinstance(t, (Ident, PubKey))
+            or (isinstance(t, PrivKey) and t.agent == agent)
+            or (isinstance(t, SymKey) and agent in (t.a, t.b)))
+
+
 def initial_knowledge(agent: str, universe: TermUniverse) -> FrozenSet[int]:
-    """Initial Dolev-Yao knowledge: identities, public keys, own secrets.
+    """Initial Dolev-Yao knowledge: the universe members ``_known_initially``.
 
     Fresh protocol atoms are never initially known; they enter the model at
     their generation step. ``build_model`` adds the compromised keys to the
     intruder's.
     """
-    known = set()
-    for t in universe:
-        if isinstance(t, Ident) or isinstance(t, PubKey):
-            known.add(t)
-        elif isinstance(t, PrivKey) and t.agent == agent:
-            known.add(t)
-        elif isinstance(t, SymKey) and agent in (t.a, t.b):
-            known.add(t)
-    return frozenset(universe.id_of(t) for t in known)
+    return frozenset(universe.id_of(t) for t in universe if _known_initially(agent, t))
 
 
 def compile_rules(universe: TermUniverse):
@@ -221,28 +221,26 @@ def constructible(known, t: Term, universe: TermUniverse) -> bool:
     return universe.id_of(t) in known
 
 
-def step_constraints(sequence) -> list:
-    """The timing constraints that firing ``sequence[-1]`` adds after the
-    steps before it (ExecSteps in firing order), as ``dbm`` constraints over
-    (sid, index) nodes, each tagged "delay" or "lifetime".
+def step_constraints(run, step) -> list:
+    """The timing constraints that firing ``step`` in ``run`` adds, as
+    ``dbm`` constraints over (sid, index) nodes, each tagged "delay" or
+    "lifetime".
 
     The step fires at least its minimum delay after its session
-    predecessor (or after time 0), no earlier than the previously fired
-    step, and within each lifetime bound of a generation step that has
-    already fired. Only fired steps get times: every constraint on an
-    unfired step is a lower bound, and unfired steps form session
+    predecessor (or after time 0), no earlier than ``run.last``, and within
+    each lifetime bound of a generation step (s, i) that has already fired:
+    ``run.pc[s - 1] > i``. Only fired steps get times: every constraint on
+    an unfired step is a lower bound, and unfired steps form session
     suffixes, so firing them late meets those constraints; a generation
     step that fires after the use is no earlier than it, and lifetimes are
     positive.
     """
-    st = sequence[-1]
-    node = st.ref
-    pred = (st.sid, st.index - 1) if st.index > 1 else ZERO
-    prev = sequence[-2].ref if len(sequence) > 1 else ZERO
-    out = [(node, pred, -st.min_delay, "delay"), (node, prev, Fraction(0), "delay")]
-    fired = {s.ref for s in sequence}
-    for check in st.lifetime_checks:
-        if check.gen in fired:
+    node = step.ref
+    pred = (step.sid, step.index - 1) if step.index > 1 else ZERO
+    out = [(node, pred, -step.min_delay, "delay"), (node, run.last, Fraction(0), "delay")]
+    for check in step.lifetime_checks:
+        sid, i = check.gen
+        if run.pc[sid - 1] > i:
             out.append((check.gen, node, check.bound, "lifetime"))
     return out
 
@@ -277,6 +275,10 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
     labels = tuple(_sorted_label(lab) for lab in
                    support_labels(universe, rules, init[INTRUDER], deliveries))
     gates = gate_table(steps, universe, labels, deliveries, secret_ids)
+    if not require and () in gates[None]:
+        secret = next(universe.term_of(tid) for tid in secret_ids if () in labels[tid])
+        raise ModelError(f"the goal holds before any step: the intruder knows goal secret "
+                         f"{render_term(secret)} initially and no session must complete")
     cone, goal_floor = goal_analysis(steps, gates, require)
 
     return TiisModel(
@@ -398,14 +400,17 @@ def goal_analysis(steps, gates: dict, require):
     no usable support, no goal run exists and L is past every run: the
     step count plus one.
     """
-    by_ref = {st.ref: st for st in steps}
+    last = steps[-1].index  # steps are the k x n grid
+
+    def at(sid, i):
+        return steps[(sid - 1) * last + i - 1]
 
     def may(gate):  # every listed deliverer
         return [d for sup in gate for ds in sup for d in ds]
 
     def must(gate):  # the steps every usable support needs; None if none is usable
         sole = [{ds[0].ref for ds in sup if len(ds) == 1} for sup in gate if all(sup)]
-        return [by_ref[ref] for ref in sorted(set.intersection(*sole))] if sole else None
+        return [at(*ref) for ref in sorted(set.intersection(*sole))] if sole else None
 
     def closed(needed):
         """The required sessions' steps and ``needed(gates[None])``, closed
@@ -419,7 +424,7 @@ def goal_analysis(steps, gates: dict, require):
             st = todo.pop()
             if st.ref not in out:
                 out.add(st.ref)
-                todo += [by_ref[(st.sid, i)] for i in range(1, st.index)]
+                todo += [at(st.sid, i) for i in range(1, st.index)]
                 if st.gated:
                     more = needed(gates[st.ref])
                     if more is None:
@@ -429,7 +434,6 @@ def goal_analysis(steps, gates: dict, require):
 
     outside = min((max((min(0 if d.sid in require else d.index for d in ds)
                         for ds in sup), default=0) for sup in gates[None]), default=0)
-    last = max(st.index for st in steps)
     core = closed(must)
     floor = (len(steps) + 1 if core is None
              else max(1, len(core), len(require) * last + outside))
@@ -440,18 +444,20 @@ def goal_analysis(steps, gates: dict, require):
 class Run:
     """The concrete state of an interleaving of ``model``'s exec steps: for
     each session the index of its next step, for each agent its knowledge,
-    closed under the rules. ``witness.trace_of``, the oracle and the
-    adequacy check step through it: the concrete semantics is written once.
+    closed under the rules, and the last fired step, which the timing rules
+    read. ``witness.trace_of``, the oracle and the adequacy check step
+    through it: the concrete semantics is written once.
     """
     model: TiisModel
     pc: tuple  # sid - 1 -> index of the session's next step
     known: dict  # agent -> frozenset of term ids
+    last: object  # ref of the last fired step; dbm.ZERO before any step
 
     @classmethod
     def start(cls, model: TiisModel) -> "Run":
         return cls(model, (1,) * model.sessions,
                    {a: closure(model.initial_knowledge[a], model.rules)
-                    for a in model.agents})
+                    for a in model.agents}, ZERO)
 
     def then(self, step) -> "Run":
         """Fire ``step``: its message goes to ``receivers(step,
@@ -468,7 +474,7 @@ class Run:
             if not ids <= known[a]:  # closed knowledge holding them is unchanged
                 known[a] = closure(known[a] | ids, model.rules)
         pc = self.pc[:step.sid - 1] + (step.index + 1,) + self.pc[step.sid:]
-        return Run(model, pc, known)
+        return Run(model, pc, known, step.ref)
 
     def goal(self) -> Optional[int]:
         """A goal-secret id the intruder knows once every required session

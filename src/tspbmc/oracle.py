@@ -3,15 +3,15 @@
 Independent ground truth for the SMT verdicts at desk scale, loading no
 module of the SMT path: a breadth-first search over step interleavings
 (so the first hit is at minimal depth). Each frontier node is a
-``model.Run`` (session pcs and closed knowledge): gating is checked
-against its intruder knowledge, and ``Run.goal`` is the goal test. The
-witness is built by ``witness.trace_of`` from the node's path, as
-``encoder.decode`` builds one from a sat model.
+``model.Run`` (session pcs, closed knowledge, last fired step): gating is
+checked against its intruder knowledge, and ``Run.goal`` is the goal
+test. The witness is built by ``witness.trace_of`` from the node's path,
+as ``encoder.decode`` builds one from a sat model.
 
 Timing is decided per explored prefix by ``dbm.solve`` over the fired
 steps' times: each frontier node carries its prefix's constraints and
-extends them by ``model.step_constraints`` (minimum delays, time
-non-decreasing along the interleaving, lifetime bounds). These are the
+extends them by ``model.step_constraints`` of its run (minimum delays,
+time non-decreasing along the interleaving, lifetime bounds). These are the
 concrete rules ``trace_of`` checks, written apart from the encoder's
 symbolic ones. An infeasible prefix can never become feasible by
 extension (extensions only add constraints), so pruning is sound and BFS
@@ -65,12 +65,12 @@ def explicit_reach(model: TiisModel, goal=None, depth: int = 1) -> OracleResult:
                 if st.gated and not constructible(run.known[INTRUDER], st.message,
                                                   model.universe):
                     continue
-                new_seq = seq + (st,)
-                new_cons = cons + tuple(step_constraints(new_seq))
+                new_cons = cons + tuple(step_constraints(run, st))
                 feasible, times = solve(new_cons)
                 if not feasible:
                     continue
                 new_run = run.then(st)
+                new_seq = seq + (st,)
                 if new_run.goal() is not None:
                     fired = ((s, times[s.ref]) for s in new_seq)
                     return OracleResult("attack-found", d, trace_of(model, fired, d))

@@ -205,10 +205,10 @@ def render_term(t: Term) -> str:
     raise TermError(f"not a term: {t!r}")
 
 
-def subterms(t: Term) -> frozenset:
-    """t plus all transitive components of pairs and ciphers."""
+def subterms(*terms: Term) -> frozenset:
+    """The given terms plus all transitive components of pairs and ciphers."""
     out = set()
-    stack = [t]
+    stack = list(terms)
     while stack:
         cur = stack.pop()
         if cur in out:
@@ -261,16 +261,16 @@ class TermUniverse:
     """Finite, deduplicated, subterm-closed carrier for the knowledge encoding.
 
     Ids are assigned by sorting the rendered text of all members, so the
-    numbering is deterministic regardless of insertion order.
+    numbering is deterministic regardless of insertion order. A subterm is
+    never deeper than the term that contains it, so the members' depth is
+    the universe's.
     """
 
     def __init__(self, members):
-        closed = set()
-        for t in members:
-            closed |= subterms(t)
-        self.terms = sorted(closed, key=render_term)
+        members = tuple(members)
+        self.terms = sorted(subterms(*members), key=render_term)
         self._ids = {t: i for i, t in enumerate(self.terms)}
-        self.depth = max((term_depth(t) for t in self.terms), default=0)
+        self.depth = max((term_depth(t) for t in members), default=0)
 
     def __len__(self) -> int:
         return len(self.terms)

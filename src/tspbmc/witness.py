@@ -74,7 +74,7 @@ def trace_of(model: TiisModel, fired, bound: int) -> Trace:
     of the run so far, or if no position reaches the goal."""
     universe = model.universe
     run = Run.start(model)
-    steps, events = [], []
+    events = []
     times = {ZERO: Fraction(0)}  # (sid, index) node -> fire time
     for j, (st, time) in enumerate(fired, start=1):
         if j > bound:
@@ -85,9 +85,8 @@ def trace_of(model: TiisModel, fired, bound: int) -> Trace:
         if st.gated and not constructible(run.known[INTRUDER], st.message, universe):
             raise ReplayViolation("gating", j, "intruder cannot construct "
                                   f"{render_term(st.message)}")
-        steps.append(st)
         times[st.ref] = time
-        for u, v, w, kind in step_constraints(steps):
+        for u, v, w, kind in step_constraints(run, st):
             if times[v] - times[u] > w:
                 raise ReplayViolation(kind, j, f"{_clock(v)} - {_clock(u)} = "
                                       f"{times[v] - times[u]}, must be <= {w}")

@@ -365,6 +365,23 @@ def test_check_rejects_a_scenario_it_cannot_mean(capsys, tmp_path, protocol, sce
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("protocol", ["wmf", "dsp"])
+@pytest.mark.parametrize("command", [["check"], ["oracle"], ["encode", "--bound", "4"],
+                                     ["dump-model"]])
+def test_a_goal_that_holds_before_any_step_exits_2(capsys, tmp_path, protocol, command):
+    # an empty complete: line requires no session, and the compromised key
+    # is the goal secret: the goal holds at the start, so no bound can mean it
+    text = library.get(protocol).protocol + "complete:\n"
+    (tmp_path / "p.ab").write_text(text, encoding="utf-8")
+    (tmp_path / "s.json").write_text(
+        '{"name": "kc", "compromised": ["Kab#1"], "overrides": []}', encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(tmp_path / "p.ab"), str(tmp_path / "s.json"),
+                         *command[1:])
+    assert (code, out, err) == (2, "", "error: the goal holds before any step: the intruder "
+                                "knows goal secret Kab#1 initially and no session must "
+                                "complete\n")
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
     for text, message in [
         ("[" * 100_000, "malformed JSON: nested too deeply"),
@@ -496,7 +513,19 @@ def test_an_oracle_out_of_memory_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "explicit_reach", explicit_reach)
     code, out, err = run(capsys, "oracle", "dsp", "key_compromise", "--sessions", "4")
     assert (code, out) == (3, "")
-    assert err == "inconclusive: the oracle's search ran out of memory\n"
+    assert err == "inconclusive: oracle ran out of memory\n"
+
+
+@pytest.mark.parametrize("command", [["check"], ["encode", "--bound", "4"], ["dump-model"]])
+def test_a_command_out_of_memory_exits_3(capsys, monkeypatch, command):
+    from tspbmc import cli
+
+    def build_model(spec, scenario, k):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_model", build_model)
+    code, out, err = run(capsys, command[0], "nspkt", "fair", *command[1:])
+    assert (code, out, err) == (3, "", f"inconclusive: {command[0]} ran out of memory\n")
 
 
 @pytest.mark.parametrize("command, origin", [("check", "SMT"), ("oracle", "oracle")])

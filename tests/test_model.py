@@ -1,8 +1,10 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from tspbmc.dbm import ZERO
 from tspbmc.errors import ModelError, ScenarioError
 from tspbmc.frontend import INTRUDER, parse_protocol, parse_scenario
 from tspbmc.model import (
@@ -14,6 +16,7 @@ from tspbmc.model import (
     constructible,
     initial_knowledge,
     model_to_json,
+    step_constraints,
 )
 from tspbmc.oracle import explicit_reach
 from tspbmc.terms import Cipher, Pair, TermUniverse, parse_term
@@ -204,6 +207,52 @@ def test_then_keeps_the_set_of_an_agent_that_learns_nothing(lib):
                 assert (after.known[a] is run.known[a]) == (after.known[a] == run.known[a]), \
                     (model.protocol, model.scenario, model.sessions, st.ref, a)
             run = after
+
+
+def test_step_at_indexes_the_grid(lib):
+    for model in library_models(lib, ks=(1, 2, 3, 4)):
+        n = model.steps_per_session()
+        assert len(model.exec_steps) == model.sessions * n
+        for sid in range(1, model.sessions + 1):
+            for i in range(1, n + 1):
+                assert model.step_at(sid, i) is next(
+                    st for st in model.exec_steps if st.ref == (sid, i))
+        for ref in ((0, 1), (model.sessions + 1, 1), (1, 0), (1, n + 1)):
+            with pytest.raises(KeyError):
+                model.step_at(*ref)
+
+
+def sequence_constraints(sequence) -> list:
+    """The timing rules of firing ``sequence[-1]``, read off the whole fired
+    sequence: the reference that ``step_constraints(run, step)`` must meet."""
+    st = sequence[-1]
+    pred = (st.sid, st.index - 1) if st.index > 1 else ZERO
+    prev = sequence[-2].ref if len(sequence) > 1 else ZERO
+    fired = {s.ref for s in sequence}
+    return ([(st.ref, pred, -st.min_delay, "delay"), (st.ref, prev, Fraction(0), "delay")]
+            + [(c.gen, st.ref, c.bound, "lifetime") for c in st.lifetime_checks
+               if c.gen in fired])
+
+
+def test_step_constraints_read_the_run(lib):
+    # at every position of random interleavings, the run holds what the
+    # fired sequence says about the timing rules
+    rng = random.Random(2026)
+    gen_fired = set()  # per lifetime check met, whether its generation step had fired
+    for model in library_models(lib, ks=(1, 2, 3)):
+        n = model.steps_per_session()
+        for _ in range(4):
+            run, sequence = Run.start(model), []
+            while len(sequence) < len(model.exec_steps):
+                sid = rng.choice([s for s, i in enumerate(run.pc, start=1) if i <= n])
+                st = model.step_at(sid, run.pc[sid - 1])
+                sequence.append(st)
+                expected = sequence_constraints(sequence)
+                assert step_constraints(run, st) == expected, [s.ref for s in sequence]
+                gen_fired |= {c.gen in {s.ref for s in sequence} for c in st.lifetime_checks}
+                run = run.then(st)
+            assert run.last == sequence[-1].ref
+    assert gen_fired == {True, False}
 
 
 def test_model_to_json_deterministic(lib):

@@ -148,3 +148,16 @@ def test_universe_deterministic_and_subterm_closed():
             assert s in u1
     assert all(u1.term_of(u1.id_of(t)) == t for t in u1)
     assert u1.depth == max(term_depth(t) for t in u1)
+
+
+def test_universe_closes_its_members_at_once():
+    # one subterms call over all members gives what closing each member on
+    # its own gives: the same terms, ids and depth
+    rng = random.Random(20261020)
+    for _ in range(300):
+        members = [_random_term(rng, 4) for _ in range(rng.randrange(6))]
+        closed = sorted(set().union(*(subterms(t) for t in members)), key=render_term)
+        u = TermUniverse(iter(members))
+        assert list(u) == closed
+        assert [u.id_of(t) for t in closed] == list(range(len(closed)))
+        assert u.depth == max((term_depth(t) for t in closed), default=0)
