@@ -8,9 +8,12 @@ step s has a fire flag ``f_s``, a fire time ``t_s`` and an order value
 ``o_s``, and sorting the fired steps by (t, o, sid, index) gives the run
 (``decode``).
 
-Only the goal's cone of influence is encoded (``model.cone``: every goal
-run has a run of cone steps that reaches the goal as early). The
-assertions are:
+Below the goal floor (n < ``model.goal_floor``, where no goal holds
+within n transitions) the script is the floor script: ``(set-logic
+QF_LRA)``, a comment naming n and the floor, ``(assert false)`` and
+``(check-sat)``, with no symbol and no encoded step. Otherwise only the
+goal's cone of influence is encoded (``model.cone``: every goal run has
+a run of cone steps that reaches the goal as early). The assertions are:
 
 - session order, unconditional: ``f_(sid,i) => f_(sid,i-1)``,
   ``t_(sid,i) >= t_(sid,i-1) + delay`` (the first step of a session
@@ -116,6 +119,9 @@ def support_formula(gate, fires) -> str:
 def encode(model: TiisModel, n: int) -> SmtScript:
     if n < 1:
         raise ValueError("bound must be >= 1")
+    if n < model.goal_floor:
+        return SmtScript(f"(set-logic QF_LRA)\n; bound {n} is below the goal floor "
+                         f"{model.goal_floor}\n(assert false)\n(check-sat)\n", {}, (), n)
     steps = [st for st in model.exec_steps if st.ref in model.cone]  # (sid, index) order
     m = len(steps)
 

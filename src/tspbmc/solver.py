@@ -45,7 +45,9 @@ the bounds are monotone and every exec step fires at most once. Every
 goal run reduces to a run of the goal's cone steps, so the bound at the
 cone's size covers every run. The loop queries min(cap, cone size)
 first and then works down from the length of each sat model's decoded
-trace, never below the goal floor L, where no goal holds.
+trace, never below the goal floor L, where no goal holds. Every check
+asks at least once, so a first query below L sends the encoder's floor
+script, ``(assert false)``.
 
 ``SolverConfig.command`` is a resolved command line. ``cli`` resolves it
 once per check with ``resolve_solver_command``, in this order: explicit

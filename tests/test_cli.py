@@ -90,16 +90,25 @@ def test_check_file_paths_accepted(capsys, tmp_path):
 
 
 def test_encode_determinism_and_out(capsys, tmp_path):
-    code, first, _ = run(capsys, "encode", "nspkt", "fair", "--bound", "3")
+    # bound 5 is mitm1_lowe's goal floor: the full encoding
+    code, first, _ = run(capsys, "encode", "nspkt", "mitm1_lowe", "--bound", "5")
     assert code == 0
-    _, second, _ = run(capsys, "encode", "nspkt", "fair", "--bound", "3")
+    _, second, _ = run(capsys, "encode", "nspkt", "mitm1_lowe", "--bound", "5")
     assert first == second
     assert first.startswith("(set-logic QF_LRA)")
     target = tmp_path / "problem.smt2"
-    code, out, _ = run(capsys, "encode", "nspkt", "fair", "--bound", "3",
+    code, out, _ = run(capsys, "encode", "nspkt", "mitm1_lowe", "--bound", "5",
                        "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text(encoding="utf-8") == first
+
+
+def test_encode_below_the_goal_floor_prints_the_floor_script(capsys):
+    # nspkt fair's goal is underivable: no goal holds before position 4
+    code, out, _ = run(capsys, "encode", "nspkt", "fair", "--bound", "2")
+    assert code == 0
+    assert out == ("(set-logic QF_LRA)\n; bound 2 is below the goal floor 4\n"
+                   "(assert false)\n(check-sat)\n")
 
 
 def test_encode_rejects_bad_bound(capsys):

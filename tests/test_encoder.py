@@ -19,14 +19,16 @@ def test_bound_must_be_positive(lib):
 
 
 def test_determinism(lib):
-    model = model_of(lib, "nspkt", "mitm1_lowe")
+    # below the goal floor 5, on floor-1 copies: the full encoding
+    model = replace(model_of(lib, "nspkt", "mitm1_lowe"), goal_floor=1)
     a = encode(model, 4).text
-    b = encode(model_of(lib, "nspkt", "mitm1_lowe"), 4).text
+    b = encode(replace(model_of(lib, "nspkt", "mitm1_lowe"), goal_floor=1), 4).text
     assert a == b
 
 
 def test_symbol_scheme_and_counts(lib):
-    model = model_of(lib, "nspkt", "fair")  # cone: session 1's 3 steps
+    # cone: session 1's 3 steps; the floor-1 copy is encoded in full
+    model = replace(model_of(lib, "nspkt", "fair"), goal_floor=1)
     script = encode(model, 3)
     assert script.steps == ((1, 1), (1, 2), (1, 3))
     # f, t and o per encoded step, and no counter at the step count
@@ -48,14 +50,14 @@ def test_symbol_scheme_and_counts(lib):
 
 
 def test_fixed_section_order(lib):
-    text = encode(model_of(lib, "nspkt", "fair"), 2).text
+    text = encode(replace(model_of(lib, "nspkt", "fair"), goal_floor=1), 2).text
     sections = [m for m in re.findall(r"^; (.+)$", text, re.M)]
     assert sections == ["declarations", "session order", "lifetimes", "gating",
                         "goal", "bound"]
 
 
 def test_declarations_sorted(lib):
-    text = encode(model_of(lib, "nspkt", "fair"), 2).text
+    text = encode(replace(model_of(lib, "nspkt", "fair"), goal_floor=1), 2).text
     names = re.findall(r"\(declare-const (\S+) ", text)
     assert names == sorted(names)
 
@@ -88,7 +90,7 @@ def test_goal_formula_disjunction_over_instances(lib):
 
 
 def test_lifetime_section(lib):
-    model = model_of(lib, "nspkt", "fair")
+    model = replace(model_of(lib, "nspkt", "fair"), goal_floor=1)
     text = encode(model, 3).text
     lifetimes = text.split("; lifetimes")[1].split("; knowledge")[0]
     # Ta#1 used at (1,2), generated at (1,1), bound 10
@@ -104,7 +106,7 @@ def test_render_value_forms():
 
 def test_bound_one_pigeonhole_unsat(lib):
     # completing a >1-step session within one transition is impossible
-    model = model_of(lib, "nspkt", "fair")
+    model = replace(model_of(lib, "nspkt", "fair"), goal_floor=1)
     result = run_solver(encode(model, 1), solver_config())
     assert result.status == "unsat"
 
@@ -121,7 +123,7 @@ def test_eavesdrop_off_removes_intruder_taps(lib):
     assert honest
 
     def taps(model):
-        text = encode(model, 4).text
+        text = encode(replace(model, goal_floor=1), 4).text
         formulas = text.split("; gating")[1]
         return {(st.sid, st.index) for st in honest
                 if re.search(rf"\bf_{st.sid}_{st.index}\b", formulas)}
@@ -144,7 +146,8 @@ def test_bound_monotonicity_on_attack_instance(lib):
 def test_fired_steps_are_session_prefixes_and_counted(lib):
     # a step fires only after its session predecessor, and below the cone's
     # 5 steps at most n of them fire
-    model = model_of(lib, "nspkt", "mitm1_lowe")  # attack at 5
+    # attack at 5, the goal floor: the floor-1 copy is encoded in full
+    model = replace(model_of(lib, "nspkt", "mitm1_lowe"), goal_floor=1)
     script = encode(model, 4)
     goal = script.text.split("; goal\n")[1].split("\n")[0]
 
@@ -169,6 +172,24 @@ def test_cap_script_grows_linearly_in_the_cone(lib):
 
 def test_encoding_reads_the_gate_table_not_the_labels(lib):
     for model in library_models(lib, ks=(1, 2, 3, 4)):
+        model = replace(model, goal_floor=1)  # every bound encoded in full
         bare = replace(model, labels=())
         for n in range(1, len(model.exec_steps) + 2):
             assert encode(bare, n) == encode(model, n)
+
+
+def test_below_the_goal_floor_is_the_floor_script(lib):
+    # no goal holds before position L, so a bound below it asks nothing of
+    # the model; from L on the script is the full encoding
+    floors = set()
+    for model in library_models(lib, ks=(1, 2, 3, 4)):
+        floor = model.goal_floor
+        floors.add(floor)
+        for n in range(1, floor):
+            assert encode(model, n) == SmtScript(
+                f"(set-logic QF_LRA)\n; bound {n} is below the goal floor {floor}\n"
+                "(assert false)\n(check-sat)\n", {}, (), n)
+        full = encode(model, floor)
+        assert full == encode(replace(model, goal_floor=1), floor)
+        assert full.steps and full.text.startswith("(set-logic QF_LRA)\n; declarations\n")
+    assert min(floors) > 1

@@ -293,13 +293,15 @@ def test_iterate_bounds_timeout_below_a_found_attack(lib):
 @pytest.mark.parametrize("scenario", ["fair", "mitm1_lowe"])
 def test_bound_above_step_count_adds_nothing(lib, scenario):
     # each exec step fires at most once, so a bound past the step count
-    # limits nothing: it decides the same as the step count
+    # limits nothing: it decides the same as the step count, also on the
+    # floor-1 copy, where a step count below the goal floor is encoded in full
     model = model_of(lib, "nspkt", scenario)
     steps = len(model.exec_steps)
-    statuses = [run_solver(encode(model, n), solver_config()).status
-                for n in (steps, steps + 1)]
-    assert statuses[0] == statuses[1]
-    assert statuses[0] == ("sat" if scenario == "mitm1_lowe" else "unsat")
+    for encoded in (model, replace(model, goal_floor=1)):
+        statuses = [run_solver(encode(encoded, n), solver_config()).status
+                    for n in (steps, steps + 1)]
+        assert statuses[0] == statuses[1]
+        assert statuses[0] == ("sat" if scenario == "mitm1_lowe" else "unsat")
 
 
 def stdin_logging(logfile, per_pid=False) -> str:
@@ -387,17 +389,20 @@ def stranded_model(lib):
 def test_bound_n_is_sat_iff_oracle_attack_within_n(lib):
     # the idle-suffix encoding is exact: the bound-n script is sat iff some
     # run of at most n transitions reaches the goal, also where no run
-    # fires every exec step and past the step count
+    # fires every exec step and past the step count. On the floor-1 copy
+    # every bound is encoded in full; on the model itself a bound below the
+    # goal floor is the floor script, which checks the floor against the oracle
     models = list(library_models(lib)) + [stranded_model(lib)]
     assert len(models) >= 13
     for model in models:
         steps = default_max_bound(model)
         for n in range(1, steps + 2):
-            status = run_solver(encode(model, n), solver_config()).status
             oracle = explicit_reach(model, depth=n)
-            assert status == ("sat" if oracle.outcome == "attack-found"
-                              else "unsat"), (model.protocol, model.scenario,
-                                              model.sessions, n)
+            for encoded in (model, replace(model, goal_floor=1)):
+                status = run_solver(encode(encoded, n), solver_config()).status
+                assert status == ("sat" if oracle.outcome == "attack-found"
+                                  else "unsat"), (model.protocol, model.scenario,
+                                                  model.sessions, n, encoded.goal_floor)
 
 
 def test_bound_n_is_sat_iff_oracle_attack_within_n_on_a_partial_cone(lib):
@@ -405,10 +410,11 @@ def test_bound_n_is_sat_iff_oracle_attack_within_n_on_a_partial_cone(lib):
     model = model_of(lib, "nspkt", "mitm1_lowe", k=3)
     assert (len(model.cone), default_max_bound(model)) == (5, 9)
     for n in range(1, 11):
-        status = run_solver(encode(model, n), solver_config()).status
         oracle = explicit_reach(model, depth=n)
-        assert status == ("sat" if oracle.outcome == "attack-found"
-                          else "unsat"), n
+        for encoded in (model, replace(model, goal_floor=1)):
+            status = run_solver(encode(encoded, n), solver_config()).status
+            assert status == ("sat" if oracle.outcome == "attack-found"
+                              else "unsat"), (n, encoded.goal_floor)
 
 
 def test_attack_at_the_goal_floor_takes_one_query(lib):

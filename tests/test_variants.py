@@ -75,6 +75,8 @@ def test_verdict_and_minimal_bound_match_the_oracle(sample):
         oracle = explicit_reach(model, depth=default_max_bound(model))
         if oracle.outcome == "attack-found":
             attacks += 1
+            # a bound below the goal floor is answered by (assert false)
+            assert oracle.depth >= model.goal_floor, key
             assert (verdict.outcome, verdict.bound) == ("attack-found", oracle.depth), key
             trace = decode(verdict.result, encode(model, verdict.bound), model)
             assert replay(trace, model) is None, key
