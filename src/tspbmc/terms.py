@@ -5,6 +5,11 @@ payloads and witness reports all use the same text form, e.g.
 ``<KB,Ta#1|A>`` for a pair of the nonce Ta (session 1) and the identity A
 encrypted under B's public key.
 
+Terms are interned: constructing a term returns the one object that has
+that value, so ``==`` is identity and a term hashes in O(1) however deep
+it is. The table of terms lives as long as the process. Terms are
+read-only, and copying or unpickling one gives back the same object.
+
 Surface conventions (single-letter agent names):
   A           identity
   KA          public key of A
@@ -21,7 +26,6 @@ Surface conventions (single-letter agent names):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import TermError, TermSyntaxError
@@ -31,50 +35,92 @@ Term = Union["Ident", "PubKey", "PrivKey", "SymKey", "Fresh", "Pair", "Cipher"]
 FRESH_CLASSES = ("nonce", "timestamp", "sesskey")
 
 
-@dataclass(frozen=True)
-class Ident:
-    agent: str
+# (class, *field values) -> the one term with that value. It lives as long
+# as the process, and setdefault publishes each new term exactly once.
+_TABLE: dict = {}
 
 
-@dataclass(frozen=True)
-class PubKey:
-    agent: str
+def _intern(cls, *values):
+    key = (cls, *values)
+    term = _TABLE.get(key)
+    if term is None:
+        term = object.__new__(cls)
+        for field, value in zip(cls.__slots__, values):
+            object.__setattr__(term, field, value)
+        term = _TABLE.setdefault(key, term)
+    return term
 
 
-@dataclass(frozen=True)
-class PrivKey:
-    agent: str
+class _Term:
+    """An interned, read-only term: equality is identity, and the hash is
+    the object's own. ``_text`` holds the rendered text once rendered."""
+
+    __slots__ = ("_text",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {value!r} to field {name!r} of a term")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a term")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the term through its
+        # constructor, which returns the interned object
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
-@dataclass(frozen=True)
-class SymKey:
-    a: str
-    b: str
+class Ident(_Term):
+    __slots__ = ("agent",)
 
-    def __post_init__(self):
+    def __new__(cls, agent: str):
+        return _intern(cls, agent)
+
+
+class PubKey(_Term):
+    __slots__ = ("agent",)
+
+    def __new__(cls, agent: str):
+        return _intern(cls, agent)
+
+
+class PrivKey(_Term):
+    __slots__ = ("agent",)
+
+    def __new__(cls, agent: str):
+        return _intern(cls, agent)
+
+
+class SymKey(_Term):
+    __slots__ = ("a", "b")
+
+    def __new__(cls, a: str, b: str):
         # canonical form: agent pair sorted
-        if self.a > self.b:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+        return _intern(cls, a, b) if a <= b else _intern(cls, b, a)
 
 
-@dataclass(frozen=True)
-class Fresh:
-    name: str
-    sid: Optional[int] = None
+class Fresh(_Term):
+    __slots__ = ("name", "sid")
+
+    def __new__(cls, name: str, sid: Optional[int] = None):
+        return _intern(cls, name, sid)
 
 
-@dataclass(frozen=True)
-class Pair:
-    left: Term
-    right: Term
+class Pair(_Term):
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Term, right: Term):
+        return _intern(cls, left, right)
 
 
-@dataclass(frozen=True)
-class Cipher:
-    key: Term
-    body: Term
+class Cipher(_Term):
+    __slots__ = ("key", "body")
+
+    def __new__(cls, key: Term, body: Term):
+        return _intern(cls, key, body)
 
 
 _KEY_FORMS = (PubKey, PrivKey, SymKey, Fresh)
@@ -187,7 +233,16 @@ def parse_term(text: str) -> Term:
 
 
 def render_term(t: Term) -> str:
-    """Canonical text form; parse_term(render_term(t)) == t."""
+    """Canonical text form; parse_term(render_term(t)) is t. Each distinct
+    term is rendered once; later calls return the stored text."""
+    text = getattr(t, "_text", None)
+    if text is None:
+        text = _render(t)
+        object.__setattr__(t, "_text", text)
+    return text
+
+
+def _render(t: Term) -> str:
     if isinstance(t, Ident):
         return t.agent
     if isinstance(t, PubKey):

@@ -149,6 +149,24 @@ def test_library_get_reads_only_the_named_entry(monkeypatch):
     assert set(read) <= {"__pycache__"}  # a directory without protocol.ab
 
 
+def test_library_entries_are_read_once_and_read_only(monkeypatch):
+    entry = library.get("dsp")
+    every = library.entries()
+
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"opened a file: {args!r} {kwargs!r}")
+
+    for name in ("open", "read_text"):
+        monkeypatch.setattr(Path, name, no_open)
+    monkeypatch.setattr("builtins.open", no_open)
+    assert library.get("dsp") is entry
+    assert library.entries() == every and every["dsp"] is entry
+    with pytest.raises(TypeError):
+        entry.scenarios["fair"] = "{}"
+    with pytest.raises(KeyError):
+        library.get("dsp/../wmf")
+
+
 def test_check_queries_the_cone_and_reports_the_cap(capsys):
     # nspkt fair at k=3: the goal's cone is session 1's 3 steps, so one
     # query at bound 3 covers all 9 steps' runs
@@ -622,6 +640,33 @@ def test_list_help_and_usage_errors_load_no_pipeline_layer(argv):
     *modules, dataclasses = run_fresh(LOADED, *argv).splitlines()[-1].split()
     assert modules == FRONT
     assert dataclasses == "False"
+
+
+# each command's exit code, then its output, in one interpreter
+EXITS = ("import sys; from tspbmc.cli import main\n"
+         "for argv in sys.argv[1:]:\n"
+         "    print('exit', main(argv.split()), flush=True)\n")
+HASH_ORDER = ["dump-model wmf replay_generous --sessions 2",
+              "check wmf replay_generous --sessions 2 --format json",
+              "dump-model nspkt fair --sessions 3",
+              "check nspkt fair --sessions 3 --format json"]
+
+
+def test_output_does_not_follow_hash_order():
+    # terms hash by identity, so set iteration order differs between
+    # processes even under one PYTHONHASHSEED; no output may follow it
+    runs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", EXITS, *HASH_ORDER], capture_output=True,
+            text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed))
+        proc.check_returncode()
+        runs.append((proc.stdout, re.sub(r" \(\d+\.\d+s\)", "", proc.stderr)))
+    assert runs[0] == runs[1]
+    assert re.findall(r"^exit (\d+)$", runs[0][0], re.M) == ["0", "10", "0", "0"]
+    assert re.findall(r"^bound \d+: .*$", runs[0][1], re.M) == ["bound 6: sat",
+                                                                "bound 3: unsat"]
 
 
 def test_check_loads_the_pipeline():

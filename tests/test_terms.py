@@ -1,7 +1,12 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
+from tspbmc import terms
 from tspbmc.errors import TermError, TermSyntaxError
 from tspbmc.terms import (
     MAX_DEPTH,
@@ -104,7 +109,87 @@ def test_parse_render_round_trip_randomized():
     rng = random.Random(20240817)
     for _ in range(1000):
         t = _random_term(rng, 4)
-        assert parse_term(render_term(t)) == t
+        assert parse_term(render_term(t)) is t  # the one object of that value
+
+
+def test_equal_constructions_are_one_object():
+    assert Ident("A") is Ident(agent="A")
+    assert PubKey("A") is PubKey(agent="A") and PrivKey("A") is PrivKey(agent="A")
+    assert SymKey("B", "A") is SymKey("A", "B") is SymKey(b="A", a="B")
+    assert Fresh("Na") is Fresh("Na", None) is Fresh(name="Na")
+    assert Fresh("Na", 1) is Fresh(sid=1, name="Na")
+    assert Pair(Ident("A"), Fresh("Ta", 1)) is Pair(right=Fresh("Ta", 1), left=Ident("A"))
+    assert Cipher(PubKey("B"), Ident("A")) is Cipher(key=PubKey("B"), body=Ident("A"))
+    # values that differ stay apart, across classes too
+    assert len({Ident("A"), PubKey("A"), PrivKey("A"), Fresh("Na"), Fresh("Na", 1)}) == 5
+
+
+def test_threads_building_the_same_new_terms_get_one_object_each():
+    # more threads than cores, switching often, each building the same
+    # 1000 terms that no other test builds; a lost publish would leave two
+    # objects for one value
+    barrier = threading.Barrier(8, timeout=30)
+    built = []
+
+    def build():
+        barrier.wait()
+        built.append([Pair(Fresh("Zt", i), Cipher(SymKey("Y", "Z"), Fresh("Zt", i)))
+                      for i in range(1000, 2000)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and len(built) == 8
+    for terms_of_one_thread in built[1:]:
+        assert all(a is b for a, b in zip(terms_of_one_thread, built[0], strict=True))
+
+
+def test_fields_are_read_only():
+    t = parse_term("<KB,Ta#1|A>")
+    for term, field in ((t, "key"), (t.body, "left"), (Fresh("Ta"), "sid"),
+                        (SymKey("A", "B"), "a"), (Ident("A"), "agent")):
+        with pytest.raises(AttributeError):
+            setattr(term, field, Ident("Z"))
+        with pytest.raises(AttributeError):
+            delattr(term, field)
+    assert render_term(t) == "<KB,Ta#1|A>"
+
+
+def test_copy_deepcopy_and_pickle_give_the_same_object():
+    deep = parse_term("<KB," * MAX_DEPTH + "A" + ">" * MAX_DEPTH)
+    for t in (parse_term("KA'|KAS|<KB,Ta#1|A>"), Fresh("Na"), deep):
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(t, protocol)) is t
+
+
+def test_repr_is_the_dataclass_form():
+    assert repr(parse_term("<KB,Ta#1|A>")) == (
+        "Cipher(key=PubKey(agent='B'), "
+        "body=Pair(left=Fresh(name='Ta', sid=1), right=Ident(agent='A')))")
+    assert repr(SymKey("S", "A")) == "SymKey(a='A', b='S')"
+    assert repr(PrivKey("A")) == "PrivKey(agent='A')"
+    assert repr(Fresh("Na")) == "Fresh(name='Na', sid=None)"
+
+
+def test_each_term_is_rendered_once(monkeypatch):
+    rendered = []
+    real = terms._render
+    monkeypatch.setattr(terms, "_render", lambda t: rendered.append(t) or real(t))
+    t = Pair(Fresh("Zr", 3), Cipher(SymKey("Y", "Z"), Fresh("Zr", 3)))
+    assert render_term(t) == "Zr#3|<KYZ,Zr#3>"
+    assert render_term(t) == "Zr#3|<KYZ,Zr#3>"
+    assert rendered == [t, Fresh("Zr", 3), t.right, SymKey("Y", "Z")]
+    with pytest.raises(TermError, match="not a term"):
+        render_term(("Zr", 3))
 
 
 def test_subterms():
