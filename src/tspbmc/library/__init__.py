@@ -9,22 +9,17 @@ extractable to plain files with ``tspbmc list --export DIR``.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from pathlib import Path
-from types import MappingProxyType
 
-# protocol: the protocol.ab source text; scenarios: a read-only map of
-# scenario name -> JSON text; notes: the protocol file's comment lines
+# protocol: the protocol.ab source text; scenarios: scenario name -> JSON
+# text; notes: the protocol file's comment lines
 LibraryEntry = namedtuple("LibraryEntry", "name protocol scenarios notes")
 
 _DIR = Path(__file__).parent
 
 
-@lru_cache(maxsize=None)
 def _read_entry(item) -> LibraryEntry | None:
-    """The entry in package directory ``item``; None if it is not one.
-    The files are package data, so each directory is read once per
-    process."""
+    """The entry in package directory ``item``; None if it is not one."""
     if not item.is_dir() or not (item / "protocol.ab").is_file():
         return None
     scenarios = {}
@@ -37,7 +32,7 @@ def _read_entry(item) -> LibraryEntry | None:
         for line in first.splitlines()
         if line.startswith("#")
     )
-    return LibraryEntry(item.name, first, MappingProxyType(scenarios), notes)
+    return LibraryEntry(item.name, first, scenarios, notes)
 
 
 def entries() -> dict:

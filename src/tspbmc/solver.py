@@ -53,9 +53,7 @@ script, ``(assert false)``.
 once per check with ``resolve_solver_command``, in this order: explicit
 ``--solver`` command, ``TSPBMC_SOLVER``, ``z3 -in`` if z3 is on PATH, and
 finally the bundled fallback solver (``python -m tspbmc.smtlite``), started
-with this ``tspbmc``'s directory first on its ``PYTHONPATH``. Each distinct
-command string is split once per process; ``TSPBMC_SOLVER`` and ``PATH``
-are read on every call.
+with this ``tspbmc``'s directory first on its ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -72,7 +70,6 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 from .encoder import SmtScript, decode, encode
@@ -125,19 +122,12 @@ class Verdict:
     per_bound_log: tuple = ()  # (bound, status, wall seconds) in query order
 
 
-@lru_cache(maxsize=None)
-def _split(source: str) -> tuple:
-    """The words of a solver command, split once per process; a malformed
-    one raises ValueError on every call, as nothing is cached for it."""
-    return tuple(shlex.split(source))
-
-
 def resolve_solver_command(explicit: Optional[str] = None) -> tuple:
     """Pick the solver command line; see module docstring for the order."""
     for source in (explicit, os.environ.get("TSPBMC_SOLVER") or None):
         if source is not None:
             try:
-                parts = _split(source)
+                parts = tuple(shlex.split(source))
             except ValueError as e:
                 raise SolverError(f"solver command {source!r}: {e}") from e
             return parts  # SolverConfig rejects an empty one

@@ -7,8 +7,10 @@ encrypted under B's public key.
 
 Terms are interned: constructing a term returns the one object that has
 that value, so ``==`` is identity and a term hashes in O(1) however deep
-it is. The table of terms lives as long as the process. Terms are
-read-only, and copying or unpickling one gives back the same object.
+it is. The table of terms lives as long as the process and is never
+emptied: a process keeps every distinct term it has built, so a
+long-lived caller that builds ever new terms grows without bound. Terms
+are read-only, and copying or unpickling one gives back the same object.
 
 Surface conventions (single-letter agent names):
   A           identity

@@ -149,24 +149,6 @@ def test_library_get_reads_only_the_named_entry(monkeypatch):
     assert set(read) <= {"__pycache__"}  # a directory without protocol.ab
 
 
-def test_library_entries_are_read_once_and_read_only(monkeypatch):
-    entry = library.get("dsp")
-    every = library.entries()
-
-    def no_open(*args, **kwargs):
-        raise AssertionError(f"opened a file: {args!r} {kwargs!r}")
-
-    for name in ("open", "read_text"):
-        monkeypatch.setattr(Path, name, no_open)
-    monkeypatch.setattr("builtins.open", no_open)
-    assert library.get("dsp") is entry
-    assert library.entries() == every and every["dsp"] is entry
-    with pytest.raises(TypeError):
-        entry.scenarios["fair"] = "{}"
-    with pytest.raises(KeyError):
-        library.get("dsp/../wmf")
-
-
 def test_check_queries_the_cone_and_reports_the_cap(capsys):
     # nspkt fair at k=3: the goal's cone is session 1's 3 steps, so one
     # query at bound 3 covers all 9 steps' runs

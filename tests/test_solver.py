@@ -153,27 +153,6 @@ def test_resolve_solver_command(monkeypatch):
     assert resolve_solver_command() == ("/usr/bin/z3", "-in")
 
 
-def test_resolve_solver_command_splits_each_string_once(monkeypatch):
-    split = []
-    real = shlex.split
-    monkeypatch.setattr(shlex, "split", lambda s: split.append(s) or real(s))
-    command = "split-once-solver --in 'a b'"
-    for _ in range(2):
-        assert resolve_solver_command(command) == ("split-once-solver", "--in", "a b")
-    assert split == [command]
-    # the environment is read on every call, and a new value is honoured
-    monkeypatch.setenv("TSPBMC_SOLVER", "split-once-env -in")
-    assert resolve_solver_command() == ("split-once-env", "-in")
-    monkeypatch.setenv("TSPBMC_SOLVER", command)
-    assert resolve_solver_command() == ("split-once-solver", "--in", "a b")
-    assert split == [command, "split-once-env -in"]
-    # nothing is kept for a malformed string: it fails every time
-    for _ in range(2):
-        with pytest.raises(SolverError, match="No closing quotation"):
-            resolve_solver_command("split-once-solver 'open")
-    assert split[2:] == ["split-once-solver 'open"] * 2
-
-
 def test_iterate_bounds_no_attack(lib):
     model = model_of(lib, "nspkt", "fair")
     verdict = iterate_bounds(model, config=solver_config(max_bound=6))
