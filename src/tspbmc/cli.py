@@ -285,6 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signals():
+    """In the main thread, make SIGTERM and SIGHUP at their default action
+    raise SystemExit(128 + signum) from now on. Unlike that action, the exit
+    closes the solver child, as Ctrl-C does: during its wait, or at exit."""
+    import signal
+    import threading
+
+    if threading.current_thread() is threading.main_thread():
+        for sig in (signal.SIGTERM, signal.SIGHUP):
+            if signal.getsignal(sig) is signal.SIG_DFL:
+                signal.signal(sig, lambda signum, _: sys.exit(128 + signum))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -293,6 +306,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     if args.func is not cmd_list:
         _pipeline()
+        _exit_on_signals()
     try:
         return args.func(args)
     except (UsageError, TspbmcError, OSError) as e:

@@ -37,6 +37,7 @@ Optional scenario keys: ``sessions``, ``eavesdrop``, ``compromised``
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
@@ -57,12 +58,18 @@ from .terms import (
 INTRUDER = "I"
 
 
+_RATIONAL_RE = re.compile(r"\s*[-+]?([0-9]+/[0-9]+|[0-9]*\.?[0-9]+|[0-9]+\.)\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Accept integers, decimals and p/q forms."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"bad rational {text!r}") from e
+    """Accept integers, decimals and p/q forms, but no exponent, which
+    Fraction would expand (1e999999999 to a billion digits)."""
+    if _RATIONAL_RE.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # q = 0, or past int()'s digit limit
+            pass
+    raise ValueError(f"bad rational {text!r}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +158,8 @@ class ExecStep:
 
 _ROLE_RE = re.compile(r"^[A-Z]$")
 _FRESH_NAME_RE = re.compile(r"^[A-Z][a-z][A-Za-z0-9]*$")
-_STEP_RE = re.compile(
-    r"^step\s+(\d+)\s*:\s*([A-Z])\s*->\s*([A-Z])\s*:\s*(.*?)(?:\s+delay\s+(\S+))?$"
+_STEP_RE = re.compile(  # at most 9 index digits, so int() never refuses one
+    r"^step\s+(\d{1,9})\s*:\s*([A-Z])\s*->\s*([A-Z])\s*:\s*(.*?)(?:\s+delay\s+(\S+))?$"
 )
 _EDGE_RE = re.compile(r"^([A-Z])\s*->\s*([A-Z])$")
 
@@ -318,7 +325,7 @@ _SCENARIO_KEYS = {"name", "overrides", "sessions", "eavesdrop", "compromised"}
 def parse_scenario(json_text: str) -> Scenario:
     try:
         data = json.loads(json_text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a syntax error, or an integer too long for int()
         raise ScenarioError(f"malformed JSON: {e}")
     except RecursionError:
         raise ScenarioError("malformed JSON: nested too deeply")
@@ -413,6 +420,8 @@ def _is_int(value) -> bool:
 
 def _override_rational(value, i: int) -> Fraction:
     try:
+        if isinstance(value, float) and math.isfinite(value):
+            return Fraction(str(value))  # a JSON number: its exponent is bounded
         return parse_rational(str(value))
     except ValueError as e:
         raise ScenarioError(f"override {i}: {e}")

@@ -350,8 +350,10 @@ def support_labels(universe: TermUniverse, rules, init, roots) -> list:
 
 
 def receivers(step, eavesdrop: bool) -> set:
-    """Agents that learn ``step``'s message when it fires."""
-    return {step.receiver, INTRUDER} if eavesdrop else {step.receiver}
+    """Agents that learn ``step``'s message when it fires: its receiver, and
+    the intruder if it eavesdrops on an honest send. Its own sends, of what
+    it knows already, teach it nothing and deliver it no root."""
+    return {step.receiver, INTRUDER} if eavesdrop and not step.gated else {step.receiver}
 
 
 def intruder_deliveries(steps, universe: TermUniverse, eavesdrop: bool) -> dict:

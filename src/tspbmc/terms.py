@@ -15,14 +15,16 @@ are read-only, and copying or unpickling one gives back the same object.
 Surface conventions (single-letter agent names):
   A           identity
   KA          public key of A
-  KA'         private key of A (apostrophe suffix; defined convention,
-              the literature rarely writes private keys inline)
-  KAB         symmetric key shared by A and B (agent pair is unordered,
-              rendered with the agents sorted)
+  KA'         private key of A (apostrophe suffix)
+  KAB         symmetric key shared by A and B (unordered, rendered sorted)
   Ta, Kab     fresh atoms (nonce / timestamp / session key), optionally
               suffixed with a session index: Ta#2
   x|y         concatenation, right-associative: x|y|z == x|(y|z)
   <k,m>       encryption of m under k
+
+Grammar: ``term := unit ['|' term]``, ``unit := '<' term ',' term '>' |
+atom``, so a cipher may head a pair (``<KAS,Kab>|<KBS,Kab>``) and a pair
+whose left part is a pair has no text form. Whitespace may separate tokens.
 """
 
 from __future__ import annotations
@@ -128,115 +130,88 @@ class Cipher(_Term):
 _KEY_FORMS = (PubKey, PrivKey, SymKey, Fresh)
 MAX_DEPTH = 256  # pairs and ciphers a parsed term may nest
 
-_IDENT_RE = re.compile(r"^[A-Z]$")
-_PUBKEY_RE = re.compile(r"^K[A-Z]$")
-_SYMKEY_RE = re.compile(r"^K[A-Z][A-Z]$")
-_FRESH_RE = re.compile(r"^[A-Z][a-z][A-Za-z0-9]*$")
+# One token after any whitespace; group 1 is empty where no token starts.
+_TOKEN = re.compile(r"""\s*(
+    ([<,>|])                                      # 2 punctuation
+  | ([A-Z])(?![A-Za-z0-9])                        # 3 identity A
+  | K([A-Z])(?![A-Za-z0-9])(\s*')?                # 4 public key KA, 5 private KA'
+  | K([A-Z])([A-Z])(?![A-Za-z0-9])                # 6, 7 symmetric key KAB
+  | ([A-Z][a-z][A-Za-z0-9]*)(?:\s*\#([0-9]*))?    # 8 fresh Ta, 9 its session Ta#2
+  | [A-Z][A-Za-z0-9]*                             # any other name
+  |)""", re.VERBOSE)
 
 
 def is_key_form(t: Term) -> bool:
-    """True for terms allowed in the key position of a cipher.
-
-    Fresh atoms are accepted here; whether such an atom really is a
-    session key is checked against the declarations by the frontend.
-    """
+    """True for terms allowed in the key position of a cipher; the frontend
+    checks that a fresh atom there is a declared session key."""
     return isinstance(t, _KEY_FORMS)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str):
-        raise TermSyntaxError(msg, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def term(self, depth: int = 0) -> Term:
-        """A term inside ``depth`` pairs and ciphers."""
-        if depth > MAX_DEPTH:
-            self.error(f"term nested more than {MAX_DEPTH} levels deep")
-        if self.peek() == "<":
-            return self.enc(depth)
-        return self.cat(depth)
-
-    def enc(self, depth: int) -> Cipher:
-        key_pos = self.pos
-        self.expect("<")
-        key = self.term(depth + 1)
-        if not is_key_form(key):
-            raise TermSyntaxError("cipher key must be a key-form term", key_pos)
-        self.expect(",")
-        body = self.term(depth + 1)
-        self.expect(">")
-        return Cipher(key, body)
-
-    def cat(self, depth: int) -> Term:
-        left = self.atom()
-        if self.peek() == "|":
-            self.pos += 1
-            return Pair(left, self.term(depth + 1))
-        return left
-
-    def atom(self) -> Term:
-        self.skip_ws()
-        m = re.match(r"[A-Z][A-Za-z0-9]*", self.text[self.pos:])
-        if not m:
-            self.error("expected an atom")
-        name = m.group(0)
-        self.pos += len(name)
-        if _IDENT_RE.match(name):
-            return Ident(name)
-        if _PUBKEY_RE.match(name):
-            agent = name[1]
-            if self.peek() == "'":
-                self.pos += 1
-                return PrivKey(agent)
-            return PubKey(agent)
-        if _SYMKEY_RE.match(name):
-            return SymKey(name[1], name[2])
-        if _FRESH_RE.match(name):
-            sid = None
-            if self.peek() == "#":
-                self.pos += 1
-                m = re.match(r"[0-9]+", self.text[self.pos:])
-                if not m:
-                    self.error("malformed session suffix")
-                sid = int(m.group(0))
-                self.pos += len(m.group(0))
-                if sid < 1:
-                    self.error("session index must be >= 1")
-            return Fresh(name, sid)
-        self.error(f"unrecognized atom {name!r}")
-
-
 def parse_term(text: str) -> Term:
-    """Parse term text into its canonical Term."""
+    """Parse term text into its canonical Term (grammar: module docstring)."""
     if not text or not text.strip():
         raise TermSyntaxError("empty term", 0)
-    p = _Parser(text)
-    t = p.term()
-    p.skip_ws()
-    if p.pos != len(p.text):
-        p.error("trailing input after term")
+    m = _TOKEN.match(text)  # the next token
+
+    def expect(ch: str):
+        nonlocal m
+        if m[1] != ch:
+            raise TermSyntaxError(f"expected {ch!r}", m.start(1))
+        m = _TOKEN.match(text, m.end())
+
+    def term(depth: int) -> Term:
+        """A term inside ``depth`` pairs and ciphers, or one more if a pair follows."""
+        nonlocal m
+        if depth > MAX_DEPTH:
+            raise TermSyntaxError(f"term nested more than {MAX_DEPTH} levels deep", m.start())
+        if m[1] == "<":
+            key_pos = m.start(1)
+            expect("<")
+            key = term(depth + 1)
+            if not is_key_form(key):
+                raise TermSyntaxError("cipher key must be a key-form term", key_pos)
+            expect(",")
+            unit = Cipher(key, term(depth + 1))
+            expect(">")
+        else:
+            unit = _atom(m)
+            m = _TOKEN.match(text, m.end())
+        if m[1] != "|":
+            return unit
+        expect("|")
+        if isinstance(unit, Cipher) and depth + 1 + term_depth(unit) > MAX_DEPTH:
+            raise TermSyntaxError(f"term nested more than {MAX_DEPTH} levels deep", m.start())
+        return Pair(unit, term(depth + 1))
+
+    t = term(0)
+    if m.start(1) != len(text):
+        raise TermSyntaxError("trailing input after term", m.start(1))
     return t
 
 
+def _atom(m) -> Term:
+    if m[3]:
+        return Ident(m[3])
+    if m[4]:
+        return PrivKey(m[4]) if m[5] else PubKey(m[4])
+    if m[6]:
+        return SymKey(m[6], m[7])
+    if m[8]:
+        try:
+            sid = None if m[9] is None else int(m[9])
+        except ValueError:  # no digit, or more than int() converts
+            raise TermSyntaxError("malformed session suffix", m.start(9)) from None
+        if sid is not None and sid < 1:
+            raise TermSyntaxError("session index must be >= 1", m.end())
+        return Fresh(m[8], sid)
+    if m[1] and not m[2]:
+        raise TermSyntaxError(f"unrecognized atom {m[1]!r}", m.end(1))
+    raise TermSyntaxError("expected an atom", m.start(1))
+
+
 def render_term(t: Term) -> str:
-    """Canonical text form; parse_term(render_term(t)) is t. Each distinct
-    term is rendered once; later calls return the stored text."""
+    """Canonical text form, which parses back to t unless a pair of t has a
+    pair on its left. Each distinct term is rendered once, then stored."""""
     text = getattr(t, "_text", None)
     if text is None:
         text = _render(t)

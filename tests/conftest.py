@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -53,6 +54,25 @@ step 1: A -> B : <Kab, Na>
 """
 
 
+def replay_chain(k: int, lifetime) -> str:
+    """The replay chain, a scenario for the wmf protocol: KBS is
+    compromised, and each session 2..k replays session 1's first message to
+    S, as replay_tight's session 2 does, with ``lifetime`` on Ta. It is safe
+    at lifetime 3, and has an attack at bound 3k at lifetime 100."""
+    overrides = []
+    for sid in range(2, k + 1):
+        overrides += [
+            {"sid": sid, "step": 1, "kind": "intruder", "edge": "I->S",
+             "L": "<KAS,Ta#1|B|Kab#1>"},
+            {"sid": sid, "step": 2, "kind": "replace", "edge": "S->B",
+             "L": "<KBS,Ta#1|A|Kab#1>", "delay": 8, "lifetime": {"Ta": lifetime}},
+            {"sid": sid, "step": 3, "kind": "replace", "edge": "B->A",
+             "L": "<Kab#1,Ta#1>", "lifetime": {"Ta": lifetime}},
+        ]
+    return json.dumps({"name": f"replay_chain_{lifetime}", "sessions": k,
+                       "compromised": ["KBS"], "overrides": overrides})
+
+
 def load(lib, protocol: str, scenario: str):
     entry = lib[protocol]
     return (parse_protocol(entry.protocol),
@@ -77,14 +97,15 @@ def library_models(lib, ks=(1, 2)):
 
 def assert_labels_exact(model, rng, samples: int):
     """The minimal root supports agree with concrete closure: on random
-    subsets S of the intruder's roots (plus the empty and the full set), a
-    term is in closure(init[I] | S) iff some support is a subset of S, and
-    a gated message is constructible iff some support of its label is.
-    Every support is minimal."""
+    subsets S of the intruder's roots, the messages of the honest sends it
+    sees (plus the empty and the full set), a term is in closure(init[I] |
+    S) iff some support is a subset of S, and a gated message is
+    constructible iff some support of its label is. Every support is
+    minimal."""
     rules, universe = model.rules, model.universe
     init = model.initial_knowledge[INTRUDER]
     roots = sorted({universe.id_of(st.message) for st in model.exec_steps
-                    if st.receiver == INTRUDER or model.eavesdrop})
+                    if not st.gated and (st.receiver == INTRUDER or model.eavesdrop)})
     subsets = [frozenset(), frozenset(roots)] + [
         frozenset(rng.sample(roots, rng.randrange(len(roots) + 1)))
         for _ in range(samples)]

@@ -1,9 +1,13 @@
 import ast
+import contextlib
 import json
 import os
 import re
+import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -327,6 +331,13 @@ def _replace(**fields):
     (None, _retime(lifetime=5), "override 0: 'lifetime' must map fresh names to bounds"),
     (None, _replace(edge="A->C", L="A"), "override edge names undeclared agent 'C'"),
     (None, _retime(lifetime={"Zz": 5}), "lifetime override for undeclared fresh 'Zz'"),
+    # an exponent would expand to a billion digits
+    (("A> delay 1", "A> delay 1e999999999"), {}, "line 9: delay: bad rational '1e999999999'"),
+    (None, _retime(delay="1e99999999"), "override 0: bad rational '1e99999999'"),
+    # session indices past int()'s digit limit
+    (None, _replace(edge="A->B", L="Ta#" + "1" * 5000),
+     "override 0: bad term in L: malformed session suffix (at offset 3)"),
+    (None, {"compromised": ["Ta#" + "1" * 5000]}, "malformed session suffix (at offset 3)"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit, needle):
     protocol = library.get("nspkt").protocol
@@ -340,6 +351,23 @@ def test_malformed_input_exits_2(capsys, tmp_path, protocol_edit, scenario_edit,
     assert code == 2
     assert err.startswith("error:") and needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("protocol_edit, scenario_text, needle", [
+    (None, '{"name": "s", "sessions": BIG, "overrides": []}', "error: malformed JSON: "),
+    (("step 1:", "step BIG:"), '{"name": "s", "overrides": []}', "error: line 9: bad step line"),
+])
+def test_integers_past_the_int_digit_limit_exit_2(capsys, tmp_path, protocol_edit,
+                                                   scenario_text, needle):
+    big = "1" * 5000
+    protocol = library.get("nspkt").protocol
+    if protocol_edit:
+        protocol = protocol.replace(protocol_edit[0], protocol_edit[1].replace("BIG", big), 1)
+    (tmp_path / "p.ab").write_text(protocol, encoding="utf-8")
+    (tmp_path / "s.json").write_text(scenario_text.replace("BIG", big), encoding="utf-8")
+    code, out, err = run(capsys, "check", str(tmp_path / "p.ab"), str(tmp_path / "s.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith(needle)
 
 
 @pytest.mark.parametrize("protocol, scenario_edit, message", [
@@ -609,19 +637,53 @@ def run_fresh(code: str, *args) -> str:
 
 
 # runs main(argv) and prints, on its last line, the package's loaded modules
-# and whether dataclasses is loaded
+# and whether dataclasses and signal are loaded
 LOADED = ("import sys; from tspbmc.cli import main; main(sys.argv[1:]); "
           "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tspbmc'), "
-          "'dataclasses' in sys.modules)")
+          "'dataclasses' in sys.modules, 'signal' in sys.modules)")
 FRONT = ["tspbmc", "tspbmc.cli", "tspbmc.errors", "tspbmc.library"]
 
 
 @pytest.mark.parametrize("argv", [["list"], ["--help"], ["check"]],
                          ids=["list", "help", "usage-error"])
 def test_list_help_and_usage_errors_load_no_pipeline_layer(argv):
-    *modules, dataclasses = run_fresh(LOADED, *argv).splitlines()[-1].split()
+    *modules, dataclasses, signal = run_fresh(LOADED, *argv).splitlines()[-1].split()
     assert modules == FRONT
-    assert dataclasses == "False"
+    assert dataclasses == signal == "False"
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["TERM", "HUP"])
+def test_a_signal_to_check_ends_its_solver_child(tmp_path, signum):
+    # the solver child runs in a process group of its own, which the
+    # signal's default action would leave running, still searching
+    pidfile = tmp_path / "solver.pid"
+    sleeper = tmp_path / "sleeper.py"
+    sleeper.write_text("import os, sys, time\n"
+                       "open(sys.argv[1], 'w').write(str(os.getpid()))\n"
+                       "time.sleep(60)\n", encoding="utf-8")
+    solver = shlex.join([sys.executable, str(sleeper), str(pidfile)])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tspbmc.cli", "check", "nspkt", "mitm1_lowe",
+         "--solver", solver], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not (pidfile.exists() and pidfile.read_text()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        child = int(pidfile.read_text())
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 128 + signum
+        assert "Traceback" not in err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child, 0)  # the group is gone
+    finally:
+        proc.kill()
+        if child is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child, signal.SIGKILL)
 
 
 # each command's exit code, then its output, in one interpreter
@@ -652,8 +714,8 @@ def test_output_does_not_follow_hash_order():
 
 
 def test_check_loads_the_pipeline():
-    *modules, _ = run_fresh(LOADED, "check", "nspkt", "fair", "--sessions", "1"
-                            ).splitlines()[-1].split()
+    *modules, _, _ = run_fresh(LOADED, "check", "nspkt", "fair", "--sessions", "1"
+                               ).splitlines()[-1].split()
     layers = ["dbm", "encoder", "frontend", "model", "oracle", "sexpr", "solver",
               "terms", "witness"]
     assert modules == sorted(FRONT + [f"tspbmc.{m}" for m in layers])

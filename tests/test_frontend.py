@@ -15,6 +15,7 @@ from tspbmc.frontend import (
     compute_generation,
     effective_require_complete,
     parse_protocol,
+    parse_rational,
     parse_scenario,
 )
 from tspbmc.terms import parse_term
@@ -136,6 +137,45 @@ def test_parse_scenario_listing_shape():
 def test_parse_scenario_rejects(bad):
     with pytest.raises(ScenarioError):
         parse_scenario(json.dumps(bad))
+
+
+def test_numerals_are_integers_decimals_and_fractions():
+    # a text delay or lifetime has no exponent, which would expand to a
+    # billion digits; a JSON number keeps its own, which is bounded
+    for text, value in [("3", 3), ("-3", -3), ("+2", 2), (" 2.5 ", Fraction(5, 2)),
+                        (".5", Fraction(1, 2)), ("3.", 3), ("7/2", Fraction(7, 2))]:
+        assert parse_rational(text) == value, text
+    for text in ("1e999999999", "1E3", "1_000", "inf", "1/0", "1.5/2", "0x10", "."):
+        with pytest.raises(ValueError, match="bad rational"):
+            parse_rational(text)
+    spec = parse_protocol(NSPK.replace("B : <KB, Tb> delay 1", "B : <KB, Tb> delay 7/2"))
+    assert spec.steps[2].min_delay == Fraction(7, 2)
+    with pytest.raises(ProtocolError, match="delay: bad rational '1e999999999'"):
+        parse_protocol(NSPK.replace("B : <KB, Tb> delay 1", "B : <KB, Tb> delay 1e999999999"))
+    with pytest.raises(ProtocolError, match="lifetime: bad rational '1e999999999'"):
+        parse_protocol(NSPK.replace("nonce lifetime 10", "nonce lifetime 1e999999999", 1))
+    for delay, value in [("7/2", Fraction(7, 2)), (2.5e1, 25), (1e16, 10**16), (3, 3)]:
+        ov = scenario(overrides=[{"sid": 1, "step": 1, "kind": "retime", "delay": delay}])
+        assert ov.overrides[0].delay == value, delay
+    for delay in ("1e99999999", "2.5e1", float("inf")):
+        with pytest.raises(ScenarioError, match="override 0: bad rational"):
+            scenario(overrides=[{"sid": 1, "step": 1, "kind": "retime", "delay": delay}])
+
+
+def test_numbers_past_the_int_digit_limit_are_input_errors():
+    big = "1" * 5000
+    for key in ("sessions", "sid", "delay"):
+        text = ('{"name": "s", "sessions": 1, "overrides": '
+                '[{"sid": 1, "step": 1, "kind": "retime", "delay": 1}]}')
+        with pytest.raises(ScenarioError, match="malformed JSON"):
+            parse_scenario(re.sub(f'"{key}": 1', f'"{key}": {big}', text))
+    with pytest.raises(ProtocolError, match="line 8: bad step line"):
+        parse_protocol(NSPK.replace("step 1:", f"step {big}:"))
+    with pytest.raises(ProtocolError, match="line 8: delay: bad rational"):
+        parse_protocol(NSPK.replace("A> delay 1", f"A> delay {big}", 1))
+    with pytest.raises(ScenarioError, match="bad term in L: malformed session suffix"):
+        scenario(overrides=[{"sid": 1, "step": 1, "kind": "replace", "edge": "A->B",
+                             "L": f"<KB,Ta#{big}|A>"}])
 
 
 def test_apply_overrides_replicates_and_instantiates():

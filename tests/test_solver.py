@@ -25,6 +25,7 @@ from tspbmc.model import build_model
 from tspbmc.oracle import explicit_reach
 from tspbmc.solver import (
     SolverConfig,
+    Verdict,
     close_idle,
     default_max_bound,
     iterate_bounds,
@@ -32,8 +33,11 @@ from tspbmc.solver import (
     run_solver,
 )
 
+from tspbmc.terms import Cipher
+from tspbmc.witness import replay
+
 from conftest import (BUNDLED, ERROR_REPLY, ERROR_THEN_SAT, library_models, model_of,
-                      sat_then, solver_config)
+                      replay_chain, sat_then, solver_config)
 
 
 def script_of(text: str, names: dict) -> SmtScript:
@@ -316,7 +320,6 @@ def stdin_logging(logfile, per_pid=False) -> str:
 
 
 def test_get_value_requests_only_decoded_symbols(lib, tmp_path):
-    from tspbmc.witness import replay
     pidfile, logfile = tmp_path / "pids", tmp_path / "stdin"
     model = model_of(lib, "nspkt", "mitm1_lowe", k=2)
     cfg = solver_config(command=pid_logging(pidfile, stdin_logging(logfile)))
@@ -505,6 +508,62 @@ def test_replay_tight_at_five_sessions_is_one_quick_unsat_query(lib):
     verdict = iterate_bounds(model, config=solver_config(timeout=20.0))
     assert (verdict.outcome, verdict.bound) == ("no-attack-up-to", 15)
     assert [(b, s) for b, s, _ in verdict.per_bound_log] == [(15, "unsat")]
+
+
+def replay_chain_model(lib, k: int, lifetime):
+    return build_model(parse_protocol(lib["wmf"].protocol),
+                       parse_scenario(replay_chain(k, lifetime)))
+
+
+def assert_agrees_with_the_oracle(model) -> Verdict:
+    """``check``'s verdict and bound are the oracle's, and its witness replays."""
+    oracle = explicit_reach(model, depth=default_max_bound(model))
+    verdict = iterate_bounds(model, config=solver_config())
+    assert (verdict.outcome, verdict.bound) == (oracle.outcome, oracle.depth)
+    if verdict.outcome == "attack-found":
+        trace = decode(verdict.result, encode(model, verdict.bound), model)
+        assert replay(trace, model) is None
+    return verdict
+
+
+@pytest.mark.parametrize("lifetime", [3, 100])
+def test_replay_chain_agrees_with_the_oracle(lib, lifetime):
+    for k in (2, 3, 4):
+        verdict = assert_agrees_with_the_oracle(replay_chain_model(lib, k, lifetime))
+        assert verdict.outcome == ("attack-found" if lifetime == 100 else "no-attack-up-to")
+
+
+def test_generous_replay_chain_attack_is_at_bound_3k(lib):
+    for k in range(3, 7):
+        verdict = iterate_bounds(replay_chain_model(lib, k, 100), config=solver_config())
+        assert (verdict.outcome, verdict.bound) == ("attack-found", 3 * k)
+
+
+def test_tight_replay_chain_at_16_sessions_is_one_quick_unsat_query(lib):
+    # the intruder's own replays deliver it nothing, so each replay's gate
+    # lists session 1's first step alone, not the other replays
+    model = replay_chain_model(lib, 16, 3)
+    assert all(gate == (((model.step_at(1, 1),),),)
+               for ref, gate in model.gates.items() if ref is not None)
+    start = time.monotonic()
+    verdict = iterate_bounds(model, config=solver_config(timeout=10.0))
+    assert time.monotonic() - start < 10.0
+    assert (verdict.outcome, verdict.bound) == ("no-attack-up-to", 48)
+    assert [(b, s) for b, s, _ in verdict.per_bound_log] == [(48, "unsat")]
+
+
+def test_two_tickets_agree_with_the_oracle():
+    # a Kerberos-style server message: a pair of ciphers, one ticket for
+    # each of A and B; compromising KBS opens B's ticket to the intruder
+    fixture = Path(__file__).parent / "fixtures" / "two_tickets"
+    spec = parse_protocol((fixture / "protocol.ab").read_text(encoding="utf-8"))
+    message = spec.steps[1].message
+    assert isinstance(message.left, Cipher) and isinstance(message.right, Cipher)
+    for name, expected in (("fair", ("no-attack-up-to", 8)), ("compromised", ("attack-found", 4))):
+        scenario = parse_scenario((fixture / f"{name}.json").read_text(encoding="utf-8"))
+        model = build_model(spec, scenario, k=2)
+        verdict = assert_agrees_with_the_oracle(model)
+        assert (verdict.outcome, verdict.bound) == expected
 
 
 @pytest.mark.parametrize("protocol, scenario, goal, complete, bound, queried", [

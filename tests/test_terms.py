@@ -31,7 +31,7 @@ from tspbmc.terms import (
 def test_parse_atoms():
     assert parse_term("A") == Ident("A")
     assert parse_term("KB") == PubKey("B")
-    assert parse_term("KA'") == PrivKey("A")
+    assert parse_term("KA'") == PrivKey("A") == parse_term(" KA '")
     assert parse_term("KAS") == SymKey("A", "S")
     assert parse_term("Ta") == Fresh("Ta")
     assert parse_term("Ta#2") == Fresh("Ta", 2)
@@ -79,6 +79,24 @@ def test_syntax_errors_report_offset():
     with pytest.raises(TermSyntaxError) as e:
         parse_term("Ta|")
     assert e.value.offset == 3
+    for text, message, offset in [
+        ("  ", "empty term", 0),
+        ("<KB,Ta", "expected '>'", 6),
+        ("<KB Ta>", "expected ','", 4),
+        ("<A,Ta>", "cipher key must be a key-form term", 0),
+        ("A| >", "expected an atom", 3),
+        ("A|$", "expected an atom", 2),
+        ("A|KABC", "unrecognized atom 'KABC'", 6),
+        ("Ta Tb", "trailing input after term", 3),
+        ("KA #1", "trailing input after term", 3),
+        ("Ta# 1", "malformed session suffix", 3),
+        ("Ta#00", "session index must be >= 1", 5),
+        # past int()'s digit limit
+        ("Ta#" + "1" * 5000, "malformed session suffix", 3),
+    ]:
+        with pytest.raises(TermSyntaxError, match=message) as e:
+            parse_term(text)
+        assert e.value.offset == offset, text
     with pytest.raises(TermSyntaxError):
         parse_term("")
     with pytest.raises(TermSyntaxError):
@@ -89,7 +107,9 @@ def test_syntax_errors_report_offset():
         parse_term("Ta#0")
 
 
-def _random_term(rng, depth):
+def _random_term(rng, depth, pair=True):
+    """A random term of at most ``depth`` levels; an atom or a cipher unless
+    ``pair``. A pair's left part is never a pair, which has no text form."""
     if depth == 0 or rng.random() < 0.35:
         return rng.choice([
             Ident(rng.choice("ABS")),
@@ -99,17 +119,50 @@ def _random_term(rng, depth):
             Fresh(rng.choice(["Ta", "Tb", "Kab"]),
                   rng.choice([None, 1, 2, 17])),
         ])
-    if rng.random() < 0.5:
-        return Pair(_random_term(rng, 0), _random_term(rng, depth - 1))
+    if pair and rng.random() < 0.5:
+        return Pair(_random_term(rng, depth - 1, pair=False), _random_term(rng, depth - 1))
     key = rng.choice([PubKey("A"), PrivKey("B"), SymKey("A", "B"), Fresh("Kab", 1)])
     return Cipher(key, _random_term(rng, depth - 1))
 
 
 def test_parse_render_round_trip_randomized():
     rng = random.Random(20240817)
+    headed = 0  # pairs whose left part is a cipher
     for _ in range(1000):
         t = _random_term(rng, 4)
         assert parse_term(render_term(t)) is t  # the one object of that value
+        headed += any(isinstance(s, Pair) and isinstance(s.left, Cipher) for s in subterms(t))
+    assert headed > 100
+
+
+def test_a_cipher_may_head_a_concatenation():
+    # a Kerberos-style pair of tickets
+    t = parse_term("<KAS, Kab|B|Ts> | <KBS, Kab|A|Ts>")
+    assert t == Pair(parse_term("<KAS,Kab|B|Ts>"), parse_term("<KBS,Kab|A|Ts>"))
+    assert render_term(t) == "<KAS,Kab|B|Ts>|<KBS,Kab|A|Ts>"
+    assert parse_term("A|<KB,Ta>|<KA,Tb>|B") == Pair(Ident("A"), Pair(
+        parse_term("<KB,Ta>"), Pair(parse_term("<KA,Tb>"), Ident("B"))))
+    # a pair is no key, wherever its cipher is
+    for text in ("<<KA,Ta>|KB,Tb>", "<KA|<KB,Ta>,Tb>"):
+        with pytest.raises(TermSyntaxError, match="key-form") as e:
+            parse_term(text)
+        assert e.value.offset == 0
+    # a left-nested pair has no text form: its text reads right-nested
+    left = Pair(Pair(Ident("A"), Ident("B")), Ident("S"))
+    assert parse_term(render_term(left)) == parse_term("A|B|S") != left
+
+
+def test_a_cipher_at_the_head_of_a_pair_is_one_level_deeper():
+    # <KB,...<KB,A>...> nests n levels, and as a pair's left part n + 1
+    def ciphers(n):
+        return "<KB," * n + "A" + ">" * n
+    assert term_depth(parse_term(ciphers(MAX_DEPTH - 1) + "|B")) == MAX_DEPTH
+    for text in (ciphers(MAX_DEPTH) + "|B", "A|" + ciphers(MAX_DEPTH - 1) + "|B",
+                 "<KB,<KB,A>|" * (MAX_DEPTH // 2) + "A" + ">" * (MAX_DEPTH // 2)):
+        with pytest.raises(TermSyntaxError, match=f"nested more than {MAX_DEPTH} levels"):
+            parse_term(text)
+    half = MAX_DEPTH // 2 - 1
+    assert term_depth(parse_term("<KB,<KB,A>|" * half + "A" + ">" * half)) == MAX_DEPTH - 1
 
 
 def test_equal_constructions_are_one_object():
