@@ -1,4 +1,19 @@
-"""Exception hierarchy shared by the whole pipeline."""
+"""Exception hierarchy shared by the whole pipeline, and ``quote``, which
+every message uses to quote input text."""
+
+# most characters of input text an error message quotes
+QUOTE_MAX = 40
+
+
+def quote(value) -> str:
+    """``repr(value)``, but past QUOTE_MAX characters only the first
+    QUOTE_MAX of a text, quoted, or of another value's repr, then ``…``
+    and the full length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= QUOTE_MAX:
+        return repr(value)
+    head = repr(text[:QUOTE_MAX]) if isinstance(value, str) else text[:QUOTE_MAX]
+    return f"{head}… ({len(text)} characters)"
 
 
 class TspbmcError(Exception):

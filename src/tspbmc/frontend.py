@@ -39,11 +39,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace as dc_replace
+import sys
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ProtocolError, ScenarioError, TermSyntaxError
+from .errors import ProtocolError, ScenarioError, TermSyntaxError, quote
 from .terms import (
     FRESH_CLASSES,
     Cipher,
@@ -69,7 +71,7 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):  # q = 0, or past int()'s digit limit
             pass
-    raise ValueError(f"bad rational {text!r}")
+    raise ValueError(f"bad rational {quote(text)}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,8 @@ def parse_protocol(text: str) -> ProtocolSpec:
         elif line.startswith("roles:"):
             for r in line[len("roles:"):].split():
                 if not _ROLE_RE.match(r):
-                    raise ProtocolError(f"bad role name {r!r} (single uppercase letter)", lineno)
+                    raise ProtocolError(
+                        f"bad role name {quote(r)} (single uppercase letter)", lineno)
                 if r == INTRUDER:
                     raise ProtocolError("role 'I' is reserved for the intruder", lineno)
                 if r in roles:
@@ -203,11 +206,11 @@ def parse_protocol(text: str) -> ProtocolSpec:
                 raise ProtocolError("bad fresh declaration", lineno)
             fname, owner, klass, lt = m.groups()
             if not _FRESH_NAME_RE.match(fname):
-                raise ProtocolError(f"bad fresh-atom name {fname!r}", lineno)
+                raise ProtocolError(f"bad fresh-atom name {quote(fname)}", lineno)
             if klass not in FRESH_CLASSES:
-                raise ProtocolError(f"unknown fresh class {klass!r}", lineno)
+                raise ProtocolError(f"unknown fresh class {quote(klass)}", lineno)
             if any(d.name == fname for d in decls):
-                raise ProtocolError(f"duplicate fresh declaration {fname!r}", lineno)
+                raise ProtocolError(f"duplicate fresh declaration {quote(fname)}", lineno)
             try:
                 lifetime = None if lt == "none" else parse_rational(lt)
             except ValueError as e:
@@ -242,7 +245,7 @@ def parse_protocol(text: str) -> ProtocolSpec:
                 raise ProtocolError(f"delay: {e}", lineno)
             steps.append(ProtocolStep(int(idx), sender, receiver, msg, min_delay))
         else:
-            raise ProtocolError(f"unrecognized line {line!r}", lineno)
+            raise ProtocolError(f"unrecognized line {quote(line)}", lineno)
 
     if name is None:
         raise ProtocolError("missing name:")
@@ -259,10 +262,10 @@ def parse_protocol(text: str) -> ProtocolSpec:
     try:
         target_sid: Union[int, str] = "any" if target == "any" else int(target)
     except ValueError:
-        raise ProtocolError(f"bad goal sid {target!r} (a session index or 'any')", lineno)
+        raise ProtocolError(f"bad goal sid {quote(target)} (a session index or 'any')", lineno)
     decl_names = {d.name for d in decls}
     if secret not in decl_names:
-        raise ProtocolError(f"goal secret {secret!r} is not a declared fresh atom", lineno)
+        raise ProtocolError(f"goal secret {quote(secret)} is not a declared fresh atom", lineno)
     goal = Goal(secret, target_sid, complete)
 
     spec = ProtocolSpec(name, tuple(roles), tuple(decls), tuple(steps), goal)
@@ -297,24 +300,24 @@ def _validate_spec(spec: ProtocolSpec):
     decl_map = spec.decl_map()
     for d in spec.fresh_decls:
         if d.owner not in spec.roles:
-            raise ProtocolError(f"fresh {d.name!r}: owner {d.owner!r} is not a role")
+            raise ProtocolError(f"fresh {quote(d.name)}: owner {d.owner!r} is not a role")
 
     seen: set = set()
     for st in spec.steps:
         for atom, is_key in _fresh_atoms(st.message):
             decl = decl_map.get(atom.name)
             if decl is None:
-                raise ProtocolError(f"step {st.index}: undeclared fresh atom {atom.name!r}")
+                raise ProtocolError(f"step {st.index}: undeclared fresh atom {quote(atom.name)}")
             if atom.name not in seen:
                 if st.sender != decl.owner:
                     raise ProtocolError(
-                        f"fresh {atom.name!r} first sent by {st.sender!r}, "
+                        f"fresh {quote(atom.name)} first sent by {st.sender!r}, "
                         f"not its owner {decl.owner!r}"
                     )
                 seen.add(atom.name)
             if is_key and decl.klass != "sesskey":
                 raise ProtocolError(
-                    f"step {st.index}: cipher key {atom.name!r} is not a session key"
+                    f"step {st.index}: cipher key {quote(atom.name)} is not a session key"
                 )
 
 
@@ -325,15 +328,19 @@ _SCENARIO_KEYS = {"name", "overrides", "sessions", "eavesdrop", "compromised"}
 def parse_scenario(json_text: str) -> Scenario:
     try:
         data = json.loads(json_text)
-    except ValueError as e:  # a syntax error, or an integer too long for int()
+    except json.JSONDecodeError as e:
         raise ScenarioError(f"malformed JSON: {e}")
+    except ValueError:  # an integer too long for int()
+        raise ScenarioError("malformed JSON: integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits")
     except RecursionError:
         raise ScenarioError("malformed JSON: nested too deeply")
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:
-        raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
+        raise ScenarioError(
+            f"unknown scenario keys: [{', '.join(map(quote, sorted(unknown)))}]")
     if not isinstance(data.get("name"), str) or not data["name"].strip():
         raise ScenarioError("'name' must be a non-empty string")
     if not isinstance(data.get("overrides"), list):
@@ -345,7 +352,8 @@ def parse_scenario(json_text: str) -> Scenario:
             raise ScenarioError(f"override {i}: must be an object")
         unknown = set(ov) - _OVERRIDE_KEYS
         if unknown:
-            raise ScenarioError(f"override {i}: unknown keys {sorted(unknown)}")
+            raise ScenarioError(
+                f"override {i}: unknown keys [{', '.join(map(quote, sorted(unknown)))}]")
         sid, step = ov.get("sid"), ov.get("step")
         if not (_is_int(sid) and _is_int(step)):
             raise ScenarioError(f"override {i}: bad or missing sid/step")
@@ -357,7 +365,7 @@ def parse_scenario(json_text: str) -> Scenario:
 
         kind = ov.get("kind")
         if kind not in ("replace", "intruder", "retime"):
-            raise ScenarioError(f"override {i}: unknown kind {kind!r}")
+            raise ScenarioError(f"override {i}: unknown kind {quote(kind)}")
 
         edge = None
         message = None
@@ -366,7 +374,7 @@ def parse_scenario(json_text: str) -> Scenario:
                 raise ScenarioError(f"override {i}: {kind} needs string 'edge' and 'L'")
             m = _EDGE_RE.match(ov["edge"])
             if not m:
-                raise ScenarioError(f"override {i}: bad edge syntax {ov['edge']!r}")
+                raise ScenarioError(f"override {i}: bad edge syntax {quote(ov['edge'])}")
             edge = (m.group(1), m.group(2))
             if kind == "intruder" and edge[0] != INTRUDER:
                 raise ScenarioError(f"override {i}: intruder override must have sender 'I'")
@@ -427,23 +435,35 @@ def _override_rational(value, i: int) -> Fraction:
         raise ScenarioError(f"override {i}: {e}")
 
 
-def compute_generation(steps, decl_map) -> dict:
+def _distinct(atoms) -> tuple:
+    """The fresh terms of ``_fresh_atoms`` pairs, without repeats, in order."""
+    return tuple(dict.fromkeys(t for t, _ in atoms))
+
+
+def compute_generation(steps, decl_map, fresh=None) -> dict:
     """Map each fresh term occurring in the steps to its generation step.
 
     ``steps`` are in (sid, index) order. The generation step is the first
     step whose message contains the term and whose sender is the declared
     owner; if the owner's send was overridden away, the first intruder step
-    containing it. A term only honest non-owners send has none.
+    containing it. A term only honest non-owners send has none. ``fresh``
+    holds each step's distinct fresh terms if they are known already.
     """
+    if fresh is None:
+        fresh = [_distinct(_fresh_atoms(st.message)) for st in steps]
     gen: dict = {}
     injected: dict = {}
-    for st in steps:
-        for t, _ in _fresh_atoms(st.message):
+    for st, terms in zip(steps, fresh):
+        for t in terms:
             if st.sender == INTRUDER:
                 injected.setdefault(t, st)
             elif t not in gen and st.sender == decl_map[t.name].owner:
                 gen[t] = st
     return {**injected, **gen}
+
+
+# a step before it becomes an ExecStep
+_Draft = namedtuple("_Draft", "sid index sender receiver message min_delay")
 
 
 def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
@@ -462,9 +482,14 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
     decl_map = spec.decl_map()
     nsteps = len(spec.steps)
 
-    steps = [ExecStep(sid, st.index, st.sender, st.receiver,
-                      instantiate(st.message, sid), st.min_delay)
-             for sid in range(1, k + 1) for st in spec.steps]
+    drafts = [_Draft(sid, st.index, st.sender, st.receiver,
+                     instantiate(st.message, sid), st.min_delay)
+              for sid in range(1, k + 1) for st in spec.steps]
+    # each step's distinct fresh terms: a template's, instantiated, unless
+    # an override replaces its message
+    templates = [_distinct(_fresh_atoms(st.message)) for st in spec.steps]
+    fresh = [tuple(instantiate(t, sid) for t in terms)
+             for sid in range(1, k + 1) for terms in templates]
 
     lifetime_adjust: dict = {}  # (sid, step) -> {fresh name: bound}
     for ov in scenario.overrides:
@@ -473,61 +498,65 @@ def apply_overrides(spec: ProtocolSpec, scenario: Scenario, k: int):
                 f"override ({ov.sid},{ov.step}) out of range for k={k}, {nsteps} steps"
             )
         at = (ov.sid - 1) * nsteps + ov.step - 1
-        cur = steps[at]
+        cur = drafts[at]
         if ov.kind in ("replace", "intruder"):
             sender, receiver = ov.edge
             for ag in (sender, receiver):
                 if ag != INTRUDER and ag not in spec.roles:
                     raise ScenarioError(f"override edge names undeclared agent {ag!r}")
             msg = instantiate(ov.message, ov.sid)
-            for atom, is_key in _fresh_atoms(msg):
+            atoms = list(_fresh_atoms(msg))
+            for atom, is_key in atoms:
                 decl = decl_map.get(atom.name)
                 if decl is None:
                     raise ScenarioError(
-                        f"override message uses undeclared fresh atom {atom.name!r}")
+                        f"override message uses undeclared fresh atom {quote(atom.name)}")
                 if atom.sid > k:  # the term parser rejects an index below 1
                     raise ScenarioError(f"override ({ov.sid},{ov.step}): fresh value "
                                         f"{render_term(atom)} is not of sessions 1..{k}")
                 if is_key and decl.klass != "sesskey":
                     raise ScenarioError(
-                        f"override cipher key {atom.name!r} is not a declared session key")
-            cur = dc_replace(cur, sender=sender, receiver=receiver, message=msg)
+                        f"override cipher key {quote(atom.name)} is not a declared session key")
+            cur = cur._replace(sender=sender, receiver=receiver, message=msg)
+            fresh[at] = _distinct(atoms)
         if ov.delay is not None:
-            cur = dc_replace(cur, min_delay=ov.delay)
+            cur = cur._replace(min_delay=ov.delay)
         if ov.lifetime_overrides:
             for fname in ov.lifetime_overrides:
                 if fname not in decl_map:
-                    raise ScenarioError(f"lifetime override for undeclared fresh {fname!r}")
+                    raise ScenarioError(f"lifetime override for undeclared fresh {quote(fname)}")
             lifetime_adjust[(ov.sid, ov.step)] = dict(ov.lifetime_overrides)
-        steps[at] = cur
+        drafts[at] = cur
 
-    gen = {t: st.ref for t, st in compute_generation(steps, decl_map).items()}
+    gen = compute_generation(drafts, decl_map, fresh)
 
     out = []
     seen = set()  # (sid, agent, fresh term) of the messages an agent sent or received
-    for st in steps:
-        fresh = dict.fromkeys(t for t, _ in _fresh_atoms(st.message))
-        generates = tuple(t for t in fresh if gen.get(t) == st.ref)
-        for t in fresh:
-            if not (st.gated or t in generates or (st.sid, st.sender, t) in seen):
+    for st, terms in zip(drafts, fresh):
+        generates = tuple(t for t in terms if gen.get(t) is st)
+        for t in terms:
+            if not (st.sender == INTRUDER or gen.get(t) is st
+                    or (st.sid, st.sender, t) in seen):
                 raise ScenarioError(
                     f"step ({st.sid},{st.index}): {st.sender} sends {render_term(t)} "
                     "before it generates or receives it")
-            seen |= {(st.sid, st.sender, t), (st.sid, st.receiver, t)}
+            seen.add((st.sid, st.sender, t))
+            seen.add((st.sid, st.receiver, t))
         # the loop above leaves only terms that have a generation step
-        adjust = lifetime_adjust.get(st.ref, {})
+        adjust = lifetime_adjust.get((st.sid, st.index), {})
         checks = []
-        for t in sorted(fresh, key=lambda f: (f.name, f.sid)):
+        for t in sorted(terms, key=lambda f: (f.name, f.sid)):
             bound = adjust.get(t.name, decl_map[t.name].lifetime)
+            g = gen[t]
             # generation itself is unconstrained
-            if gen[t] != st.ref and bound is not None:
-                checks.append(LifetimeCheck(t, bound, gen[t]))
+            if g is not st and bound is not None:
+                checks.append(LifetimeCheck(t, bound, (g.sid, g.index)))
         unused = sorted(set(adjust) - {c.term.name for c in checks})
         if unused:
             raise ScenarioError(
-                f"override ({st.sid},{st.index}): lifetime for {unused[0]!r} is never "
+                f"override ({st.sid},{st.index}): lifetime for {quote(unused[0])} is never "
                 f"checked: the step sends no {unused[0]} it does not generate")
-        out.append(dc_replace(st, lifetime_checks=tuple(checks), generates=generates))
+        out.append(ExecStep(*st, tuple(checks), generates))
     return out
 
 

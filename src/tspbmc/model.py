@@ -1,11 +1,17 @@
 """Verification-model construction.
 
 Combines the instantiated execution steps with a finite term universe,
-per-agent initial knowledge, compiled Dolev-Yao derivation rules, the
-intruder's minimal root supports (``labels``, exact, in the manner of de
-Kleer's ATMS labels, AIJ 1986) and the timing structure. The resulting
-TiisModel is immutable and shared by the SMT encoder, the witness
-replayer and the explicit-state oracle.
+per-agent initial knowledge, compiled Dolev-Yao derivation rules indexed
+by premise (``feeds``), the intruder's minimal root supports (``labels``,
+exact, in the manner of de Kleer's ATMS labels, AIJ 1986) and the timing
+structure. The resulting TiisModel is immutable and shared by the SMT
+encoder, the witness replayer and the explicit-state oracle.
+
+Knowledge is closed by forward chaining over the premise index (Dowling &
+Gallier, *J. Logic Programming*, 1984): a new fact fires only the rules it
+feeds, so extending closed knowledge costs what the new facts derive.
+Labels are propagated the same way, from the rules whose premise label
+changed.
 
 ``gate_table`` names, once, the deliverers that can open each gate.
 ``goal_analysis`` reads it for two static facts that the encoder and the
@@ -24,12 +30,13 @@ knowledge deltas are the runs before and after it, compared.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional
 
 from .dbm import ZERO
-from .errors import ModelError, ScenarioError, TermSyntaxError
+from .errors import ModelError, ScenarioError, TermSyntaxError, quote
 from .frontend import (
     INTRUDER,
     ProtocolSpec,
@@ -73,6 +80,7 @@ class TiisModel:
     exec_steps: tuple  # k x n, in (sid, index) order
     universe: TermUniverse
     rules: tuple
+    feeds: dict  # term id -> the rules it is a premise of (premise_index)
     depth: int  # universe nesting depth (at least 1)
     initial_knowledge: dict  # agent -> frozenset of term ids
     require_complete: frozenset
@@ -132,9 +140,9 @@ def _check_compromised(spec: ProtocolSpec, compromised, k: int) -> list:
         try:
             key = parse_term(text)
         except TermSyntaxError as e:
-            raise ScenarioError(f"compromised entry {text!r}: {e}") from e
+            raise ScenarioError(f"compromised entry {quote(text)}: {e}") from e
         if isinstance(key, Fresh) and not (key.name in sesskeys and key.sid and key.sid <= k):
-            raise ScenarioError(f"compromised entry {text!r} is not a declared "
+            raise ScenarioError(f"compromised entry {quote(text)} is not a declared "
                                 f"session key of sessions 1..{k}")
         # the agents a key names: two for a symmetric key, one for a public or
         # private key, and none (INTRUDER, always declared) for other terms
@@ -142,12 +150,12 @@ def _check_compromised(spec: ProtocolSpec, compromised, k: int) -> list:
         for agent in named:
             if agent not in spec.roles + (INTRUDER,):
                 raise ScenarioError(
-                    f"compromised entry {text!r}: {agent!r} is not a declared role")
+                    f"compromised entry {quote(text)}: {agent!r} is not a declared role")
         if not is_key_form(key):
-            raise ScenarioError(f"compromised entry {text!r} is not a key")
+            raise ScenarioError(f"compromised entry {quote(text)} is not a key")
         if _known_initially(INTRUDER, key):
             raise ScenarioError(
-                f"compromised entry {text!r} is a key the intruder knows initially")
+                f"compromised entry {quote(text)} is a key the intruder knows initially")
         keys.append(key)
     return keys
 
@@ -198,17 +206,34 @@ def compile_rules(universe: TermUniverse):
 LABEL_CAP = 64
 
 
+def premise_index(rules) -> dict:
+    """Term id -> the rules that have it as a premise, in rule order."""
+    feeds = {}
+    for r in rules:
+        for p in r.premises:
+            feeds.setdefault(p, []).append(r)
+    return {p: tuple(rs) for p, rs in feeds.items()}
+
+
+def _chain(closed, new, feeds: dict) -> FrozenSet[int]:
+    """The closure of the ids ``closed``, closed under the rules already,
+    and ``new``: each new id fires the rules it feeds (``premise_index``)
+    whose premises all hold, and each conclusion they add does so in turn."""
+    out = set(closed)
+    out.update(new)
+    todo = list(new)
+    while todo:
+        for r in feeds.get(todo.pop(), ()):
+            c = r.conclusion
+            if c not in out and out.issuperset(r.premises):
+                out.add(c)
+                todo.append(c)
+    return frozenset(out)
+
+
 def closure(known, rules) -> FrozenSet[int]:
     """Least fixpoint of rule application starting from ``known``."""
-    out = set(known)
-    changed = True
-    while changed:
-        changed = False
-        for r in rules:
-            if r.conclusion not in out and out.issuperset(r.premises):
-                out.add(r.conclusion)
-                changed = True
-    return frozenset(out)
+    return _chain((), known, premise_index(rules))
 
 
 def constructible(known, t: Term, universe: TermUniverse) -> bool:
@@ -257,6 +282,7 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
     init = {a: initial_knowledge(a, universe) for a in agents}
     init[INTRUDER] |= {universe.id_of(key) for key in compromised}
     rules = compile_rules(universe)
+    feeds = premise_index(rules)
 
     secret_ids = []
     goal = spec.goal
@@ -267,13 +293,13 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
             secret_ids.append(universe.id_of(t))
     if not secret_ids:
         raise ModelError(
-            f"goal secret {goal.secret!r} (sid {goal.target_sid}) appears in no step"
+            f"goal secret {quote(goal.secret)} (sid {goal.target_sid}) appears in no step"
         )
 
     require = effective_require_complete(spec, steps, k)
     deliveries = intruder_deliveries(steps, universe, scenario.eavesdrop)
     labels = tuple(_sorted_label(lab) for lab in
-                   support_labels(universe, rules, init[INTRUDER], deliveries))
+                   support_labels(universe, feeds, init[INTRUDER], deliveries))
     gates = gate_table(steps, universe, labels, deliveries, secret_ids)
     if not require and () in gates[None]:
         secret = next(universe.term_of(tid) for tid in secret_ids if () in labels[tid])
@@ -289,6 +315,7 @@ def build_model(spec: ProtocolSpec, scenario: Scenario,
         exec_steps=tuple(steps),
         universe=universe,
         rules=rules,
+        feeds=feeds,
         depth=max(universe.depth, 1),
         initial_knowledge=init,
         require_complete=require,
@@ -322,30 +349,44 @@ def _sorted_label(sets) -> tuple:
     return tuple(sorted((tuple(sorted(s)) for s in sets), key=lambda s: (len(s), s)))
 
 
-def support_labels(universe: TermUniverse, rules, init, roots) -> list:
+def support_labels(universe: TermUniverse, feeds: dict, init, roots) -> list:
     """Per term id, the minimal root-id sets S with the term in
     ``closure(init ∪ S)``, as lists of frozensets; empty if none.
 
     Least fixpoint over the Horn rules: a rule's conclusion gets the
-    minimized unions of one label member from each premise.
+    minimized unions of one label member from each premise. A rule is
+    evaluated when the label of one of its premises has changed since its
+    last evaluation (``feeds``), starting from the labels of the roots and
+    of ``init``.
     """
     labels = [[] for _ in range(len(universe))]
     for r in roots:
         labels[r] = [frozenset((r,))]
     for t in init:
         labels[t] = [frozenset()]
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            derived = [frozenset()]
-            for p in rule.premises:
-                derived = _unions(derived, labels[p])
-            c = rule.conclusion
-            merged = _antichain(labels[c] + derived, universe, c)
-            if set(merged) != set(labels[c]):
-                labels[c] = merged
-                changed = True
+    todo = deque()
+    queued = set()
+
+    def changed(tid):
+        for r in feeds.get(tid, ()):
+            if id(r) not in queued:
+                queued.add(id(r))
+                todo.append(r)
+
+    for tid, label in enumerate(labels):
+        if label:
+            changed(tid)
+    while todo:
+        rule = todo.popleft()
+        queued.remove(id(rule))
+        derived = [frozenset()]
+        for p in rule.premises:
+            derived = _unions(derived, labels[p])
+        c = rule.conclusion
+        if all(any(s <= d for s in labels[c]) for d in derived):
+            continue  # each derived set holds a support the label has
+        labels[c] = _antichain(labels[c] + derived, universe, c)
+        changed(c)
     return labels
 
 
@@ -458,7 +499,7 @@ class Run:
     @classmethod
     def start(cls, model: TiisModel) -> "Run":
         return cls(model, (1,) * model.sessions,
-                   {a: closure(model.initial_knowledge[a], model.rules)
+                   {a: _chain((), model.initial_knowledge[a], model.feeds)
                     for a in model.agents}, ZERO)
 
     def then(self, step) -> "Run":
@@ -473,8 +514,9 @@ class Run:
             new[step.sender] = {id_of(t) for t in step.generates}
         known = dict(self.known)
         for a, ids in new.items():
-            if not ids <= known[a]:  # closed knowledge holding them is unchanged
-                known[a] = closure(known[a] | ids, model.rules)
+            ids -= known[a]
+            if ids:  # else closed knowledge holding them is unchanged
+                known[a] = _chain(known[a], ids, model.feeds)
         pc = self.pc[:step.sid - 1] + (step.index + 1,) + self.pc[step.sid:]
         return Run(model, pc, known, step.ref)
 

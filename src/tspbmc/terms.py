@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, Optional, Union
 
-from .errors import TermError, TermSyntaxError
+from .errors import TermError, TermSyntaxError, quote
 
 Term = Union["Ident", "PubKey", "PrivKey", "SymKey", "Fresh", "Pair", "Cipher"]
 
@@ -205,7 +205,7 @@ def _atom(m) -> Term:
             raise TermSyntaxError("session index must be >= 1", m.end())
         return Fresh(m[8], sid)
     if m[1] and not m[2]:
-        raise TermSyntaxError(f"unrecognized atom {m[1]!r}", m.end(1))
+        raise TermSyntaxError(f"unrecognized atom {quote(m[1])}", m.end(1))
     raise TermSyntaxError("expected an atom", m.start(1))
 
 

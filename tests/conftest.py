@@ -125,6 +125,46 @@ def assert_labels_exact(model, rng, samples: int):
                 assert tid not in closure(init | (set(sup) - {m}), rules)
 
 
+def naive_closure(known, rules) -> frozenset:
+    """The reference knowledge closure: sweep every rule until a sweep adds
+    nothing. It shares no code with ``model.closure``."""
+    out = set(known)
+    changed = True
+    while changed:
+        changed = False
+        for r in rules:
+            if r.conclusion not in out and out.issuperset(r.premises):
+                out.add(r.conclusion)
+                changed = True
+    return frozenset(out)
+
+
+def naive_labels(size: int, rules, init, roots) -> list:
+    """The reference minimal root supports, per term id below ``size``: sweep
+    every rule, giving its conclusion the minimal unions of one support of
+    each premise, until a sweep changes no label. Each label is a sorted
+    tuple of sorted id tuples, as ``TiisModel.labels`` holds it."""
+    labels = [set() for _ in range(size)]
+    for r in roots:
+        labels[r] = {frozenset((r,))}
+    for t in init:
+        labels[t] = {frozenset()}
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            derived = {frozenset()}
+            for p in rule.premises:
+                derived = {a | b for a in derived for b in labels[p]}
+            both = labels[rule.conclusion] | derived
+            minimal = {s for s in both if not any(t < s for t in both)}
+            if minimal != labels[rule.conclusion]:
+                labels[rule.conclusion] = minimal
+                changed = True
+    return [tuple(sorted((tuple(sorted(s)) for s in label), key=lambda s: (len(s), s)))
+            for label in labels]
+
+
 def solver_config(**kw) -> SolverConfig:
     kw.setdefault("command", BUNDLED)
     kw.setdefault("timeout", 120.0)

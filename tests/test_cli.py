@@ -153,6 +153,17 @@ def test_library_get_reads_only_the_named_entry(monkeypatch):
     assert set(read) <= {"__pycache__"}  # a directory without protocol.ab
 
 
+def test_commands_read_only_the_scenario_files_they_use(capsys, monkeypatch):
+    opened = []
+    monkeypatch.setattr(library, "open", lambda path, *a, **kw: opened.append(
+        os.path.basename(path)) or open(path, *a, **kw), raising=False)
+    assert run(capsys, "list")[0] == 0
+    assert opened and not [name for name in opened if name.endswith(".json")]
+    opened.clear()
+    assert run(capsys, "check", "nspkt", "fair")[0] == 0
+    assert opened == ["protocol.ab", "fair.json"]
+
+
 def test_check_queries_the_cone_and_reports_the_cap(capsys):
     # nspkt fair at k=3: the goal's cone is session 1's 3 steps, so one
     # query at bound 3 covers all 9 steps' runs
@@ -393,6 +404,16 @@ def test_integers_past_the_int_digit_limit_exit_2(capsys, tmp_path, protocol_edi
     ("dsp", {"compromised": ["KAI"]},
      "compromised entry 'KAI' is a key the intruder knows initially"),
     ("dsp", {"compromised": ["KA|"]}, "compromised entry 'KA|': expected an atom (at offset 3)"),
+    # long input text is quoted by its first 40 characters and its length
+    ("dsp", {"compromised": ["Ta#" + "1" * 5000]}, "compromised entry 'Ta#"
+     + "1" * 37 + "'… (5003 characters): malformed session suffix (at offset 3)"),
+    ("nspkt", _retime(delay="1/" + "1" * 5000),
+     "override 0: bad rational '1/" + "1" * 38 + "'… (5002 characters)"),
+    ("nspkt", _replace(edge="A->B", L="Q" * 5000), "override 0: bad term in L: "
+     "unrecognized atom '" + "Q" * 40 + "'… (5000 characters) (at offset 5000)"),
+    ("nspkt", {"x" * 5000: 1}, "unknown scenario keys: ['" + "x" * 40 + "'… (5000 characters)]"),
+    ("nspkt", {"overrides": [{"sid": 1, "step": 1, "kind": list(range(3000))}]},
+     "override 0: unknown kind [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1… (16890 characters)"),
 ])
 def test_check_rejects_a_scenario_it_cannot_mean(capsys, tmp_path, protocol, scenario_edit,
                                                  message):

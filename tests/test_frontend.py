@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tspbmc
-from tspbmc.errors import ProtocolError, ScenarioError
+from tspbmc.errors import QUOTE_MAX, ProtocolError, ScenarioError, quote
 from tspbmc.frontend import (
     apply_overrides,
     compute_generation,
@@ -162,12 +162,21 @@ def test_numerals_are_integers_decimals_and_fractions():
             scenario(overrides=[{"sid": 1, "step": 1, "kind": "retime", "delay": delay}])
 
 
+def test_quote_cuts_long_text_to_a_prefix_and_its_length():
+    assert quote("KA|") == "'KA|'"
+    assert quote("x" * QUOTE_MAX) == repr("x" * QUOTE_MAX)
+    assert quote("x" * 5000) == f"{'x' * QUOTE_MAX!r}… (5000 characters)"
+    assert quote(5) == "5"
+    assert quote(list(range(100))) == f"{str(list(range(100)))[:QUOTE_MAX]}… (390 characters)"
+
+
 def test_numbers_past_the_int_digit_limit_are_input_errors():
     big = "1" * 5000
     for key in ("sessions", "sid", "delay"):
         text = ('{"name": "s", "sessions": 1, "overrides": '
                 '[{"sid": 1, "step": 1, "kind": "retime", "delay": 1}]}')
-        with pytest.raises(ScenarioError, match="malformed JSON"):
+        with pytest.raises(ScenarioError, match="^malformed JSON: integer of more than "
+                           f"{sys.get_int_max_str_digits()} digits$"):
             parse_scenario(re.sub(f'"{key}": 1', f'"{key}": {big}', text))
     with pytest.raises(ProtocolError, match="line 8: bad step line"):
         parse_protocol(NSPK.replace("step 1:", f"step {big}:"))

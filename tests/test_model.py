@@ -17,11 +17,13 @@ from tspbmc.model import (
     initial_knowledge,
     model_to_json,
     step_constraints,
+    support_labels,
 )
 from tspbmc.oracle import explicit_reach
 from tspbmc.terms import Cipher, Pair, TermUniverse, parse_term
 
-from conftest import UNREADABLE, assert_labels_exact, library_models, load, model_of
+from conftest import (UNREADABLE, assert_labels_exact, library_models, load, model_of,
+                      naive_closure, naive_labels)
 
 
 def ids(universe, *texts):
@@ -106,6 +108,63 @@ def test_support_labels_exact_on_library(lib):
     assert len(models) >= 12
     for model in models:
         assert_labels_exact(model, rng, samples=50)
+
+
+def test_closure_matches_the_naive_sweep(lib):
+    rng = random.Random(32)
+    models = list(library_models(lib, ks=(1, 2, 3)))
+    assert len(models) >= 20
+    for model in models:
+        all_ids = range(len(model.universe))
+        for _ in range(40):
+            s = frozenset(rng.sample(all_ids, rng.randrange(len(all_ids) + 1)))
+            assert closure(s, model.rules) == naive_closure(s, model.rules)
+        for a in model.agents:
+            init = model.initial_knowledge[a]
+            assert closure(init, model.rules) == naive_closure(init, model.rules)
+
+
+def test_run_knowledge_matches_the_naive_sweep(lib):
+    # at each step of random interleavings, each agent's knowledge is the
+    # reference closure of its knowledge before plus what the step gives it
+    rng = random.Random(33)
+    for model in library_models(lib, ks=(1, 2, 3)):
+        id_of, n = model.universe.id_of, model.steps_per_session()
+        for _ in range(5):
+            run = Run.start(model)
+            assert run.known == {a: naive_closure(model.initial_knowledge[a], model.rules)
+                                 for a in model.agents}
+            while any(i <= n for i in run.pc):
+                sid = rng.choice([s for s, i in enumerate(run.pc, start=1) if i <= n])
+                st = model.step_at(sid, run.pc[sid - 1])
+                gets = {a: set() for a in model.agents}
+                gets[st.receiver].add(id_of(st.message))
+                if model.eavesdrop and st.sender != INTRUDER:
+                    gets[INTRUDER].add(id_of(st.message))
+                if st.sender != INTRUDER:
+                    gets[st.sender] |= {id_of(t) for t in st.generates}
+                after = run.then(st)
+                for a in model.agents:
+                    assert after.known[a] == naive_closure(run.known[a] | gets[a], model.rules)
+                run = after
+
+
+def test_support_labels_match_the_naive_sweep(lib):
+    # the model's labels, and the labels of random initial knowledge and roots
+    rng = random.Random(34)
+    for model in library_models(lib, ks=(1, 2, 3)):
+        size = len(model.universe)
+        roots = {model.universe.id_of(st.message) for st in model.exec_steps
+                 if st.sender != INTRUDER and (st.receiver == INTRUDER or model.eavesdrop)}
+        assert model.labels == tuple(naive_labels(
+            size, model.rules, model.initial_knowledge[INTRUDER], roots))
+        for _ in range(10):
+            init = set(rng.sample(range(size), rng.randrange(size // 2 + 1)))
+            roots = set(rng.sample(range(size), rng.randrange(6))) - init
+            expected = naive_labels(size, model.rules, init, roots)
+            got = support_labels(model.universe, model.feeds, init, roots)
+            assert [tuple(sorted((tuple(sorted(s)) for s in label), key=lambda s: (len(s), s)))
+                    for label in got] == expected
 
 
 def test_constructible_examples(lib):
